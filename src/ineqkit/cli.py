@@ -15,6 +15,9 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from . import micro
 from .composite import (
     DEFAULT_WEIGHT,
     b_over_t_from_t_over_b,
@@ -28,12 +31,6 @@ from .errors import (
     JoinError,
     SchemaError,
     ZeroIncomeError,
-)
-from .micro import (
-    IncomeSample,
-    QuantileShares,
-    gini as micro_gini,
-    palma_ratio,
 )
 from .panel import (
     Panel,
@@ -55,6 +52,8 @@ from .ranking import (
 from .welfare import atkinson, ge_index, ge_zero, theil
 
 _INDICATORS = {i.value: i for i in Indicator}
+# Percent cuts of the tail-share rows of `ineq micro`.
+_TAIL_CUTS = (10, 20, 30, 40, 50)
 
 
 def _fmt(value: float, decimals: int = 6) -> str:
@@ -106,19 +105,20 @@ def _schema_from_args(args) -> SchemaConfig:
     )
 
 
-def _load_panel(args) -> tuple[Panel, int]:
+def _load_panel(args) -> Panel:
     """Parse, report diagnostics, apply --year/--source filters.
 
-    Returns the panel and the number of skipped rows.
+    Raises when a row was skipped under --strict.
     """
     text = _read_text(args.input)
     schema = _schema_from_args(args)
     panel, diagnostics = parse_panel(text, schema, label=args.input)
     for diag in diagnostics:
         print(f"{args.input}:{diag.line}: skipped row: {diag.reason}", file=sys.stderr)
+    if diagnostics and args.strict:
+        raise IneqError(f"{len(diagnostics)} bad row(s) with --strict")
     source = Source(args.source.upper()) if args.source else None
-    panel = slice_panel(panel, year=args.year, source=source)
-    return panel, len(diagnostics)
+    return slice_panel(panel, year=args.year, source=source)
 
 
 def _csv_text(header, rows) -> str:
@@ -130,10 +130,7 @@ def _csv_text(header, rows) -> str:
 
 
 def cmd_compute(args) -> int:
-    panel, skipped = _load_panel(args)
-    if skipped and args.strict:
-        print(f"error: {skipped} bad row(s) with --strict", file=sys.stderr)
-        return 2
+    panel = _load_panel(args)
     rows = []
     for rec in sorted(panel.records, key=lambda r: r.key):
         res = composite(rec.gini, ratio_of(rec), args.weight)
@@ -160,28 +157,27 @@ def cmd_micro(args) -> int:
         if not line:
             continue
         values.append(float(line))
-    sample = IncomeSample.from_values(values)
-    shares = QuantileShares.from_sample(sample)
+    sample = micro.IncomeSample.from_values(values)
+    # Every Lorenz-based row reads this one curve.  It is looked up on the
+    # module so that code patching ``ineqkit.micro.lorenz_curve`` sees it.
+    curve = micro.lorenz_curve(sample)
+    gini = curve.gini()
+    deciles = np.diff(curve.value_at(np.arange(11) / 10.0))
+    bottom, top, b_over_t = curve.tail_shares(_TAIL_CUTS)
 
     rows: list[tuple[str, str]] = [
         ("n", str(sample.n)),
         ("mean", _fmt(sample.mean)),
-        ("gini", _fmt(micro_gini(sample))),
+        ("gini", _fmt(gini)),
     ]
-    curve = shares.curve
-    for k in range(1, 11):
-        decile = curve.value_at(k / 10.0) - curve.value_at((k - 1) / 10.0)
-        rows.append((f"decile_share_{k}", _fmt(decile)))
-    for x in (10, 20, 30, 40, 50):
-        rows.append((f"bottom_share_{x}", _fmt(shares.bottom(x))))
-    for x in (10, 20, 30, 40, 50):
-        rows.append((f"top_share_{x}", _fmt(shares.top(x))))
-    for x in (10, 20, 30, 40, 50):
-        b_over_t = shares.b_over_t(x)
-        t_over_b = math.inf if b_over_t == 0.0 else 1.0 / b_over_t
+    rows += [(f"decile_share_{k}", _fmt(d)) for k, d in enumerate(deciles, 1)]
+    rows += [(f"bottom_share_{x}", _fmt(b)) for x, b in zip(_TAIL_CUTS, bottom)]
+    rows += [(f"top_share_{x}", _fmt(t)) for x, t in zip(_TAIL_CUTS, top)]
+    for x, ratio in zip(_TAIL_CUTS, b_over_t):
+        t_over_b = math.inf if ratio == 0.0 else 1.0 / ratio
         rows.append((f"t_over_b_{x}", _fmt(t_over_b)))
     try:
-        palma = palma_ratio(sample)
+        palma = curve.palma()
     except DivisionByZeroShareError:
         palma = math.inf
     rows.append(("palma", _fmt(palma)))
@@ -195,7 +191,7 @@ def cmd_micro(args) -> int:
     except ZeroIncomeError:
         mld = math.nan
     rows.append(("mld", _fmt(mld)))
-    res = composite(micro_gini(sample), shares.b_over_t(10), args.weight)
+    res = composite(gini, b_over_t[0], args.weight)
     rows.append(("weight", _fmt(args.weight)))
     rows.append(("h", _fmt(res.h)))
     rows.append(("index_i", _fmt(res.index_i)))
@@ -206,10 +202,7 @@ def cmd_micro(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    panel, skipped = _load_panel(args)
-    if skipped and args.strict:
-        print(f"error: {skipped} bad row(s) with --strict", file=sys.stderr)
-        return 2
+    panel = _load_panel(args)
     if not panel.records:
         print("error: no records to calibrate on", file=sys.stderr)
         return 2
@@ -244,10 +237,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    panel, skipped = _load_panel(args)
-    if skipped and args.strict:
-        print(f"error: {skipped} bad row(s) with --strict", file=sys.stderr)
-        return 2
+    panel = _load_panel(args)
     table = rank(panel, _INDICATORS[args.indicator], args.weight)
     rows = [[e.rank, e.country, _fmt(e.value, 3)] for e in table.entries]
     _emit(_csv_text(["rank", "country", "value"], rows), args.output)
@@ -255,10 +245,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    panel, skipped = _load_panel(args)
-    if skipped and args.strict:
-        print(f"error: {skipped} bad row(s) with --strict", file=sys.stderr)
-        return 2
+    panel = _load_panel(args)
     table_a = rank(panel, _INDICATORS[args.indicator_a], args.weight)
     table_b = rank(panel, _INDICATORS[args.indicator_b], args.weight)
     cmp = compare_rankings(table_a, table_b)
@@ -275,10 +262,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_series(args) -> int:
-    panel, skipped = _load_panel(args)
-    if skipped and args.strict:
-        print(f"error: {skipped} bad row(s) with --strict", file=sys.stderr)
-        return 2
+    panel = _load_panel(args)
     points = series(panel, args.country, args.weight)
     rows = [
         [p.year, _fmt(p.gini), _fmt(p.t_over_b), _fmt(p.index_i)]

@@ -1,12 +1,13 @@
 """Inequality measures computed directly from micro-data samples.
 
-Everything here is driven by the empirical Lorenz curve: the piecewise-linear
+Each measure reads one curve, the empirical Lorenz curve: the piecewise-linear
 plot of cumulative income share against cumulative population share, with the
-sample sorted poorest to richest.  The Gini coefficient is one minus twice the
-trapezoidal area under that curve, which coincides exactly with the pairwise
-mean-difference form.  Quantile shares interpolate linearly on the curve, so a
-cut point falling inside an observation splits that observation
-proportionally.
+sample sorted poorest to richest.  Each is one method of :class:`LorenzCurve`.
+The Gini coefficient is one minus twice the trapezoidal area under the curve,
+which coincides exactly with the pairwise mean-difference form.  Tail shares
+interpolate linearly on the curve, so a cut point falling inside an
+observation splits that observation proportionally.  To read several
+measures, build the curve once with :func:`lorenz_curve`.
 
 All operations are pure functions over immutable inputs and may be shared
 freely across threads.
@@ -82,12 +83,22 @@ def _as_sample(sample) -> IncomeSample:
     return IncomeSample.from_values(sample)
 
 
+def _check_percent(x) -> np.ndarray:
+    """One percent cut or a sequence of them, each in (0, 50], as a 1-d array."""
+    cuts = np.atleast_1d(np.asarray(x, dtype=float))
+    bad = cuts[~((0.0 < cuts) & (cuts <= 50.0))]
+    if bad.size:
+        raise DomainError(f"percent cut {float(bad[0])!r} outside (0, 50]")
+    return cuts
+
+
 @dataclass(frozen=True)
 class LorenzCurve:
     """Piecewise-linear Lorenz curve: (population share p, income share L).
 
     Invariants: starts at (0, 0), ends at (1, 1), p strictly increasing,
     L non-decreasing, L(p) <= p, and chord slopes non-decreasing (convexity).
+    Every Lorenz-derived measure is a method of the curve.
     """
 
     p: np.ndarray
@@ -100,29 +111,99 @@ class LorenzCurve:
             raise DomainError("curve needs matching 1-d arrays of >= 2 points")
         if p[0] != 0.0 or L[0] != 0.0 or p[-1] != 1.0 or L[-1] != 1.0:
             raise DomainError("curve must run from (0, 0) to (1, 1)")
-        if np.any(np.diff(p) <= 0):
+        dp = np.diff(p)
+        if np.any(dp <= 0):
             raise DomainError("population shares must be strictly increasing")
-        if np.any(np.diff(L) < -_CONVEXITY_TOL):
+        slopes = np.diff(L)
+        if np.any(slopes < -_CONVEXITY_TOL):
             raise DomainError("income shares must be non-decreasing")
         if np.any(L > p + _CONVEXITY_TOL):
             raise DomainError("curve must lie on or below the diagonal")
-        slopes = np.diff(L) / np.diff(p)
-        if np.any(np.diff(slopes) < -_CONVEXITY_TOL):
+        slopes /= dp
+        # A chord slope's rounding error grows like eps / dp, and so does the
+        # slack on a slope difference: 8 eps n on an even grid of n + 1
+        # points.  In-place steps keep a large curve's peak memory down.
+        slack = np.minimum(dp[:-1], dp[1:])
+        np.divide(8.0 * np.finfo(float).eps, slack, out=slack)
+        slack += _CONVEXITY_TOL
+        slack += np.diff(slopes)
+        if np.any(slack < 0.0):
             raise DomainError("curve must be convex (non-decreasing slopes)")
         for name, arr in (("p", p), ("L", L)):
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
+    @classmethod
+    def from_sample(cls, sample) -> "LorenzCurve":
+        """Same as :func:`lorenz_curve`."""
+        return lorenz_curve(sample)
+
     @property
     def points(self) -> list[tuple[float, float]]:
         return list(zip(self.p.tolist(), self.L.tolist()))
 
-    def value_at(self, p: float) -> float:
-        """Income share of the poorest fraction ``p`` (linear interpolation)."""
-        if not 0.0 <= p <= 1.0:
+    def value_at(self, p):
+        """Income share of the poorest fraction ``p`` (linear interpolation);
+        an array of fractions gives an array, read in one lookup."""
+        shares = np.asarray(p, dtype=float)
+        if not np.all((0.0 <= shares) & (shares <= 1.0)):
             raise DomainError(f"population share {p!r} outside [0, 1]")
-        return float(np.interp(p, self.p, self.L))
+        values = np.interp(shares, self.p, self.L)
+        return float(values) if values.ndim == 0 else values
+
+    def gini(self) -> float:
+        """Gini coefficient: area between the equality line and the curve
+        over the whole area under the equality line.
+
+        Computed as 1 - 2 * (trapezoidal area under the curve), which is
+        identical to the pairwise mean-difference form
+        sum_ij |y_i - y_j| / (2 n^2 mean).  Population estimator: the maximum
+        for a sample of size n is 1 - 1/n.
+        """
+        area = float(np.sum((self.L[1:] + self.L[:-1]) * np.diff(self.p)) / 2.0)
+        return max(1.0 - 2.0 * area, 0.0)
+
+    def tail_shares(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Bottom share, top share and B/T ratio of the ``x`` percent tails.
+
+        ``x`` is one cut in (0, 50] or a sequence of them, all read in one
+        lookup; each result has one entry per cut.  B/T is 0 when the bottom
+        share is zero and never above 1, because the top tail share can never
+        fall below the bottom tail share of the same width.
+        """
+        cuts = _check_percent(x)
+        values = self.value_at(np.concatenate((cuts / 100.0, 1.0 - cuts / 100.0)))
+        bottom, top = values[: cuts.size], 1.0 - values[cuts.size :]
+        ratio = np.divide(bottom, top, out=np.zeros_like(bottom), where=bottom != 0.0)
+        # float noise can push bottom/top one ulp past 1 when the shares tie
+        return bottom, top, np.minimum(ratio, 1.0)
+
+    def bottom(self, x) -> float:
+        """Income share held by the poorest ``x`` percent, x in (0, 50]."""
+        return float(self.tail_shares(x)[0][0])
+
+    def top(self, x) -> float:
+        """Income share held by the richest ``x`` percent, x in (0, 50]."""
+        return float(self.tail_shares(x)[1][0])
+
+    def b_over_t(self, x) -> float:
+        """Bottom-x share over top-x share; 0 when the bottom share is zero."""
+        return float(self.tail_shares(x)[2][0])
+
+    def palma(self) -> float:
+        """Top-10% share over bottom-40% share.
+
+        Ranges over [1/4, infinity); raises when the bottom 40% holds nothing.
+        """
+        bottom, top, _ = self.tail_shares((40.0, 10.0))
+        if bottom[0] == 0.0:
+            raise DivisionByZeroShareError("bottom 40% share is zero")
+        return float(top[1] / bottom[0])
+
+
+# Public name for the share queries, which a curve answers itself.
+QuantileShares = LorenzCurve
 
 
 def lorenz_curve(sample) -> LorenzCurve:
@@ -140,87 +221,25 @@ def lorenz_curve(sample) -> LorenzCurve:
 
 
 def gini(sample) -> float:
-    """Gini coefficient: area between the equality line and the Lorenz curve
-    over the whole area under the equality line.
-
-    Computed as 1 - 2 * (trapezoidal area under the Lorenz curve), which is
-    identical to the pairwise mean-difference form
-    sum_ij |y_i - y_j| / (2 n^2 mean).  Population estimator: the maximum for
-    a sample of size n is 1 - 1/n.
-    """
-    curve = lorenz_curve(sample)
-    area = float(np.sum((curve.L[1:] + curve.L[:-1]) * np.diff(curve.p)) / 2.0)
-    return max(1.0 - 2.0 * area, 0.0)
-
-
-def _check_percent(x) -> float:
-    x = float(x)
-    if not 0.0 < x <= 50.0:
-        raise DomainError(f"percent cut {x!r} outside (0, 50]")
-    return x
+    """Gini coefficient of a sample; see :meth:`LorenzCurve.gini`."""
+    return lorenz_curve(sample).gini()
 
 
 def bottom_share(sample, x) -> float:
     """Income share held by the poorest ``x`` percent, x in (0, 50]."""
-    x = _check_percent(x)
-    return lorenz_curve(sample).value_at(x / 100.0)
+    return lorenz_curve(sample).bottom(x)
 
 
 def top_share(sample, x) -> float:
     """Income share held by the richest ``x`` percent, x in (0, 50]."""
-    x = _check_percent(x)
-    return 1.0 - lorenz_curve(sample).value_at(1.0 - x / 100.0)
+    return lorenz_curve(sample).top(x)
 
 
 def ratio_b_over_t(sample, x) -> float:
-    """Bottom-x share over top-x share; 0 when the bottom share is zero.
-
-    Always <= 1 for x <= 50, because the top tail share can never fall below
-    the bottom tail share of the same width.
-    """
-    x = _check_percent(x)
-    curve = lorenz_curve(_as_sample(sample))
-    bottom = curve.value_at(x / 100.0)
-    if bottom == 0.0:
-        return 0.0
-    top = 1.0 - curve.value_at(1.0 - x / 100.0)
-    # float noise can push bottom/top one ulp past 1 when the shares tie
-    return min(bottom / top, 1.0)
+    """Bottom-x share over top-x share; see :meth:`LorenzCurve.tail_shares`."""
+    return lorenz_curve(sample).b_over_t(x)
 
 
 def palma_ratio(sample) -> float:
-    """Top-10% share over bottom-40% share.
-
-    Ranges over [1/4, infinity); raises when the bottom 40% holds nothing.
-    """
-    curve = lorenz_curve(_as_sample(sample))
-    bottom40 = curve.value_at(0.40)
-    if bottom40 == 0.0:
-        raise DivisionByZeroShareError("bottom 40% share is zero")
-    top10 = 1.0 - curve.value_at(0.90)
-    return top10 / bottom40
-
-
-@dataclass(frozen=True)
-class QuantileShares:
-    """On-demand bottom/top share queries over one precomputed Lorenz curve."""
-
-    curve: LorenzCurve
-
-    @classmethod
-    def from_sample(cls, sample) -> "QuantileShares":
-        return cls(lorenz_curve(sample))
-
-    def bottom(self, x) -> float:
-        x = _check_percent(x)
-        return self.curve.value_at(x / 100.0)
-
-    def top(self, x) -> float:
-        x = _check_percent(x)
-        return 1.0 - self.curve.value_at(1.0 - x / 100.0)
-
-    def b_over_t(self, x) -> float:
-        bottom = self.bottom(x)
-        if bottom == 0.0:
-            return 0.0
-        return min(bottom / self.top(x), 1.0)
+    """Top-10% share over bottom-40% share; see :meth:`LorenzCurve.palma`."""
+    return lorenz_curve(sample).palma()

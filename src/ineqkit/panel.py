@@ -39,13 +39,13 @@ class CountryYearRecord:
         if not self.country:
             raise DomainError("country identifier must be non-empty")
         if not 0.0 < self.gini < 1.0:
-            raise DomainError(f"gini {self.gini!r} outside (0, 1)")
+            raise DomainError(f"gini out of range: {self.gini!r}")
         if not 0.0 < self.top10 <= 1.0:
-            raise DomainError(f"top10 share {self.top10!r} outside (0, 1]")
+            raise DomainError(f"top10 share out of range: {self.top10!r}")
         if not 0.0 <= self.bottom10 < 1.0:
-            raise DomainError(f"bottom10 share {self.bottom10!r} outside [0, 1)")
+            raise DomainError(f"bottom10 share out of range: {self.bottom10!r}")
         if self.bottom10 > self.top10:
-            raise DomainError("bottom10 share exceeds top10 share")
+            raise DomainError("share ordering violated")
 
     @property
     def key(self) -> tuple[str, int, str]:
@@ -193,23 +193,9 @@ def parse_panel(
                     raise ValueError(f"unknown source {src_text!r}")
             else:
                 source = schema.default_source
-            if not 0.0 < gini < 1.0:
-                raise ValueError(f"gini out of range: {gini!r}")
-            if not 0.0 < top10 <= 1.0:
-                raise ValueError(f"top10 share out of range: {top10!r}")
-            if not 0.0 <= bottom10 < 1.0:
-                raise ValueError(f"bottom10 share out of range: {bottom10!r}")
-            if bottom10 > top10:
-                raise ValueError("share ordering violated")
-            key = (country, year, source.value)
-            if key in seen:
-                raise ValueError(f"duplicate record {key}")
-        except ValueError as exc:
-            diagnostics.append(RowDiagnostic(line=line, reason=str(exc)))
-            continue
-        seen.add(key)
-        records.append(
-            CountryYearRecord(
+            # The record's own checks (a DomainError is a ValueError) give
+            # the range and ordering reasons.
+            record = CountryYearRecord(
                 country=country,
                 year=year,
                 gini=gini,
@@ -217,7 +203,14 @@ def parse_panel(
                 bottom10=bottom10,
                 source=source,
             )
-        )
+            key = record.key
+            if key in seen:
+                raise ValueError(f"duplicate record {key}")
+        except ValueError as exc:
+            diagnostics.append(RowDiagnostic(line=line, reason=str(exc)))
+            continue
+        seen.add(key)
+        records.append(record)
 
     return Panel(tuple(records), label=label), diagnostics
 

@@ -57,13 +57,20 @@ class TestCompute:
         assert len(parse_csv(out)) == 1
         assert "skipped row" in err
 
-    def test_malformed_row_strict(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", ["compute", "calibrate", "rank", "compare", "series"])
+    def test_malformed_row_strict(self, capsys, tmp_path, command):
         path = tmp_path / "panel.csv"
         path.write_text(
             PANEL_HEADER + "AAA,2015,0.30,0.25,0.03\nBBB,2015,oops,0.25,0.03\n"
         )
-        code, _, err = run(capsys, "compute", "--input", str(path), "--strict")
+        extra = ["--country", "AAA"] if command == "series" else []
+        code, out, err = run(capsys, command, "--input", str(path), "--strict", *extra)
         assert code == 2
+        assert out == ""
+        assert err == (
+            f"{path}:3: skipped row: unparseable numeric in column 'gini': 'oops'\n"
+            "error: 1 bad row(s) with --strict\n"
+        )
 
     def test_schema_error_exit_2(self, capsys, tmp_path):
         path = tmp_path / "panel.csv"
@@ -175,6 +182,22 @@ class TestMicro:
         path.write_text("1\nbanana\n")
         code, _, err = run(capsys, "micro", "--input", str(path))
         assert code == 2
+
+    def test_one_lorenz_curve_per_sample(self, capsys, tmp_path, monkeypatch):
+        import ineqkit.micro
+
+        calls = []
+        build = ineqkit.micro.lorenz_curve
+
+        def counted(sample):
+            calls.append(sample)
+            return build(sample)
+
+        monkeypatch.setattr(ineqkit.micro, "lorenz_curve", counted)
+        path = self.write(tmp_path, range(1, 11))
+        code, _, _ = run(capsys, "micro", "--input", path)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_flags_steer_parameters(self, capsys, tmp_path):
         path = self.write(tmp_path, [1, 3])

@@ -11,6 +11,7 @@ from ineqkit import (
     DomainError,
     EmptyInputError,
     IncomeSample,
+    LorenzCurve,
     QuantileShares,
     bottom_share,
     gini,
@@ -102,6 +103,31 @@ class TestLorenzCurve:
         assert np.all(curve.L <= curve.p + 1e-12)
         slopes = np.diff(curve.L) / np.diff(curve.p)
         assert np.all(np.diff(slopes) >= -1e-9)
+
+    def test_large_sample_passes_convexity_check(self):
+        # Chord-slope rounding error grows like eps * n on an even grid, so a
+        # fixed 1e-9 slack would reject this convex curve at n = 2e6.
+        rng = np.random.default_rng(20151)
+        n = 2_000_000
+        bulk = rng.lognormal(mean=10.0, sigma=0.7, size=n - n // 10)
+        tail = np.exp(10.9) * (1.0 + rng.pareto(2.0, size=n // 10))
+        values = np.rint(np.concatenate((bulk, tail)) * 100.0) / 100.0
+        assert 0.4 < gini(values) < 0.5
+
+    def test_real_slope_drop_still_rejected(self):
+        n = 1_000_000
+        p = np.arange(n + 1) / n
+        slopes = 1.0 + (np.arange(n) - n / 2) * 1e-7
+
+        def curve(s):
+            L = np.concatenate(([0.0], np.cumsum(s) / s.sum()))
+            L[-1] = 1.0
+            return LorenzCurve(p, L)
+
+        curve(slopes)  # convex: accepted
+        slopes[n // 2] = slopes[n // 2 - 1] - 1e-6
+        with pytest.raises(DomainError, match="convex"):
+            curve(slopes)
 
 
 class TestGini:

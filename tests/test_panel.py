@@ -49,6 +49,25 @@ class TestParse:
         assert len(diags) == 1
         assert "share ordering violated" in diags[0].reason
 
+    @pytest.mark.parametrize(
+        "values, reason",
+        [
+            ((1.3, 0.25, 0.03), "gini out of range: 1.3"),
+            ((0.3, 1.25, 0.03), "top10 share out of range: 1.25"),
+            ((0.3, 0.25, -0.03), "bottom10 share out of range: -0.03"),
+            ((0.3, 0.02, 0.03), "share ordering violated"),
+            ((1.3, 1.25, -0.03), "gini out of range: 1.3"),
+        ],
+    )
+    def test_row_reason_is_the_record_rule(self, values, reason):
+        gini, top10, bottom10 = values
+        text = f"country,year,gini,top10,bottom10\nAAA,2015,{gini},{top10},{bottom10}\n"
+        _, diags = parse_panel(text)
+        assert [d.reason for d in diags] == [reason]
+        with pytest.raises(DomainError) as exc:
+            CountryYearRecord("AAA", 2015, gini, top10, bottom10)
+        assert str(exc.value) == reason
+
     def test_missing_column_rejects_file(self):
         with pytest.raises(SchemaError):
             parse_panel("country,year,gini,top10\nAAA,2015,0.3,0.25\n")
