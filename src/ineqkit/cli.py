@@ -33,6 +33,7 @@ from .errors import (
     ZeroIncomeError,
 )
 from .panel import (
+    SOURCES,
     Panel,
     SchemaConfig,
     Source,
@@ -54,27 +55,29 @@ from .welfare import atkinson, ge_index, ge_zero, theil
 _INDICATORS = {i.value: i for i in Indicator}
 # Percent cuts of the tail-share rows of `ineq micro`.
 _TAIL_CUTS = (10, 20, 30, 40, 50)
+# Rows formatted per write of `ineq compute`.
+_CHUNK_ROWS = 1 << 14
 
 
 def _fmt(value: float, decimals: int = 6) -> str:
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    if math.isnan(value):
-        return "nan"
     return f"{value:.{decimals}f}"
 
 
 def _read_text(path: str) -> str:
+    """The text of a file, or of stdin for "-", without a leading byte-order
+    mark (spreadsheet exports often start with one)."""
     if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+        return sys.stdin.read().removeprefix("\ufeff")
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
-def _emit(text: str, output: str) -> None:
+def _emit(chunks, output: str) -> None:
+    """Write the text pieces ``chunks`` to ``output``, or to stdout for "-"."""
     if output == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(output).write_text(text, encoding="utf-8")
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
 
 
 def _schema_from_args(args) -> SchemaConfig:
@@ -121,43 +124,60 @@ def _load_panel(args) -> Panel:
     return slice_panel(panel, year=args.year, source=source)
 
 
-def _csv_text(header, rows) -> str:
+def _csv_text(header, rows) -> list[str]:
+    """A small CSV table as the one text chunk `_emit` writes."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return out.getvalue()
+    return [out.getvalue()]
+
+
+def _csv_field(value: str) -> str:
+    """``value`` as csv.writer writes it in a row, quoted where needed."""
+    return _csv_text([value], [])[0][:-1]
 
 
 def cmd_compute(args) -> int:
     panel = _load_panel(args)
-    rows = []
-    for rec in sorted(panel.records, key=lambda r: r.key):
-        res = composite(rec.gini, ratio_of(rec), args.weight)
-        rows.append(
-            [
-                rec.country,
-                rec.year,
-                _fmt(rec.gini),
-                _fmt(t_over_b_of(rec)),
-                _fmt(res.h),
-                _fmt(res.index_i),
-                _fmt(res.alt_index),
-            ]
-        )
-    header = ["country", "year", "gini", "t_over_b", "h", "index_i", "alt_index"]
-    _emit(_csv_text(header, rows), args.output)
+    columns = [panel.country, panel.year, panel.gini, t_over_b_of(panel)]
+    # The weight is checked only when some row uses it.
+    if len(panel):
+        res = composite(panel.gini, ratio_of(panel), args.weight)
+        columns += [res.h, res.index_i, res.alt_index]
+    country = [_csv_field(name) for name in panel.names]
+
+    def lines():
+        yield "country,year,gini,t_over_b,h,index_i,alt_index\n"
+        for start in range(0, len(panel), _CHUNK_ROWS):
+            rows = zip(*(col[start : start + _CHUNK_ROWS].tolist() for col in columns))
+            yield "".join(
+                f"{country[c]},{y},{g:.6f},{tb:.6f},{h:.6f},{i:.6f},{a:.6f}\n"
+                for c, y, g, tb, h, i, a in rows
+            )
+
+    _emit(lines(), args.output)
     return 0
 
 
+def _read_values(path: str) -> list[float]:
+    """The numbers of a one-value-per-line input, blank lines skipped; a bad
+    value is reported with its 1-based line number."""
+    lines = _read_text(path).splitlines()
+    try:
+        return [float(line) for line in map(str.strip, lines) if line]
+    except ValueError as exc:
+        # Only an input that fails pays for finding its first bad line.
+        for number, line in enumerate(lines, 1):
+            try:
+                float(line.strip() or 0)
+            except ValueError:
+                raise ValueError(f"{path}:{number}: {exc}") from None
+        raise
+
+
 def cmd_micro(args) -> int:
-    values = []
-    for raw_line in _read_text(args.input).splitlines():
-        line = raw_line.strip()
-        if not line:
-            continue
-        values.append(float(line))
-    sample = micro.IncomeSample.from_values(values)
+    sample = micro.IncomeSample.from_values(_read_values(args.input))
     # Every Lorenz-based row reads this one curve.  It is looked up on the
     # module so that code patching ``ineqkit.micro.lorenz_curve`` sees it.
     curve = micro.lorenz_curve(sample)
@@ -203,35 +223,31 @@ def cmd_micro(args) -> int:
 
 def cmd_calibrate(args) -> int:
     panel = _load_panel(args)
-    if not panel.records:
+    if not len(panel):
         print("error: no records to calibrate on", file=sys.stderr)
         return 2
+    ratio = ratio_of(panel)
 
-    def sample_alpha(records):
-        avg_gini = sum(r.gini for r in records) / len(records)
-        avg_ratio = sum(ratio_of(r) for r in records) / len(records)
+    def sample_alpha(rows):
+        # Python's sum, in panel order, gives the same bits as a row loop.
+        avg_gini = sum(panel.gini[rows].tolist()) / rows.size
+        avg_ratio = sum(ratio[rows].tolist()) / rows.size
         return avg_gini, avg_ratio, calibrate_alpha(avg_gini, avg_ratio)
 
     header = ["source", "year", "n", "avg_gini", "avg_ratio", "alpha"]
     rows = []
     if args.by_sample:
-        groups: dict[tuple[str, int], list] = {}
-        for rec in panel.records:
-            groups.setdefault((rec.source.value, rec.year), []).append(rec)
         alphas = []
-        for (source, year) in sorted(groups):
-            records = groups[(source, year)]
-            avg_gini, avg_ratio, alpha = sample_alpha(records)
+        for source, year in sorted(set(zip(panel.source.tolist(), panel.year.tolist()))):
+            sample = np.flatnonzero((panel.source == source) & (panel.year == year))
+            avg_gini, avg_ratio, alpha = sample_alpha(sample)
             alphas.append(alpha)
-            rows.append(
-                [source, year, len(records), _fmt(avg_gini), _fmt(avg_ratio), _fmt(alpha)]
-            )
-        rows.append(["mean", "", len(panel.records), "", "", _fmt(mean_alpha(alphas))])
+            stats = [_fmt(avg_gini), _fmt(avg_ratio), _fmt(alpha)]
+            rows.append([SOURCES[source].value, year, sample.size, *stats])
+        rows.append(["mean", "", len(panel), "", "", _fmt(mean_alpha(alphas))])
     else:
-        avg_gini, avg_ratio, alpha = sample_alpha(panel.records)
-        rows.append(
-            ["all", "", len(panel.records), _fmt(avg_gini), _fmt(avg_ratio), _fmt(alpha)]
-        )
+        avg_gini, avg_ratio, alpha = sample_alpha(np.arange(len(panel)))
+        rows.append(["all", "", len(panel), _fmt(avg_gini), _fmt(avg_ratio), _fmt(alpha)])
     _emit(_csv_text(header, rows), args.output)
     return 0
 

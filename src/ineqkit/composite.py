@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     ArityError,
     CalibrationDomainError,
@@ -26,10 +28,11 @@ from .errors import (
 DEFAULT_WEIGHT = 0.25
 
 
-def _check_unit(name: str, value: float) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0 or math.isnan(value):
-        raise DomainError(f"{name} {value!r} outside [0, 1]")
+def _check_unit(name: str, value) -> np.ndarray:
+    value = np.asarray(value, dtype=float)
+    bad = ~((0.0 <= value) & (value <= 1.0))
+    if bad.any():
+        raise DomainError(f"{name} {float(value[bad][0])!r} outside [0, 1]")
     return value
 
 
@@ -40,19 +43,29 @@ def _check_weight(weight: float) -> float:
     return weight
 
 
-def h_transform(b_over_t: float, weight: float = DEFAULT_WEIGHT) -> float:
-    """Bounded tail term 1 - (B/T)^weight.
+def _scalar_or_array(values: np.ndarray):
+    """A 0-d result as a float; any other result as it is."""
+    return float(values) if values.ndim == 0 else values
+
+
+def _each(fn, *arrays) -> np.ndarray:
+    """``fn`` applied to Python floats, element by element: numpy's vector
+    loops for ``pow`` and ``hypot`` differ from the C library's in the last
+    bit on a few percent of inputs, and a scalar and a column must agree."""
+    arrays = np.broadcast_arrays(*arrays)
+    flat = (a.ravel().tolist() for a in arrays)
+    return np.fromiter(map(fn, *flat), float, arrays[0].size).reshape(arrays[0].shape)
+
+
+def h_transform(b_over_t, weight: float = DEFAULT_WEIGHT):
+    """Bounded tail term 1 - (B/T)^weight of one ratio or an array of them.
 
     Exactly 1 when the bottom share is zero and exactly 0 at perfect
     equality (B/T = 1).
     """
     b_over_t = _check_unit("share ratio", b_over_t)
     weight = _check_weight(weight)
-    if b_over_t == 0.0:
-        return 1.0
-    if b_over_t == 1.0:
-        return 0.0
-    return 1.0 - b_over_t ** weight
+    return _scalar_or_array(1.0 - _each(pow, b_over_t, weight))
 
 
 def calibrate_alpha(avg_gini: float, avg_ratio: float) -> float:
@@ -92,7 +105,7 @@ def b_over_t_from_t_over_b(t_over_b: float) -> float:
 
 @dataclass(frozen=True)
 class CompositeResult:
-    """Derived values for one (gini, B/T) observation."""
+    """Derived values for one (gini, B/T) observation, or for arrays of them."""
 
     gini: float
     b_over_t: float
@@ -101,23 +114,26 @@ class CompositeResult:
     alt_index: float
 
 
-def composite(gini: float, b_over_t: float, weight: float = DEFAULT_WEIGHT) -> CompositeResult:
+def composite(gini, b_over_t, weight: float = DEFAULT_WEIGHT) -> CompositeResult:
     """Composite index sqrt(gini^2 + h^2) / sqrt(2) with h = 1 - (B/T)^weight.
 
     Bounded in [0, 1]: 0 only at (gini 0, ratio 1), 1 only at (gini 1,
     ratio 0).  Also carries the simpler unbounded variant for the same
-    inputs.
+    inputs.  Arrays give arrays, element by element; scalars give floats.
     """
     gini = _check_unit("gini", gini)
     b_over_t = _check_unit("share ratio", b_over_t)
-    h = h_transform(b_over_t, weight)
-    index_i = math.sqrt(gini * gini + h * h) / math.sqrt(2.0)
-    t_over_b = math.inf if b_over_t == 0.0 else 1.0 / b_over_t
+    h = np.asarray(h_transform(b_over_t, weight))
+    index_i = np.sqrt(gini * gini + h * h) / np.sqrt(2.0)
+    with np.errstate(over="ignore"):  # a subnormal ratio's T/B is +inf
+        t_over_b = np.divide(
+            1.0, b_over_t, out=np.full(b_over_t.shape, math.inf), where=b_over_t != 0.0
+        )
     return CompositeResult(
-        gini=gini,
-        b_over_t=b_over_t,
-        h=h,
-        index_i=index_i,
+        gini=_scalar_or_array(gini),
+        b_over_t=_scalar_or_array(b_over_t),
+        h=_scalar_or_array(h),
+        index_i=_scalar_or_array(index_i),
         alt_index=alternative_index(gini, t_over_b),
     )
 
@@ -152,17 +168,17 @@ def generalized_composite(gini: float, ratios, weights) -> float:
     return math.sqrt(total) / math.sqrt(len(ratios) + 1.0)
 
 
-def alternative_index(gini: float, t_over_b: float) -> float:
-    """Unbounded variant sqrt((100 gini)^2 + (T/B)^2) / 100.
+def alternative_index(gini, t_over_b):
+    """Unbounded variant sqrt((100 gini)^2 + (T/B)^2) / 100, of one pair or
+    of arrays of them.
 
     Equals 0.01 at perfect equality (gini 0, T/B = 1) and +infinity when the
     bottom share is zero.
     """
     gini = _check_unit("gini", gini)
-    t_over_b = float(t_over_b)
-    if math.isinf(t_over_b) and t_over_b > 0:
-        return math.inf
-    if math.isnan(t_over_b) or t_over_b < 1.0:
-        raise DomainError(f"top-over-bottom ratio {t_over_b!r} must be >= 1")
+    t_over_b = np.asarray(t_over_b, dtype=float)
+    bad = ~(t_over_b >= 1.0)
+    if bad.any():
+        raise DomainError(f"top-over-bottom ratio {float(t_over_b[bad][0])!r} must be >= 1")
     # hypot avoids overflow for ratios near the float ceiling
-    return math.hypot(gini * 100.0, t_over_b) / 100.0
+    return _scalar_or_array(_each(math.hypot, gini * 100.0, t_over_b) / 100.0)

@@ -32,7 +32,7 @@ _CONVEXITY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class IncomeSample:
-    """Non-negative values in ascending order with a strictly positive total.
+    """Non-negative values in ascending order with a positive, finite total.
 
     Use :meth:`from_values` to build one from unsorted data.  Direct
     construction requires the array to already satisfy the invariants.
@@ -54,6 +54,9 @@ class IncomeSample:
             raise DomainError("sample values must be in non-decreasing order")
         if arr[-1] <= 0:
             raise DegenerateSampleError("sample total must be positive")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(arr.sum()):
+                raise DomainError("sample total overflows")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -175,6 +178,11 @@ class LorenzCurve:
         cuts = _check_percent(x)
         values = self.value_at(np.concatenate((cuts / 100.0, 1.0 - cuts / 100.0)))
         bottom, top = values[: cuts.size], 1.0 - values[cuts.size :]
+        # The richest x percent always hold something; a zero top share
+        # means 1 - x/100 rounded to (nearly) 1.
+        if not np.all(top > 0.0):
+            tiny = float(cuts[~(top > 0.0)][0])
+            raise DomainError(f"percent cut {tiny!r} too small to resolve the top share")
         ratio = np.divide(bottom, top, out=np.zeros_like(bottom), where=bottom != 0.0)
         # float noise can push bottom/top one ulp past 1 when the shares tie
         return bottom, top, np.minimum(ratio, 1.0)

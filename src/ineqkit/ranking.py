@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
+import numpy as np
+
 from .composite import DEFAULT_WEIGHT, alternative_index, composite
 from .errors import DomainError, EmptyInputError, JoinError, NotFoundError
 from .panel import CountryYearRecord, Panel, ratio_of, t_over_b_of
@@ -73,18 +75,19 @@ class SeriesPoint:
 
 
 def indicator_value(
-    record: CountryYearRecord,
+    rows: CountryYearRecord | Panel,
     indicator: Indicator,
     weight: float = DEFAULT_WEIGHT,
-) -> float:
+):
+    """Indicator value of a record, or the column of values of a panel."""
     if indicator is Indicator.GINI:
-        return record.gini
+        return rows.gini
     if indicator is Indicator.INDEX_I:
-        return composite(record.gini, ratio_of(record), weight).index_i
+        return composite(rows.gini, ratio_of(rows), weight).index_i
     if indicator is Indicator.RATIO_TB:
-        return t_over_b_of(record)
+        return t_over_b_of(rows)
     if indicator is Indicator.ALT:
-        return alternative_index(record.gini, t_over_b_of(record))
+        return alternative_index(rows.gini, t_over_b_of(rows))
     raise DomainError(f"unknown indicator {indicator!r}")
 
 
@@ -110,15 +113,13 @@ def rank_values(values: dict[str, float], indicator: Indicator) -> RankTable:
 
 def rank(panel: Panel, indicator: Indicator, weight: float = DEFAULT_WEIGHT) -> RankTable:
     """Rank a single-year, single-source panel under one indicator."""
-    if not panel.records:
+    if not len(panel):
         raise EmptyInputError("cannot rank an empty panel")
-    keys = {(r.year, r.source) for r in panel.records}
-    if len(keys) > 1:
+    if np.unique(panel.year).size > 1 or np.unique(panel.source).size > 1:
         raise DomainError("rank expects a single-year, single-source panel")
-    values = {
-        r.country: indicator_value(r, indicator, weight) for r in panel.records
-    }
-    return rank_values(values, indicator)
+    countries = [panel.names[c] for c in panel.country.tolist()]
+    values = indicator_value(panel, indicator, weight).tolist()
+    return rank_values(dict(zip(countries, values)), indicator)
 
 
 def compare_rankings(a: RankTable, b: RankTable) -> RankComparison:
@@ -148,16 +149,18 @@ def compare_rankings(a: RankTable, b: RankTable) -> RankComparison:
 
 def series(panel: Panel, country: str, weight: float = DEFAULT_WEIGHT) -> list[SeriesPoint]:
     """Year-ascending (gini, T/B, index) trajectory for one country."""
-    recs = [r for r in panel.records if r.country == country]
-    if not recs:
+    code = panel.names.index(country) if country in panel.names else -1
+    rows = np.flatnonzero(panel.country == code)
+    if not rows.size:
         raise NotFoundError(country)
-    recs.sort(key=lambda r: (r.year, r.source.value))
+    points = panel.take(rows[np.lexsort((panel.source[rows], panel.year[rows]))])
+    index_i = composite(points.gini, ratio_of(points), weight).index_i
     return [
-        SeriesPoint(
-            year=r.year,
-            gini=r.gini,
-            t_over_b=t_over_b_of(r),
-            index_i=composite(r.gini, ratio_of(r), weight).index_i,
+        SeriesPoint(year=y, gini=g, t_over_b=t, index_i=i)
+        for y, g, t, i in zip(
+            points.year.tolist(),
+            points.gini.tolist(),
+            t_over_b_of(points).tolist(),
+            index_i.tolist(),
         )
-        for r in recs
     ]

@@ -65,8 +65,28 @@ def ge_index(sample, alpha: float) -> float:
     v = sample.values
     if alpha < 0 and v[0] == 0.0:
         raise ZeroIncomeError("GE with alpha <= 0 is undefined for zero incomes")
-    m = float(np.mean((v / v.mean()) ** alpha))
-    return max((m - 1.0) / (alpha * (alpha - 1.0)), 0.0)
+    r = v / v.mean()
+    if -0.5 < alpha < 1.5:
+        # Near alpha = 0 or 1, mean(r^alpha) - 1 nearly cancels and is then
+        # divided by a tiny alpha or alpha - 1: sum it as expm1 terms instead.
+        # Values ascend, so the zero incomes (alpha in (0, 1) only) lead.
+        zeros = int(np.searchsorted(v, 0.0, side="right"))
+        terms = np.log(r[zeros:])
+        if alpha < 0.5:
+            # r^alpha - 1 = expm1(alpha ln r); each zero income contributes -1
+            terms *= alpha
+            np.expm1(terms, out=terms)
+            dev = float(terms.sum()) - zeros
+        else:
+            # mean(r) = 1, so sum r^alpha - r = r expm1((alpha - 1) ln r)
+            # instead; zero incomes contribute nothing
+            terms *= alpha - 1.0
+            np.expm1(terms, out=terms)
+            terms *= r[zeros:]
+            dev = float(terms.sum())
+    else:
+        dev = float((r**alpha).sum()) - v.size
+    return max(dev / v.size / (alpha * (alpha - 1.0)), 0.0)
 
 
 def ge_zero(sample) -> float:

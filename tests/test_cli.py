@@ -110,6 +110,18 @@ class TestCompute:
             assert float(got["h"]) == pytest.approx(r["h"], abs=1e-3)
             assert float(got["index_i"]) == pytest.approx(r["index_i"], abs=1e-3)
 
+    @pytest.mark.parametrize("via_stdin", [False, True])
+    def test_byte_order_mark(self, capsys, tmp_path, monkeypatch, via_stdin):
+        # spreadsheet exports start with U+FEFF, which is not part of the header
+        text = "\ufeff" + PANEL_HEADER + "GRC,2015,0.360,0.262,0.019\n"
+        path = tmp_path / "panel.csv"
+        path.write_text(text, encoding="utf-8")
+        if via_stdin:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "compute", "--input", "-" if via_stdin else str(path))
+        assert (code, err) == (0, "")
+        assert [r["country"] for r in parse_csv(out)] == ["GRC"]
+
     def test_percent_units_and_schema_mapping(self, capsys, tmp_path):
         path = tmp_path / "panel.csv"
         path.write_text("Land,Jahr,Gini,Top,Bottom\nGRC,2015,36.0,26.2,1.9\n")
@@ -179,9 +191,17 @@ class TestMicro:
 
     def test_unparseable_exit_2(self, capsys, tmp_path):
         path = tmp_path / "values.txt"
-        path.write_text("1\nbanana\n")
+        path.write_text("1\n\nbanana\n")
         code, _, err = run(capsys, "micro", "--input", str(path))
         assert code == 2
+        assert err == f"error: {path}:3: could not convert string to float: 'banana'\n"
+
+    def test_byte_order_mark(self, capsys, tmp_path):
+        path = tmp_path / "values.txt"
+        path.write_text("\ufeff1\n2\n3\n", encoding="utf-8")
+        code, out, _ = run(capsys, "micro", "--input", str(path))
+        assert code == 0
+        assert metric_map(out)["n"] == "3"
 
     def test_one_lorenz_curve_per_sample(self, capsys, tmp_path, monkeypatch):
         import ineqkit.micro

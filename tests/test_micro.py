@@ -75,6 +75,13 @@ class TestIncomeSample:
         with pytest.raises(ValueError):
             s.values[0] = 5.0
 
+    def test_overflowing_total_rejected(self):
+        # each value is finite, their sum is not
+        with pytest.raises(DomainError, match="sample total overflows"):
+            IncomeSample.from_values([1e308] * 3)
+        with pytest.raises(DomainError, match="sample total overflows"):
+            gini([1e308] * 3)
+
 
 class TestLorenzCurve:
     def test_equal_sample_is_diagonal(self):
@@ -196,6 +203,14 @@ class TestShares:
                 bottom_share([1, 2], bad)
             with pytest.raises(DomainError):
                 top_share([1, 2], bad)
+
+    @pytest.mark.parametrize("cut", [1e-15, 1e-17, 5e-324])
+    def test_cut_too_small_for_the_top_share(self, cut):
+        # 1 - cut/100 rounds to 1, so the top share would read 0
+        with pytest.raises(DomainError, match="too small"):
+            bottom_share([1, 2, 3], cut)
+        with pytest.raises(DomainError, match="too small"):
+            lorenz_curve([1, 2, 3]).tail_shares([10, cut])
 
     @given(samples, st.floats(min_value=0.01, max_value=50.0))
     def test_halves_sum_to_one(self, s, x):

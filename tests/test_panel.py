@@ -1,11 +1,15 @@
 """Panel ingestion: parsing, diagnostics, units, slicing, serialization."""
 
+import csv
+import io
 import math
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ineqkit.panel as panel_module
 from ineqkit import (
     CountryYearRecord,
     DomainError,
@@ -235,3 +239,115 @@ class TestRoundTrip:
         reparsed, diags = parse_panel(serialize_panel(panel), label="prop")
         assert diags == []
         assert reparsed.records == panel.records
+
+
+def reference_parse(text, schema):
+    """Scalar reference for parse_panel: one row at a time, first failing
+    check wins, first occurrence of a key kept."""
+    reader = csv.reader(io.StringIO(text))
+    positions = {name.strip(): i for i, name in enumerate(next(reader))}
+    source_col = schema.source or ("source" if "source" in positions else None)
+    gini_div = 100.0 if schema.gini_unit == "percent" else 1.0
+    share_div = 100.0 if schema.share_unit == "percent" else 1.0
+    kept, diagnostics, seen = [], [], set()
+    for row in reader:
+        if not row:
+            continue
+
+        def cell(col):
+            if positions[col] >= len(row):
+                raise ValueError(f"row too short: no value for column '{col}'")
+            return row[positions[col]].strip()
+
+        def number(col, divisor):
+            text = cell(col)
+            try:
+                value = float(text)
+            except ValueError:
+                raise ValueError(f"unparseable numeric in column '{col}': {text!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite value in column '{col}': {text!r}")
+            return value / divisor
+
+        try:
+            country = cell(schema.country)
+            if not country:
+                raise ValueError("empty country identifier")
+            text = cell(schema.year)
+            try:
+                year = int(text)
+            except ValueError:
+                raise ValueError(f"year is not an integer: {text!r}")
+            if not -(2**63) <= year < 2**63:
+                raise ValueError(f"year out of range: {text!r}")
+            gini = number(schema.gini, gini_div)
+            top10 = number(schema.top10, share_div)
+            bottom10 = number(schema.bottom10, share_div)
+            source = schema.default_source
+            if source_col is not None:
+                text = cell(source_col).upper()
+                try:
+                    source = Source(text)
+                except ValueError:
+                    raise ValueError(f"unknown source {text!r}")
+            record = CountryYearRecord(country, year, gini, top10, bottom10, source)
+            if record.key in seen:
+                raise ValueError(f"duplicate record {record.key}")
+        except ValueError as exc:
+            diagnostics.append((reader.line_num, str(exc)))
+            continue
+        seen.add(record.key)
+        kept.append(record)
+    return tuple(kept), diagnostics
+
+
+SHARE_CELLS = (
+    "0.3", " 0.25 ", "0.03", "0.0", "1", "1.3", "-0.01", "30", "2.5", "1e-320",
+    "nan", "inf", "-inf", "1e400", "1_0", "abc", "", "+.5", " 0.2",
+)
+row_cells = st.tuples(
+    st.sampled_from(["AAA", "BBB", " AAA ", "Korea, Rep.", 'Quote "Q"', "Multi\nLine", "", "ÄÖ"]),
+    st.sampled_from(["2015", "2016", " 2015 ", "+2016", "1_0", "x", "", "99999999999999999999"]),
+    st.sampled_from(["WB", "wb", " oecd ", "OTHER", "XX", ""]),
+    st.sampled_from(SHARE_CELLS),
+    st.sampled_from(SHARE_CELLS),
+    st.sampled_from(SHARE_CELLS),
+)
+
+
+class TestColumnarParse:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.one_of(
+                row_cells.map(list),
+                st.tuples(row_cells, st.integers(0, 5)).map(lambda r: list(r[0][: r[1]])),
+                st.just([]),
+            ),
+            max_size=40,
+        ),
+        with_source=st.booleans(),
+        percent=st.booleans(),
+        block_rows=st.sampled_from([1, 3, 1 << 14]),
+        block_chars=st.sampled_from([1, 16, 1 << 20]),
+    )
+    def test_matches_scalar_reference(self, rows, with_source, percent, block_rows, block_chars):
+        columns = ["country", "year", "source", "gini", "top10", "bottom10"]
+        if not with_source:
+            columns.remove("source")
+            rows = [r[:2] + r[3:] for r in rows]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+        unit = "percent" if percent else "decimal"
+        schema = SchemaConfig(gini_unit=unit, share_unit=unit, default_source=Source.WB)
+
+        with mock.patch.multiple(
+            panel_module, _BLOCK_ROWS=block_rows, _BLOCK_CHARS=block_chars
+        ):
+            panel, diags = parse_panel(out.getvalue(), schema)
+        kept, expected = reference_parse(out.getvalue(), schema)
+        assert [(d.line, d.reason) for d in diags] == expected
+        assert panel.records == kept
+        assert len(panel) + len(diags) == sum(1 for r in rows if r)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ineqkit import (
@@ -94,6 +94,8 @@ class TestGeneralizedEntropy:
         assert ge_index(s, 1.0 - 1e-6) == pytest.approx(theil(s), abs=1e-4)
 
     @given(positive_samples, st.floats(min_value=-2.0, max_value=3.0))
+    @example(IncomeSample.from_values([1.0, 8.245170565950737]), 0.99999)
+    @example(IncomeSample.from_values([1.0, 8.245170565950737]), 1e-5)
     def test_scale_invariance(self, s, alpha):
         scaled = IncomeSample.from_values(s.values * 7.5)
         assert ge_index(scaled, alpha) == pytest.approx(ge_index(s, alpha), abs=1e-12)
