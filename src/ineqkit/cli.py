@@ -12,7 +12,9 @@ import argparse
 import csv
 import io
 import math
+import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from .composite import (
 )
 from .errors import (
     DivisionByZeroShareError,
+    DomainError,
     IneqError,
     JoinError,
     SchemaError,
@@ -57,6 +60,9 @@ _INDICATORS = {i.value: i for i in Indicator}
 _TAIL_CUTS = (10, 20, 30, 40, 50)
 # Rows formatted per write of `ineq compute`.
 _CHUNK_ROWS = 1 << 14
+# Suffixes numpy's file reader decompresses by; `ineq micro` reads such a file
+# as plain text, like any other.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _fmt(value: float, decimals: int = 6) -> str:
@@ -160,12 +166,37 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def _read_values(path: str) -> list[float]:
-    """The numbers of a one-value-per-line input, blank lines skipped; a bad
-    value is reported with its 1-based line number."""
-    lines = _read_text(path).splitlines()
+def _load_plain_file(path: str) -> np.ndarray | None:
+    """The values of a one-column plain file, read by numpy's C reader; None
+    for stdin, a compressed-suffix name, or a file that reader rejects."""
+    if path == "-" or not os.path.isfile(path) or path.endswith(_COMPRESSED_SUFFIXES):
+        return None
     try:
-        return [float(line) for line in map(str.strip, lines) if line]
+        with warnings.catch_warnings():
+            # "input contained no data": the per-line parse handles that file
+            warnings.simplefilter("ignore", UserWarning)
+            # An absolute path is never taken for a URL; joined, not
+            # normalized, so ".." after a symlink resolves as the OS does.
+            values = np.loadtxt(
+                os.path.join(os.getcwd(), path),
+                dtype=float,
+                comments=None,
+                delimiter=",",
+                ndmin=2,
+                encoding="utf-8-sig",
+            )
+    except (OSError, ValueError):
+        return None
+    if values.size == 0 or values.shape[1] != 1:
+        return None
+    return values[:, 0]
+
+
+def _parse_lines(path: str, lines: list[str]) -> np.ndarray:
+    """``float()`` of each non-blank stripped line; a bad value is reported
+    with its 1-based line number."""
+    try:
+        return np.array([float(line) for line in map(str.strip, lines) if line])
     except ValueError as exc:
         # Only an input that fails pays for finding its first bad line.
         for number, line in enumerate(lines, 1):
@@ -174,6 +205,29 @@ def _read_values(path: str) -> list[float]:
             except ValueError:
                 raise ValueError(f"{path}:{number}: {exc}") from None
         raise
+
+
+def _read_values(path: str) -> np.ndarray:
+    """The numbers of a one-value-per-line input, blank lines skipped; a bad
+    or non-finite value is reported with its 1-based line number.
+
+    A plain file is read by numpy's C reader.  Stdin and every input that
+    reader does not take as one column of numbers (underscores, Unicode
+    digits, whitespace-only lines, unparseable values, ...) go through the
+    per-line ``float()`` parse, so both give the same values and errors.
+    """
+    values = _load_plain_file(path)
+    lines = None
+    if values is None:
+        lines = _read_text(path).splitlines()
+        values = _parse_lines(path, lines)
+    finite = np.isfinite(values)
+    if not finite.all():
+        if lines is None:
+            lines = _read_text(path).splitlines()
+        numbers = [number for number, line in enumerate(lines, 1) if line.strip()]
+        raise DomainError(f"{path}:{numbers[np.argmin(finite)]}: sample values must be finite")
+    return values
 
 
 def cmd_micro(args) -> int:

@@ -30,6 +30,16 @@ from .errors import (
 _CONVEXITY_TOL = 1e-9
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as a read-only array.  One that is already read-only and owns
+    its memory is taken as immutable and kept; any other is copied, so that
+    no caller can write through it."""
+    if arr.flags.writeable or arr.base is not None:
+        arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class IncomeSample:
     """Non-negative values in ascending order with a positive, finite total.
@@ -57,14 +67,16 @@ class IncomeSample:
         with np.errstate(over="ignore"):
             if not np.isfinite(arr.sum()):
                 raise DomainError("sample total overflows")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _frozen(arr))
 
     @classmethod
     def from_values(cls, values) -> "IncomeSample":
-        """Sort ``values`` ascending and wrap them as a sample."""
-        arr = np.sort(np.asarray(list(values), dtype=float))
+        """Sort ``values`` ascending and wrap them as a sample.  An array is
+        copied once and sorted in place; other iterables go through ``list()``."""
+        arr = np.array(values if isinstance(values, np.ndarray) else list(values), dtype=float)
+        if arr.ndim == 1:
+            arr.sort()
+        arr.flags.writeable = False
         return cls(arr)
 
     @property
@@ -132,10 +144,8 @@ class LorenzCurve:
         slack += np.diff(slopes)
         if np.any(slack < 0.0):
             raise DomainError("curve must be convex (non-decreasing slopes)")
-        for name, arr in (("p", p), ("L", L)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "p", _frozen(p))
+        object.__setattr__(self, "L", _frozen(L))
 
     @classmethod
     def from_sample(cls, sample) -> "LorenzCurve":
@@ -148,11 +158,19 @@ class LorenzCurve:
 
     def value_at(self, p):
         """Income share of the poorest fraction ``p`` (linear interpolation);
-        an array of fractions gives an array, read in one lookup."""
+        an array of fractions gives an array."""
         shares = np.asarray(p, dtype=float)
         if not np.all((0.0 <= shares) & (shares <= 1.0)):
             raise DomainError(f"population share {p!r} outside [0, 1]")
-        values = np.interp(shares, self.p, self.L)
+        # np.interp copies a read-only array whole, so it is handed only the
+        # two points that bracket each share, which interpolate the same.
+        ends = np.minimum(np.searchsorted(self.p, shares, side="right"), self.p.size - 1)
+        values = np.array(
+            [
+                np.interp(x, self.p[k - 1 : k + 1], self.L[k - 1 : k + 1])
+                for x, k in zip(shares.flat, ends.flat)
+            ]
+        ).reshape(shares.shape)
         return float(values) if values.ndim == 0 else values
 
     def gini(self) -> float:
@@ -221,10 +239,15 @@ def lorenz_curve(sample) -> LorenzCurve:
     the total).
     """
     sample = _as_sample(sample)
-    cum = np.cumsum(sample.values)
-    p = np.arange(sample.n + 1) / sample.n
-    L = np.concatenate(([0.0], cum / cum[-1]))
+    n = sample.n
+    p = np.arange(n + 1, dtype=float)
+    p /= n
+    L = np.empty(n + 1)
+    L[0] = 0.0
+    np.cumsum(sample.values, out=L[1:])
+    L[1:] /= L[-1]
     L[-1] = 1.0
+    p.flags.writeable = L.flags.writeable = False
     return LorenzCurve(p, L)
 
 

@@ -10,6 +10,8 @@ and GE(1) is the Theil index.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError, ZeroIncomeError
@@ -19,6 +21,23 @@ from .micro import _as_sample
 # have removable singularities at alpha = 0, alpha = 1, and epsilon = 1 and
 # lose precision when evaluated too close to them.
 LIMIT_WINDOW = 1e-9
+
+
+def _log_power_mean(v: np.ndarray, power: float) -> float:
+    """ln mean((v / mean(v))^power) of ascending values, free of overflow;
+    ``power`` != 0, and no value is zero when ``power`` < 0.
+
+    The largest value (``power`` > 0) or the smallest (``power`` < 0) is
+    factored out in log space, so every remaining term lies in [0, 1].
+    """
+    if power > 0:
+        ext = v[-1]
+        terms = v / ext
+    else:
+        ext = v[0]
+        terms = np.divide(ext, v)
+    terms **= abs(power)
+    return power * (math.log(ext) - math.log(v.mean())) + math.log(terms.mean())
 
 
 def atkinson(sample, eps: float) -> float:
@@ -43,7 +62,13 @@ def atkinson(sample, eps: float) -> float:
     if eps > 1.0 and has_zero:
         return 1.0
     power = 1.0 - eps
-    return max(1.0 - float(np.mean((v / mean) ** power) ** (1.0 / power)), 0.0)
+    # The direct power mean is the more precise while it is finite; it
+    # overflows only for power < 0 and a tiny income.
+    with np.errstate(over="ignore", divide="ignore"):
+        moment = np.mean((v / mean) ** power)
+    if np.isfinite(moment):
+        return max(1.0 - float(moment ** (1.0 / power)), 0.0)
+    return -math.expm1(_log_power_mean(v, power) / power)
 
 
 def ge_index(sample, alpha: float) -> float:
@@ -53,6 +78,7 @@ def ge_index(sample, alpha: float) -> float:
     closed-form limits substituted near alpha = 0 (mean log deviation) and
     alpha = 1 (Theil).  For alpha <= 0 the index is undefined when zero
     incomes are present; alpha in (0, 1) tolerates zeros since 0^alpha = 0.
+    Raises :class:`DomainError` when the index exceeds the float range.
     """
     sample = _as_sample(sample)
     alpha = float(alpha)
@@ -85,7 +111,16 @@ def ge_index(sample, alpha: float) -> float:
             terms *= r[zeros:]
             dev = float(terms.sum())
     else:
-        dev = float((r**alpha).sum()) - v.size
+        # The direct sum is the more precise while it is finite.
+        with np.errstate(over="ignore", divide="ignore"):
+            total = float((r**alpha).sum())
+        if math.isinf(total):
+            # mean(r^alpha) is then so large that subtracting 1 changes nothing
+            try:
+                return math.exp(_log_power_mean(v, alpha) - math.log(alpha * (alpha - 1.0)))
+            except OverflowError:
+                raise DomainError(f"GE({alpha!r}) of this sample exceeds the float range") from None
+        dev = total - v.size
     return max(dev / v.size / (alpha * (alpha - 1.0)), 0.0)
 
 
@@ -108,7 +143,6 @@ def theil(sample) -> float:
     """
     sample = _as_sample(sample)
     r = sample.values / sample.mean
-    terms = np.zeros_like(r)
-    nz = r > 0
-    terms[nz] = r[nz] * np.log(r[nz])
+    terms = np.log(r, out=np.zeros_like(r), where=r > 0)
+    terms *= r
     return max(float(terms.mean()), 0.0)

@@ -1,11 +1,18 @@
 """CLI contract: subcommand outputs, diagnostics, and exit codes."""
 
 import csv
+import gzip
 import io
 import math
+import urllib.request
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ineqkit import IneqError, cli
 from ineqkit.cli import main
 
 from conftest import DYNAMICS_PANEL, OECD_TABLE, WB_TABLE
@@ -202,6 +209,93 @@ class TestMicro:
         code, out, _ = run(capsys, "micro", "--input", str(path))
         assert code == 0
         assert metric_map(out)["n"] == "3"
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("1\nnan\n3\n", 2), ("1\n\n\n-inf\n", 4), ("1\r\n2\r\n1e999\r\n", 3)],
+    )
+    @pytest.mark.parametrize("via_stdin", [False, True])
+    def test_non_finite_value_reports_its_line(
+        self, capsys, tmp_path, monkeypatch, text, line, via_stdin
+    ):
+        path = tmp_path / "values.txt"
+        path.write_bytes(text.encode())
+        if via_stdin:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        name = "-" if via_stdin else str(path)
+        code, out, err = run(capsys, "micro", "--input", name)
+        assert (code, out) == (2, "")
+        assert err == f"error: {name}:{line}: sample values must be finite\n"
+
+    def test_plain_file_takes_the_numpy_reader(self, capsys, tmp_path, monkeypatch):
+        def refuse(path, lines):
+            raise AssertionError("per-line parse used")
+
+        monkeypatch.setattr(cli, "_parse_lines", refuse)
+        path = self.write(tmp_path, [3, 1.5, "2e3", 0])
+        code, out, _ = run(capsys, "micro", "--input", path)
+        assert code == 0
+        assert metric_map(out)["n"] == "4"
+
+    def test_paths_numpy_must_not_open(self, capsys, tmp_path, monkeypatch):
+        # numpy's reader decompresses by suffix and fetches URLs: a
+        # compressed-suffix name, stdin, a missing path and a directory all
+        # keep the per-line read and its messages
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy reader used")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        named_gz = tmp_path / "values.gz"
+        named_gz.write_text("1\n2\n3\n")
+        code, out, _ = run(capsys, "micro", "--input", str(named_gz))
+        assert (code, metric_map(out)["n"]) == (0, "3")
+
+        real_gz = tmp_path / "real.gz"
+        real_gz.write_bytes(gzip.compress(b"1\n2\n3\n"))
+        code, out, err = run(capsys, "micro", "--input", str(real_gz))
+        assert (code, out) == (2, "")
+        assert err == "error: 'utf-8' codec can't decode byte 0x8b in position 1: invalid start byte\n"
+
+        missing = tmp_path / "missing.txt"
+        code, _, err = run(capsys, "micro", "--input", str(missing))
+        assert (code, err) == (2, f"error: [Errno 2] No such file or directory: '{missing}'\n")
+        code, _, err = run(capsys, "micro", "--input", str(tmp_path))
+        assert (code, err) == (2, f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
+
+        # "-" is stdin even beside a file of that name
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-").write_text("1\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO("1\n2\n3\n"))
+        code, out, _ = run(capsys, "micro", "--input", "-")
+        assert (code, metric_map(out)["n"]) == (0, "3")
+
+    def test_url_like_name_is_a_local_file(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("URL opened")
+
+        monkeypatch.setattr(urllib.request, "urlopen", refuse)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        (tmp_path / "http:" / "host" / "values.txt").write_text("1\n2\n")
+        code, out, _ = run(capsys, "micro", "--input", "http://host/values.txt")
+        assert (code, metric_map(out)["n"]) == (0, "2")
+
+    def test_dot_dot_after_a_symlink(self, capsys, tmp_path, monkeypatch):
+        # "link/.." is the parent of the link's target, as the OS resolves it
+        (tmp_path / "b" / "c").mkdir(parents=True)
+        (tmp_path / "link").symlink_to(tmp_path / "b" / "c")
+        (tmp_path / "b" / "values.txt").write_text("1\n2\n3\n")
+        (tmp_path / "values.txt").write_text("1\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "micro", "--input", "link/../values.txt")
+        assert (code, metric_map(out)["n"]) == (0, "3")
+
+    def test_gzip_content_under_a_plain_name(self, capsys, tmp_path):
+        path = tmp_path / "real.txt"
+        path.write_bytes(gzip.compress(b"1\n2\n3\n"))
+        code, out, err = run(capsys, "micro", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: 'utf-8' codec can't decode byte 0x8b in position 1: invalid start byte\n"
 
     def test_one_lorenz_curve_per_sample(self, capsys, tmp_path, monkeypatch):
         import ineqkit.micro
@@ -444,3 +538,70 @@ class TestWeightFlag:
         path.write_text(PANEL_HEADER + "AAA,2015,0.36,0.262,0.019\n")
         code, _, _ = run(capsys, "compute", "--input", str(path), "--weight", "1.5")
         assert code == 2
+
+
+# Lines of a values file: a value with optional padding and a line ending.
+# Beside numbers they hold what ``float()`` takes and numpy's reader may not
+# (underscores, Unicode digits, whitespace-only lines, Unicode spaces, every
+# line break ``str.splitlines`` knows), non-finite spellings, commas, a
+# misplaced byte-order mark and bad values.
+_NUMBERS = st.one_of(
+    st.sampled_from(
+        ["0", "1", "2.5", "-3", "+4", "1e3", ".5", "5.", "007", "1e999", "1e-400"]
+        + ["nan", "NaN", "-nan", "inf", "-inf", "infinity", "-Infinity"]
+    ),
+    st.floats().map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+)
+_ODD_VALUES = st.sampled_from(
+    ["", "1_0", "1__0", "\u0661\u0662", "\uff11\uff12", "\u0663.\u0665"]
+    + ["banana", "0x10", "1d5", "#1", ",", "1,2", "1,", "1 2", "\ufeff1"]
+)
+_PADDING = st.sampled_from(
+    ["", "", "", " ", "\t", "\x0b", "\x0c", "\xa0", "\u3000", "\x1c", "\x85", "\u2028"]
+)
+_LINE_ENDINGS = st.sampled_from(
+    ["\n", "\n", "\n", "\r\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85"]
+)
+_LINES = st.tuples(
+    _PADDING, st.one_of(_NUMBERS, _NUMBERS, _NUMBERS, _ODD_VALUES), _PADDING, _LINE_ENDINGS
+).map("".join)
+
+
+def _read_outcome(name):
+    """Values read by ``ineq micro`` from ``name``, or the error it reports."""
+    try:
+        values = cli._read_values(name)
+    except (ValueError, IneqError) as exc:
+        return "error", str(exc).replace(f"{name}:", "<input>:", 1)
+    return "values", values.dtype, values.shape, values.tobytes()
+
+
+@settings(max_examples=300)
+@given(
+    bom=st.booleans(),
+    lines=st.lists(_LINES, max_size=12),
+    final_newline=st.booleans(),
+    suffix=st.sampled_from([".txt", ".gz", ""]),
+)
+@example(bom=True, lines=["1\r\n", "\r\n", "2\r\n"], final_newline=False, suffix=".txt")
+@example(bom=False, lines=[], final_newline=False, suffix=".txt")
+@example(bom=False, lines=["1_0\n", "2\n"], final_newline=True, suffix=".txt")
+@example(bom=False, lines=["1\n", " \n", "2\n"], final_newline=True, suffix=".txt")
+@example(bom=False, lines=["1\n", "nan\n", "3\n"], final_newline=True, suffix=".txt")
+@example(bom=False, lines=["1,2\n", "3,4\n"], final_newline=True, suffix=".txt")
+def test_file_and_stdin_reads_agree(tmp_path_factory, bom, lines, final_newline, suffix):
+    """A file, read by numpy's C reader where it can, and the same text on
+    stdin, always read per line, give identical values or an identical error."""
+    text = "\ufeff" * bom + "".join(lines)
+    if lines and not final_newline:
+        text = text.rstrip("\r\n\x0b\x0c\x1c\x85")
+    raw = text.encode("utf-8")
+    path = tmp_path_factory.mktemp("values") / f"values{suffix}"
+    path.write_bytes(raw)
+    by_file = _read_outcome(str(path))
+    # stdin as the interpreter opens it: UTF-8 with universal newlines
+    stdin = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+    with mock.patch("sys.stdin", stdin):
+        by_stdin = _read_outcome("-")
+    assert by_file == by_stdin

@@ -1,5 +1,7 @@
 """Micro-data measures: examples with independent oracles, then properties."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,21 @@ def pairwise_gini(values):
     return float(np.abs(v[:, None] - v[None, :]).sum() / (2.0 * n * n * v.mean()))
 
 
+def rank_gini(values):
+    """Independent oracle, exactly summed: sum_i (2i - n - 1) y_(i) over
+    n * sum(y), with y_(1) <= ... <= y_(n)."""
+    y = sorted(float(v) for v in values)
+    n = len(y)
+    weighted = math.fsum((2 * i - n - 1) * v for i, v in enumerate(y, 1))
+    return weighted / (n * math.fsum(y))
+
+
+def _drawn_values(seed_and_n):
+    """Lognormal incomes rounded to 0.1, so that ties and zeros occur."""
+    seed, n = seed_and_n
+    return np.floor(np.random.default_rng(seed).lognormal(0.0, 1.5, n) * 10.0) / 10.0
+
+
 # Strategy notes: zeros are legal, but positive elements stay >= 1e-6 so that
 # scale factors cannot push values into subnormal territory where the 1e-12
 # invariance tolerances stop being meaningful.
@@ -40,6 +57,13 @@ value_lists = st.lists(elements, min_size=1, max_size=60).filter(
     lambda xs: sum(xs) > 0
 )
 samples = value_lists.map(IncomeSample.from_values)
+# Seeded samples of up to 20k values, past the reach of the pairwise oracle.
+large_samples = (
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 20_000))
+    .map(_drawn_values)
+    .filter(lambda v: v.sum() > 0)
+    .map(IncomeSample.from_values)
+)
 positive_samples = st.lists(
     st.floats(min_value=1e-3, max_value=1e5, allow_nan=False, allow_infinity=False),
     min_size=1,
@@ -74,6 +98,24 @@ class TestIncomeSample:
         s = IncomeSample.from_values([1, 2])
         with pytest.raises(ValueError):
             s.values[0] = 5.0
+
+    def test_caller_array_is_not_shared(self):
+        # a sample keeps its own copy of an array its caller can still write
+        values = np.array([1.0, 2.0, 3.0])
+        view = values[:]
+        view.flags.writeable = False
+        for arr in (values, view):
+            s = IncomeSample(arr)
+            values[0] = 0.5
+            assert s.values.tolist() == [1.0, 2.0, 3.0]
+            values[0] = 1.0
+        s = IncomeSample.from_values(values)
+        values[0] = 9.0
+        assert s.values.tolist() == [1.0, 2.0, 3.0]
+        p, L = np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.25, 1.0])
+        curve = LorenzCurve(p, L)
+        p[1], L[1] = 0.6, 0.3
+        assert curve.points == [(0.0, 0.0), (0.5, 0.25), (1.0, 1.0)]
 
     def test_overflowing_total_rejected(self):
         # each value is finite, their sum is not
@@ -110,6 +152,27 @@ class TestLorenzCurve:
         assert np.all(curve.L <= curve.p + 1e-12)
         slopes = np.diff(curve.L) / np.diff(curve.p)
         assert np.all(np.diff(slopes) >= -1e-9)
+
+    @given(st.one_of(samples, large_samples))
+    def test_matches_reference_arithmetic(self, s):
+        # the curve is built in place, with the bits of the plain formula
+        cum = np.cumsum(s.values)
+        L = np.concatenate(([0.0], cum / cum[-1]))
+        L[-1] = 1.0
+        curve = lorenz_curve(s)
+        assert curve.p.tobytes() == (np.arange(s.n + 1) / s.n).tobytes()
+        assert curve.L.tobytes() == L.tobytes()
+
+    @given(st.one_of(samples, large_samples), st.data())
+    def test_value_at_matches_interp(self, s, data):
+        curve = lorenz_curve(s)
+        on_grid = st.integers(0, s.n).map(lambda k: k / s.n)
+        shares = data.draw(st.lists(st.one_of(on_grid, st.floats(0.0, 1.0)), max_size=12))
+        expected = np.interp(shares, np.array(curve.p), np.array(curve.L))
+        assert curve.value_at(shares).tobytes() == expected.tobytes()
+        for x, e in zip(shares, expected):
+            value = curve.value_at(x)
+            assert type(value) is float and value == e
 
     def test_large_sample_passes_convexity_check(self):
         # Chord-slope rounding error grows like eps * n on an even grid, so a
@@ -152,6 +215,10 @@ class TestGini:
     @given(samples)
     def test_matches_pairwise_oracle(self, s):
         assert gini(s) == pytest.approx(pairwise_gini(s.values), abs=1e-10)
+
+    @given(st.one_of(samples, large_samples))
+    def test_matches_exact_rank_oracle(self, s):
+        assert gini(s) == pytest.approx(rank_gini(s.values), abs=1e-12)
 
     @given(samples)
     def test_bounds(self, s):

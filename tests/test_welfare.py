@@ -1,6 +1,8 @@
 """Welfare indices: frozen examples, zero handling, and family identities."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +24,42 @@ positive_samples = st.lists(
     min_size=2,
     max_size=50,
 ).map(IncomeSample.from_values)
+
+
+def exact_ge(values, alpha):
+    """GE of integer order in exact rational arithmetic."""
+    v = [Fraction(x) for x in values]
+    mean = sum(v) / len(v)
+    moment = sum((x / mean) ** alpha for x in v) / len(v)
+    return (moment - 1) / (alpha * (alpha - 1))
+
+
+class TestPowerMeanRange:
+    """Power means factor out the extreme ratio, so no term overflows."""
+
+    @pytest.mark.parametrize("values, alpha", [([1, 2, 3], 2000), ([1e-300, 2, 3], -3)])
+    def test_unrepresentable_ge_raises(self, values, alpha):
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            ge_index(values, alpha)
+
+    @pytest.mark.parametrize(
+        "values, alpha",
+        # r^alpha overflows for the largest (smallest) ratio, the index does not
+        [([1, 1, 4.25], 1000), ([1e-100, 2, 3], -1), ([1e-300, 2, 3], -1), ([1, 2, 3], 2)],
+    )
+    def test_representable_ge_is_finite(self, values, alpha):
+        exact = exact_ge(values, alpha)
+        assert ge_index(values, alpha) == pytest.approx(float(exact), rel=1e-12)
+
+    def test_high_aversion_overflowing_term(self):
+        # (1/1500.5)^-100 overflows; the index is 0.99933 (mpmath, 40 digits)
+        assert atkinson([1, 3000], 101) == pytest.approx(0.9993289199932977549, rel=1e-12)
+
+    def test_tiny_value_high_aversion(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert atkinson([1e-100, 2, 3], 5) == 1.0
+            assert atkinson([1e-300, 1e300], 3) == 1.0
 
 
 class TestAtkinson:
