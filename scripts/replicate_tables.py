@@ -12,15 +12,7 @@ import csv
 import sys
 from pathlib import Path
 
-from ineqkit import (
-    Indicator,
-    b_over_t_from_t_over_b,
-    calibrate_alpha,
-    compare_rankings,
-    composite,
-    mean_alpha,
-    rank_values,
-)
+from ineqkit import mean_alpha, replicate_table
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
@@ -31,15 +23,10 @@ TABLES = [
 
 
 def load(path):
+    """The (country, gini, t_over_b, h, index_i) rows of a table, in file order."""
     with open(path, newline="", encoding="utf-8") as fh:
         return [
-            {
-                "country": r["country"],
-                "gini": float(r["gini"]),
-                "index_i": float(r["index_i"]),
-                "t_over_b": float(r["t_over_b"]),
-                "h": float(r["h"]),
-            }
+            (r["country"], float(r["gini"]), float(r["t_over_b"]), float(r["h"]), float(r["index_i"]))
             for r in csv.DictReader(fh)
         ]
 
@@ -53,24 +40,10 @@ def main() -> int:
     alphas = []
     for label, path, tol in TABLES:
         rows = load(path)
-        worst_h = worst_i = 0.0
-        worst_country = ""
-        ginis, index = {}, {}
-        for r in rows:
-            res = composite(r["gini"], b_over_t_from_t_over_b(r["t_over_b"]), args.weight)
-            dh = abs(res.h - r["h"])
-            di = abs(res.index_i - r["index_i"])
-            if di > worst_i:
-                worst_i, worst_country = di, r["country"]
-            worst_h = max(worst_h, dh)
-            ginis[r["country"]] = r["gini"]
-            index[r["country"]] = res.index_i
-        cmp = compare_rankings(
-            rank_values(ginis, Indicator.GINI), rank_values(index, Indicator.INDEX_I)
-        )
-        avg_gini = sum(r["gini"] for r in rows) / len(rows)
-        avg_ratio = sum(1.0 / r["t_over_b"] for r in rows) / len(rows)
-        alpha = calibrate_alpha(avg_gini, avg_ratio)
+        table = replicate_table(rows, args.weight)
+        (worst_h, _), (worst_i, worst_country) = table.worst_h, table.worst_i
+        cmp = table.rank_changes()
+        alpha = table.alpha()
         alphas.append(alpha)
 
         ok = worst_h <= tol and worst_i <= tol

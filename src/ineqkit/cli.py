@@ -22,7 +22,6 @@ import numpy as np
 from . import micro
 from .composite import (
     DEFAULT_WEIGHT,
-    b_over_t_from_t_over_b,
     calibrate_alpha,
     composite,
     mean_alpha,
@@ -49,7 +48,7 @@ from .ranking import (
     Indicator,
     compare_rankings,
     rank,
-    rank_values,
+    replicate_table,
     round_half_away,
     series,
 )
@@ -60,6 +59,11 @@ _INDICATORS = {i.value: i for i in Indicator}
 _TAIL_CUTS = (10, 20, 30, 40, 50)
 # Rows formatted per write of `ineq compute`.
 _CHUNK_ROWS = 1 << 14
+# Characters of stdin text split into lines at a time by `ineq micro`.
+_BLOCK_CHARS = 1 << 20
+# A field of `ineq compute` below this is printed from its count of
+# millionths, which float64 holds exactly.
+_MILLIONTHS_BELOW = 2.0**52 / 1e6
 # Suffixes numpy's file reader decompresses by; `ineq micro` reads such a file
 # as plain text, like any other.
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
@@ -144,41 +148,123 @@ def _csv_field(value: str) -> str:
     return _csv_text([value], [])[0][:-1]
 
 
+def _digits(values: np.ndarray, least: int) -> tuple[np.ndarray, np.ndarray]:
+    """The decimal digits of non-negative integers as ASCII bytes, one
+    right-aligned row each, and the mask of the digits printed: all but
+    leading zeros, and at least the last ``least``."""
+    width = max(least, len(str(values.max(initial=0))))
+    digits = np.empty((len(values), width), dtype=np.uint8)
+    rest = values
+    for j in range(width - 1, -1, -1):
+        # numpy divides by a scalar divisor faster than np.divmod does
+        quotient = rest // 10
+        digits[:, j] = rest - quotient * 10 + ord("0")
+        rest = quotient
+    powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return digits, (values[:, None] >= powers) | (powers < 10**least)
+
+
+def _millionths(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x * 1e6`` rounded to integers, and the mask of the values whose
+    ``f"{x:.6f}"`` prints that integer: 0 <= x < 2**52 / 1e6 and not -0.0,
+    so the product is within half an ulp of the exact one, and the product
+    is more than 4 ulp from a half-integer, so that error cannot cross it."""
+    exact = (x >= 0.0) & (x < _MILLIONTHS_BELOW) & ~np.signbit(x)
+    scaled = np.where(exact, x, 0.0) * 1e6
+    exact &= np.abs(scaled - np.floor(scaled) - 0.5) > 4.0 * np.spacing(scaled)
+    return np.rint(scaled).astype(np.int64), exact
+
+
+def _compute_rows(names: list[str], country, year, fields) -> str:
+    """The CSV rows ``names[country],year,*fields`` of `ineq compute`, each
+    field as ``f"{x:.6f}"``.
+
+    The rows are laid out as one byte matrix with a slot per digit, and one
+    mask drops the unused slots.  A row with a value the matrix cannot print
+    exactly (a negative year, or a field that is negative, -0.0, inf, NaN,
+    huge or near a rounding tie) is formatted by an f-string instead.
+    """
+    millionths = [_millionths(x) for x in fields]
+    fast = np.logical_and.reduce([year >= 0, *(exact for _, exact in millionths)])
+    used, code = np.unique(country[fast], return_inverse=True)
+    quoted = [names[c].encode() for c in used.tolist()]
+    width = max(map(len, quoted), default=1)
+    table = np.array(quoted, dtype=f"S{width}").view(np.uint8).reshape(len(quoted), width)
+    lengths = np.array([len(q) for q in quoted], dtype=np.intp)
+
+    n = int(fast.sum())
+    separator = lambda byte: (np.full((n, 1), ord(byte), np.uint8), np.ones((n, 1), bool))
+    pieces = [
+        (table[code], np.arange(width) < lengths[code][:, None]),
+        separator(","),
+        _digits(year[fast], 1),
+    ]
+    for k, _ in millionths:
+        digits, keep = _digits(k[fast], 7)
+        pieces += [
+            separator(","),
+            (digits[:, :-6], keep[:, :-6]),
+            separator("."),
+            (digits[:, -6:], keep[:, -6:]),
+        ]
+    pieces.append(separator("\n"))
+    matrix = np.concatenate([p for p, _ in pieces], axis=1)
+    keep = np.concatenate([m for _, m in pieces], axis=1)
+    blob = matrix[keep].tobytes()
+
+    # Splice the f-string rows in at their places.
+    ends = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    parts, done = [], 0
+    for r, i in enumerate(np.flatnonzero(~fast).tolist()):
+        before = i - r  # matrix rows ahead of row i
+        parts.append(blob[ends[done] : ends[before]])
+        c, y, g, tb, h, ix, a = (v[i].item() for v in (country, year, *fields))
+        parts.append(f"{names[c]},{y},{g:.6f},{tb:.6f},{h:.6f},{ix:.6f},{a:.6f}\n".encode())
+        done = before
+    parts.append(blob[ends[done] :])
+    return b"".join(parts).decode()
+
+
 def cmd_compute(args) -> int:
     panel = _load_panel(args)
-    columns = [panel.country, panel.year, panel.gini, t_over_b_of(panel)]
+    fields = [panel.gini, t_over_b_of(panel)]
     # The weight is checked only when some row uses it.
     if len(panel):
         res = composite(panel.gini, ratio_of(panel), args.weight)
-        columns += [res.h, res.index_i, res.alt_index]
-    country = [_csv_field(name) for name in panel.names]
+        fields += [res.h, res.index_i, res.alt_index]
+    names = [_csv_field(name) for name in panel.names]
 
-    def lines():
+    def chunks():
         yield "country,year,gini,t_over_b,h,index_i,alt_index\n"
         for start in range(0, len(panel), _CHUNK_ROWS):
-            rows = zip(*(col[start : start + _CHUNK_ROWS].tolist() for col in columns))
-            yield "".join(
-                f"{country[c]},{y},{g:.6f},{tb:.6f},{h:.6f},{i:.6f},{a:.6f}\n"
-                for c, y, g, tb, h, i, a in rows
-            )
+            rows = slice(start, start + _CHUNK_ROWS)
+            yield _compute_rows(names, panel.country[rows], panel.year[rows], [f[rows] for f in fields])
 
-    _emit(lines(), args.output)
+    _emit(chunks(), args.output)
     return 0
 
 
-def _load_plain_file(path: str) -> np.ndarray | None:
-    """The values of a one-column plain file, read by numpy's C reader; None
-    for stdin, a compressed-suffix name, or a file that reader rejects."""
-    if path == "-" or not os.path.isfile(path) or path.endswith(_COMPRESSED_SUFFIXES):
-        return None
+def _lines(text: str):
+    """The lines of ``text``, each with its line end, decoded a block at a
+    time: no list of lines is built, and a StringIO of a block, not of the
+    whole text, holds four bytes per character."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+        yield from io.StringIO(text[start:end])
+        start = end
+
+
+def _load_values(source) -> np.ndarray | None:
+    """The values of a one-column input read by numpy's C reader from
+    ``source``, a path or an iterator of lines; None where that reader
+    rejects the input."""
     try:
         with warnings.catch_warnings():
-            # "input contained no data": the per-line parse handles that file
+            # "input contained no data": the per-line parse handles that input
             warnings.simplefilter("ignore", UserWarning)
-            # An absolute path is never taken for a URL; joined, not
-            # normalized, so ".." after a symlink resolves as the OS does.
             values = np.loadtxt(
-                os.path.join(os.getcwd(), path),
+                source,
                 dtype=float,
                 comments=None,
                 delimiter=",",
@@ -211,21 +297,27 @@ def _read_values(path: str) -> np.ndarray:
     """The numbers of a one-value-per-line input, blank lines skipped; a bad
     or non-finite value is reported with its 1-based line number.
 
-    A plain file is read by numpy's C reader.  Stdin and every input that
-    reader does not take as one column of numbers (underscores, Unicode
-    digits, whitespace-only lines, unparseable values, ...) go through the
-    per-line ``float()`` parse, so both give the same values and errors.
+    A plain file, and stdin's text as an iterator of lines, are read by
+    numpy's C reader.  Every input that reader does not take as one column
+    of numbers (underscores, Unicode digits, whitespace-only lines,
+    unparseable values, ...) goes through the per-line ``float()`` parse,
+    so both give the same values and errors.
     """
-    values = _load_plain_file(path)
-    lines = None
+    text = values = None
+    if path == "-":
+        text = _read_text(path)
+        values = _load_values(_lines(text))
+    elif os.path.isfile(path) and not path.endswith(_COMPRESSED_SUFFIXES):
+        # An absolute path is never taken for a URL; joined, not normalized,
+        # so ".." after a symlink resolves as the OS does.
+        values = _load_values(os.path.join(os.getcwd(), path))
     if values is None:
-        lines = _read_text(path).splitlines()
-        values = _parse_lines(path, lines)
+        text = _read_text(path) if text is None else text
+        values = _parse_lines(path, text.splitlines())
     finite = np.isfinite(values)
     if not finite.all():
-        if lines is None:
-            lines = _read_text(path).splitlines()
-        numbers = [number for number, line in enumerate(lines, 1) if line.strip()]
+        text = _read_text(path) if text is None else text
+        numbers = [number for number, line in enumerate(text.splitlines(), 1) if line.strip()]
         raise DomainError(f"{path}:{numbers[np.argmin(finite)]}: sample values must be finite")
     return values
 
@@ -375,34 +467,25 @@ def cmd_replicate(args) -> int:
             f"country sets differ: only in input {only_in}, only in expected {only_exp}"
         )
 
-    rows = []
-    worst_h = (0.0, "")
-    worst_i = (0.0, "")
-    gini_values = {}
-    index_values = {}
-    for country in sorted(inputs):
-        gini_value = inputs[country]["gini"]
-        ratio = b_over_t_from_t_over_b(inputs[country]["t_over_b"])
-        res = composite(gini_value, ratio, args.weight)
-        dh = abs(res.h - expected[country]["h"])
-        di = abs(res.index_i - expected[country]["index_i"])
-        if dh > worst_h[0]:
-            worst_h = (dh, country)
-        if di > worst_i[0]:
-            worst_i = (di, country)
-        gini_values[country] = gini_value
-        index_values[country] = res.index_i
-        rows.append(
-            [
-                country,
-                _fmt(expected[country]["h"], 3),
-                _fmt(round_half_away(res.h), 3),
-                _fmt(dh),
-                _fmt(expected[country]["index_i"], 3),
-                _fmt(round_half_away(res.index_i), 3),
-                _fmt(di),
-            ]
-        )
+    table = replicate_table(
+        (
+            (c, inputs[c]["gini"], inputs[c]["t_over_b"], expected[c]["h"], expected[c]["index_i"])
+            for c in sorted(inputs)
+        ),
+        args.weight,
+    )
+    rows = [
+        [
+            r.country,
+            _fmt(expected[r.country]["h"], 3),
+            _fmt(round_half_away(r.h), 3),
+            _fmt(r.dh),
+            _fmt(expected[r.country]["index_i"], 3),
+            _fmt(round_half_away(r.index_i), 3),
+            _fmt(r.di),
+        ]
+        for r in table.rows
+    ]
     header = [
         "country",
         "h_expected",
@@ -414,10 +497,8 @@ def cmd_replicate(args) -> int:
     ]
     _emit(_csv_text(header, rows), args.output)
 
-    cmp = compare_rankings(
-        rank_values(gini_values, Indicator.GINI),
-        rank_values(index_values, Indicator.INDEX_I),
-    )
+    cmp = table.rank_changes()
+    worst_h, worst_i = table.worst_h, table.worst_i
     print(
         f"max|dH|={worst_h[0]:.6f} ({worst_h[1]}) tol={args.tol_h:.6f}; "
         f"max|dI|={worst_i[0]:.6f} ({worst_i[1]}) tol={args.tol_i:.6f}; "

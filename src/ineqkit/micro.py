@@ -194,13 +194,19 @@ class LorenzCurve:
         fall below the bottom tail share of the same width.
         """
         cuts = _check_percent(x)
-        values = self.value_at(np.concatenate((cuts / 100.0, 1.0 - cuts / 100.0)))
-        bottom, top = values[: cuts.size], 1.0 - values[cuts.size :]
-        # The richest x percent always hold something; a zero top share
-        # means 1 - x/100 rounded to (nearly) 1.
-        if not np.all(top > 0.0):
-            tiny = float(cuts[~(top > 0.0)][0])
+        tails = cuts / 100.0
+        # The richest x percent always hold something, but where 1 - x/100
+        # rounds to 1 the curve cannot tell how much.
+        if not np.all(1.0 - tails < 1.0):
+            tiny = float(cuts[~(1.0 - tails < 1.0)][0])
             raise DomainError(f"percent cut {tiny!r} too small to resolve the top share")
+        bottom = self.value_at(tails)
+        # 1 - L(1 - x/100) cancels for a small cut, so the top share is read
+        # from the right end: the share above the segment that holds the cut,
+        # plus the part of that segment right of the cut.
+        hi = np.minimum(np.searchsorted(self.p, 1.0 - tails, side="right"), self.p.size - 1)
+        slope = (self.L[hi] - self.L[hi - 1]) / (self.p[hi] - self.p[hi - 1])
+        top = (1.0 - self.L[hi]) + ((self.p[hi] - 1.0) + tails) * slope
         ratio = np.divide(bottom, top, out=np.zeros_like(bottom), where=bottom != 0.0)
         # float noise can push bottom/top one ulp past 1 when the shares tie
         return bottom, top, np.minimum(ratio, 1.0)

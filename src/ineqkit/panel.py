@@ -13,8 +13,8 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import itertools
 import math
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -130,7 +130,7 @@ class Panel:
     def _set(self, label: str, names, **columns) -> "Panel":
         self.label, self.names = label, tuple(names)
         for name, dtype in _COLUMNS.items():
-            values = np.array(columns[name], dtype=dtype)
+            values = np.asarray(columns[name], dtype=dtype)
             values.flags.writeable = False
             setattr(self, name, values)
         return self
@@ -216,38 +216,175 @@ class RowDiagnostic:
     reason: str
 
 
-# Data rows converted at a time: the cell texts of one block are held at once.
-_BLOCK_ROWS = 1 << 14
-# Characters of CSV text decoded at a time.
+# Characters of CSV text tokenized at a time: the cells of one block are held
+# at once.
 _BLOCK_CHARS = 1 << 20
+# Bytes per cell of numpy's reader, by declared column (country, year, gini,
+# top10, bottom10, source).  A cell that fills its width may have been cut
+# short, so its block is read by csv.reader instead.
+_CELL_BYTES = (64, 24, 32, 32, 32, 16)
 _SOURCE_CODES = {s.value: i for i, s in enumerate(SOURCES)}
+# Cells are held as UTF-8 bytes; a lone surrogate is kept, not an error.
+_ERRORS = "surrogatepass"
 
 
-def _lines(text: str):
-    """The lines of ``text`` as ``io.StringIO(text)`` gives them, decoded a
-    block at a time (StringIO holds four bytes per character)."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
-        yield from io.StringIO(text[start:end])
-        start = end
+# Masks, by byte, of the bytes a cell may hold for numpy's string casts to
+# read it as int() and float() do; 0 pads a fixed-width cell.
+_INT_CHARS = np.array([c in b"\0+-0123456789" for c in range(256)])
+_FLOAT_CHARS = np.array([c in b"\0+-.0123456789Ee" for c in range(256)])
+# Mask, by byte, of the bytes that may border a quote.
+_QUOTE_BORDERS = np.array([c in b'\n",' for c in range(256)])
 
 
-def _convert(texts: list[str], kind, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """``kind`` of each text as an array of ``dtype``, 0 where ``kind``
-    raises, and the mask of the texts where it does not."""
-    ok = np.ones(len(texts), dtype=bool)
+def _text(cell) -> str:
+    """A cell, UTF-8 bytes or text, as stripped text."""
+    return (cell.decode(errors=_ERRORS) if isinstance(cell, bytes) else cell).strip()
+
+
+def _csv_rows(text: str, start: int, stop: int):
+    """The rows csv.reader reads from ``text[start:]``, ``start`` being where
+    a row begins, up to the first row that ends at or after ``stop``, a line
+    end or the end of the text.
+
+    Returns the rows, the number of lines read up to the end of each, and the
+    offset where the next row begins.
+    """
+    lines = text.count("\n", start, stop) + (start < stop and text[stop - 1] != "\n")
+    end = stop
+
+    def beyond():
+        # The lines after ``stop``, read only by a row that runs past it.
+        nonlocal end
+        while end < len(text):
+            begin, end = end, text.find("\n", end) + 1 or len(text)
+            yield text[begin:end]
+
+    reader = csv.reader(itertools.chain(io.StringIO(text[start:stop]), beyond()))
+    rows, numbers = [], []
+    for row in reader:
+        rows.append(row)
+        numbers.append(reader.line_num)
+        if reader.line_num >= lines:
+            break
+    return rows, numbers, end
+
+
+def _plain_quotes(raw: np.ndarray) -> bool:
+    """Whether each quote of the bytes ``raw`` opens a field, closes one just
+    before a delimiter or line end, or is one of a doubled pair inside one;
+    no field is left open and none holds a line end.  Numpy's reader and
+    csv.reader read such quoting alike, and each line is one row."""
+    at = np.flatnonzero(raw == ord('"'))
+    if at.size % 2:
+        return False
+    padded = np.concatenate(([ord("\n")], raw, [ord("\n")]))
+    opens, closes = at[0::2], at[1::2]
+    if not (_QUOTE_BORDERS[padded[opens]].all() and _QUOTE_BORDERS[padded[closes + 2]].all()):
+        return False
+    line_ends = np.flatnonzero(raw == ord("\n"))
+    return bool((np.searchsorted(line_ends, opens) == np.searchsorted(line_ends, closes)).all())
+
+
+def _byte_cells(block: str, usecols: list[int], widths) -> list[np.ndarray] | None:
+    """The cells of columns ``usecols`` of every row of ``block``, one byte
+    column each, read by numpy's C reader; None for a block it may read
+    otherwise than csv.reader, or whose line numbers would not follow from
+    its row count."""
+    if block.startswith("\n") or "\n\n" in block:
+        return None
+    data = block.encode(errors=_ERRORS)
+    raw = np.frombuffer(data, dtype=np.uint8)
+    # A bare CR, a NUL or another control character
+    if ((raw < 32) & (raw != ord("\n"))).any() or not _plain_quotes(raw):
+        return None
+    dtype = np.dtype([(f"c{k}", f"S{width}") for k, width in enumerate(widths)])
     try:
-        return np.fromiter(map(kind, texts), dtype, len(texts)), ok
-    except (LookupError, ValueError, OverflowError):
-        pass
-    values = np.zeros(len(texts), dtype)
-    for i, text in enumerate(texts):
-        try:
-            values[i] = kind(text)
-        except (LookupError, ValueError, OverflowError):
-            ok[i] = False
-    return values, ok
+        # Each UTF-8 byte read as one Latin-1 character, which a byte
+        # column stores as that byte: the cells hold UTF-8.
+        table = np.loadtxt(
+            io.StringIO(data.decode("latin-1")),
+            dtype=dtype,
+            delimiter=",",
+            quotechar='"',
+            comments=None,
+            usecols=usecols,
+            ndmin=1,
+        )
+    except ValueError:  # a short row, a whitespace-only line, ...
+        return None
+    if len(table) != data.count(b"\n") + (data[-1] != ord("\n")):
+        return None
+    cells = [table[name] for name in dtype.names]
+    if any(col[:, None].view(np.uint8)[:, -1].any() for col in cells):
+        return None
+    return cells
+
+
+def _lookup(cells: np.ndarray, convert, memo: dict) -> np.ndarray:
+    """``convert`` of the text of each cell, called once per distinct cell
+    and kept in ``memo``."""
+    cells = cells.tolist()
+    for cell in set(cells).difference(memo):
+        memo[cell] = convert(_text(cell))
+    return np.fromiter(map(memo.__getitem__, cells), np.intp, len(cells))
+
+
+def _cast(cells: np.ndarray, dtype, chars) -> tuple[np.ndarray, np.ndarray]:
+    """The cells as ``dtype``, cast as one array, and the mask of the cells
+    cast; only non-empty cells all of whose characters are in ``chars`` are
+    cast, and the others read 0."""
+    values = np.zeros(len(cells), dtype)
+    plain = np.zeros(len(cells), dtype=bool)
+    if cells.dtype == object:
+        return values, plain
+    length = np.char.str_len(cells)
+    codes = cells[:, None].view(np.uint8)[:, : length.max(initial=0)]
+    plain = chars[codes].all(axis=1) & (length > 0)
+    try:
+        values[plain] = cells[plain].astype(dtype)
+    except (ValueError, OverflowError):
+        plain[:] = False
+    return values, plain
+
+
+def _blocks(text: str, start: int, line: int, usecols: list[int], widths):
+    """Tokenize ``text`` from ``start``, where a row on line ``line`` begins,
+    a block of about ``_BLOCK_CHARS`` characters at a time.
+
+    Yields, for each block (at least one), the cells of columns ``usecols``
+    of its non-empty rows, one array per column; the number of cells of each
+    row that has fewer than ``max(usecols) + 1``, by row index; and the line
+    number each row ends on.  A column holds the UTF-8 bytes of its cells.
+    Numpy's C reader tokenizes a block where it reads the block as
+    csv.reader would and its rows are its lines; otherwise csv.reader does,
+    and its cells are stripped (and kept as text where a NUL is in the
+    block).
+    """
+    width = max(usecols) + 1
+    while True:
+        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+        block = text[start:end]
+        cells = _byte_cells(block, usecols, widths) if block else None
+        if cells is not None:
+            yield cells, {}, line + np.arange(len(cells[0]))
+            line += block.count("\n")
+        else:
+            rows, numbers, end = _csv_rows(text, start, end)
+            ends = [line - 1 + n for row, n in zip(rows, numbers) if row]
+            rows = [row for row in rows if row]
+            short = {j: len(row) for j, row in enumerate(rows) if len(row) < width}
+            for j, length in short.items():
+                rows[j] += [""] * (width - length)
+            texts = [[row[i].strip() for row in rows] for i in usecols]
+            if "\0" in text[start:end]:  # a byte column would drop a trailing NUL
+                cells = [np.array(col, dtype=object) for col in texts]
+            else:
+                cells = [np.array([t.encode("utf-8", _ERRORS) for t in col], dtype=bytes) for col in texts]
+            yield cells, short, np.array(ends, dtype=np.int64)
+            line += numbers[-1] if numbers else 0
+        start = end
+        if start >= len(text):
+            return
 
 
 def parse_panel(
@@ -262,13 +399,15 @@ def parse_panel(
     A row gets the reason of the first check it fails: its cells in the
     order country, year, gini, top10, bottom10, source, then the record's
     range and ordering rules, then a repeat of an earlier kept row's key.
-    Percent-mode columns are divided by 100 on the way in.
+    Percent-mode columns are divided by 100 on the way in.  Lines end at
+    "\\n", "\\r\\n" or a lone "\\r", as with universal newlines.
     """
-    reader = csv.reader(_lines(csv_text))
-    header = next(reader, None)
-    if header is None:
+    if "\r" in csv_text:
+        csv_text = csv_text.replace("\r\n", "\n").replace("\r", "\n")
+    rows, numbers, start = _csv_rows(csv_text, 0, 0)
+    if not rows:
         raise SchemaError("input has no header row")
-    header = [h.strip() for h in header]
+    header = [h.strip() for h in rows[0]]
     positions = {name: i for i, name in enumerate(header)}
 
     declared = [schema.country, schema.year, schema.gini, schema.top10, schema.bottom10]
@@ -289,22 +428,15 @@ def parse_panel(
     codes: dict[str, int] = {}
 
     def country_code(text: str) -> int:
-        if not text:
-            raise ValueError("empty country identifier")
-        return codes.setdefault(text, len(codes))
+        return codes.setdefault(text, len(codes)) if text else -1
 
-    # How the stripped cells of each declared column convert; a bad one raises.
-    kinds = [
-        (country_code, np.intp),
-        (int, np.int64),
-        (float, np.float64),
-        (float, np.float64),
-        (float, np.float64),
-        (lambda text: _SOURCE_CODES[text.upper()], np.intp),
-    ][: len(declared)]
+    def source_code(text: str) -> int:
+        return _SOURCE_CODES.get(text.upper(), -1)
 
-    def fault(texts: list[str], length: int) -> str | None:
-        """Why a row of ``length`` cells is skipped: the first check it fails."""
+    def check(texts: list[str], length: int):
+        """The first check a row of ``length`` cells with the stripped cells
+        ``texts`` fails, as its reason and None, or None and the row's year
+        and shares."""
 
         def cell(k: int) -> str:
             if where[k] >= length:
@@ -312,10 +444,12 @@ def parse_panel(
             return texts[k]
 
         try:
-            country_code(cell(0))
+            if not cell(0):
+                raise ValueError("empty country identifier")
             text = cell(1)
             try:
-                np.int64(int(text))
+                year = int(text)
+                np.int64(year)
             except ValueError:
                 raise ValueError(f"year is not an integer: {text!r}") from None
             except OverflowError:
@@ -335,55 +469,55 @@ def parse_panel(
             if len(declared) > 5 and cell(5).upper() not in _SOURCE_CODES:
                 raise ValueError(f"unknown source {texts[5].upper()!r}")
         except ValueError as exc:
-            return str(exc)
-        return _share_fault(*shares)
+            return str(exc), None
+        return _share_fault(*shares), (year, *shares)
 
-    # Rows are read a block at a time; a block's cells become columns in
-    # one conversion each, and only the rows it flags are checked one by one.
-    cells: list[list[str]] = [[] for _ in declared]
-    lines = array("q")
-    short: dict[int, int] = {}
+    # Each block's cells become columns in one cast each; only the rows that
+    # a cast skips or a share rule rejects are checked one by one.
+    country_memo: dict = {}
+    source_memo: dict = {}
     blocks: list[list[np.ndarray]] = []
+    lines: list[np.ndarray] = []
     reasons: dict[int, str] = {}
-    start = 0
-
-    def convert_block() -> None:
-        nonlocal start
-        converted = [_convert(col, kind, dtype) for col, (kind, dtype) in zip(cells, kinds)]
-        values = [v for v, _ in converted]
-        values[2:5] = [v / s for v, s in zip(values[2:5], scale)]
+    done = 0
+    widths = _CELL_BYTES[: len(declared)]
+    for cells, short, numbers in _blocks(csv_text, start, numbers[-1] + 1, where, widths):
+        country = _lookup(cells[0], country_code, country_memo)
+        year, good = _cast(cells[1], np.int64, _INT_CHARS)
+        good &= country >= 0
+        shares = []
+        for col, s in zip(cells[2:5], scale):
+            values, ok = _cast(col, np.float64, _FLOAT_CHARS)
+            shares.append(values / s)
+            good &= ok
+        values = [country, year, *shares]
+        if len(cells) > 5:
+            values.append(_lookup(cells[5], source_code, source_memo))
+            good &= values[5] >= 0
         # A non-finite share breaks a range rule, so it needs no mask here.
-        good = np.logical_and.reduce([ok for _, ok in converted])
         for rule, _ in _SHARE_RULES:
-            good &= rule(*values[2:5])
+            good &= rule(*shares)
         for j in np.flatnonzero(~good).tolist():
-            reasons[start + j] = fault([col[j] for col in cells], short.get(start + j, width))
+            reason, row = check([_text(col[j]) for col in cells], short.get(j, width))
+            if reason is None:
+                for column, value in zip(values[1:5], row):
+                    column[j] = value
+            else:
+                reasons[done + j] = reason
         blocks.append(values)
-        start = len(lines)
-        for col in cells:
-            col.clear()
-
-    for row in reader:
-        if not row:
-            continue
-        if len(row) < width:
-            short[len(lines)] = len(row)
-            row += [""] * (width - len(row))
-        lines.append(reader.line_num)
-        for col, i in zip(cells, where):
-            col.append(row[i].strip())
-        if len(lines) - start == _BLOCK_ROWS:
-            convert_block()
-    convert_block()
+        lines.append(numbers)
+        done += len(numbers)
     country, year, gini, top10, bottom10, *source = map(np.concatenate, zip(*blocks))
-    source = source[0] if source else np.full(len(lines), SOURCES.index(schema.default_source))
+    del blocks
+    source = source[0] if source else np.full(done, SOURCES.index(schema.default_source))
+    lines = np.concatenate(lines)
 
     names = sorted(codes)
-    # One spare slot: a row whose country was rejected reads code 0.
+    # One spare slot: a row whose country was rejected reads code -1.
     rank = np.zeros(len(names) + 1, dtype=np.intp)
     rank[[codes[name] for name in names]] = np.arange(len(names))
     country = rank[country]
-    kept = np.ones(len(lines), dtype=bool)
+    kept = np.ones(done, dtype=bool)
     kept[list(reasons)] = False
     live = np.flatnonzero(kept)
     repeat = live[_repeats(country[live], year[live], source[live])]
@@ -394,7 +528,7 @@ def parse_panel(
 
     columns = zip(_COLUMNS, (country, year, source, gini, top10, bottom10))
     panel = Panel.__new__(Panel)._set(label, names, **{k: v[kept] for k, v in columns})
-    return panel, [RowDiagnostic(line=lines[i], reason=reasons[i]) for i in sorted(reasons)]
+    return panel, [RowDiagnostic(line=int(lines[i]), reason=reasons[i]) for i in sorted(reasons)]
 
 
 def _share_ratio(rows, numerator, denominator, zero_bottom: float):

@@ -15,7 +15,13 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from .composite import DEFAULT_WEIGHT, alternative_index, composite
+from .composite import (
+    DEFAULT_WEIGHT,
+    alternative_index,
+    b_over_t_from_t_over_b,
+    calibrate_alpha,
+    composite,
+)
 from .errors import DomainError, EmptyInputError, JoinError, NotFoundError
 from .panel import CountryYearRecord, Panel, ratio_of, t_over_b_of
 
@@ -145,6 +151,75 @@ def compare_rankings(a: RankTable, b: RankTable) -> RankComparison:
         unchanged=len(per_country) - changed,
         per_country=per_country,
     )
+
+
+@dataclass(frozen=True)
+class ReplicatedRow:
+    """A row of a published table recomputed: H and the composite index
+    from its Gini and printed T/B, and their absolute deviations from the
+    published H and index."""
+
+    country: str
+    gini: float
+    ratio: float
+    h: float
+    index_i: float
+    dh: float
+    di: float
+
+
+def _worst(rows, deviation: str) -> tuple[float, str]:
+    """The largest deviation of the rows and the first country with it;
+    (0.0, "") when none is above 0."""
+    worst = (0.0, "")
+    for row in rows:
+        if getattr(row, deviation) > worst[0]:
+            worst = (getattr(row, deviation), row.country)
+    return worst
+
+
+@dataclass(frozen=True)
+class Replication:
+    """A published table recomputed row by row, in the order given."""
+
+    rows: tuple[ReplicatedRow, ...]
+
+    @property
+    def worst_h(self) -> tuple[float, str]:
+        return _worst(self.rows, "dh")
+
+    @property
+    def worst_i(self) -> tuple[float, str]:
+        return _worst(self.rows, "di")
+
+    def rank_changes(self) -> RankComparison:
+        """Rank changes between the Gini and the recomputed index."""
+        return compare_rankings(
+            rank_values({r.country: r.gini for r in self.rows}, Indicator.GINI),
+            rank_values({r.country: r.index_i for r in self.rows}, Indicator.INDEX_I),
+        )
+
+    def alpha(self) -> float:
+        """The tail exponent calibrated from the Gini and B/T averages."""
+        n = len(self.rows)
+        return calibrate_alpha(
+            sum(r.gini for r in self.rows) / n, sum(r.ratio for r in self.rows) / n
+        )
+
+
+def replicate_table(rows, weight: float = DEFAULT_WEIGHT) -> Replication:
+    """Recompute each ``(country, gini, t_over_b, h, index_i)`` row of a
+    published table and compare it with the published H and index."""
+    replicated = []
+    for country, gini, t_over_b, h, index_i in rows:
+        ratio = b_over_t_from_t_over_b(t_over_b)
+        res = composite(gini, ratio, weight)
+        replicated.append(
+            ReplicatedRow(
+                country, gini, ratio, res.h, res.index_i, abs(res.h - h), abs(res.index_i - index_i)
+            )
+        )
+    return Replication(tuple(replicated))
 
 
 def series(panel: Panel, country: str, weight: float = DEFAULT_WEIGHT) -> list[SeriesPoint]:

@@ -129,6 +129,17 @@ class TestCompute:
         assert (code, err) == (0, "")
         assert [r["country"] for r in parse_csv(out)] == ["GRC"]
 
+    def test_lone_cr_line_ends(self, capsys, tmp_path):
+        text = PANEL_HEADER + 'AAA,2015,0.3,0.25,0.03\n"B\nC",2015,x,0.25,0.03\nBBB,2016,0.4,0.3,0.02\n'
+        outputs = []
+        for name, line_end in (("lf.csv", "\n"), ("cr.csv", "\r")):
+            path = tmp_path / name
+            path.write_bytes(text.replace("\n", line_end).encode())
+            code, out, err = run(capsys, "compute", "--input", str(path))
+            outputs.append((code, out, err.replace(str(path), "<input>")))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][2] == "<input>:4: skipped row: unparseable numeric in column 'gini': 'x'\n"
+
     def test_percent_units_and_schema_mapping(self, capsys, tmp_path):
         path = tmp_path / "panel.csv"
         path.write_text("Land,Jahr,Gini,Top,Bottom\nGRC,2015,36.0,26.2,1.9\n")
@@ -239,8 +250,8 @@ class TestMicro:
 
     def test_paths_numpy_must_not_open(self, capsys, tmp_path, monkeypatch):
         # numpy's reader decompresses by suffix and fetches URLs: a
-        # compressed-suffix name, stdin, a missing path and a directory all
-        # keep the per-line read and its messages
+        # compressed-suffix name, a missing path and a directory all keep
+        # the per-line read and its messages
         def refuse(*args, **kwargs):
             raise AssertionError("numpy reader used")
 
@@ -262,12 +273,24 @@ class TestMicro:
         code, _, err = run(capsys, "micro", "--input", str(tmp_path))
         assert (code, err) == (2, f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
 
-        # "-" is stdin even beside a file of that name
+    def test_stdin_takes_the_numpy_reader(self, capsys, tmp_path, monkeypatch):
+        """Stdin's text reaches numpy's reader as an iterator of lines, with
+        no list of lines and no per-value floats; "-" is stdin even beside a
+        file of that name."""
+
+        def refuse(path, lines):
+            raise AssertionError("per-line parse used")
+
+        sources = []
+        real = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda source, **kw: sources.append(source) or real(source, **kw))
+        monkeypatch.setattr(cli, "_parse_lines", refuse)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "-").write_text("1\n")
-        monkeypatch.setattr("sys.stdin", io.StringIO("1\n2\n3\n"))
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff1\n2\n3e2\n"))
         code, out, _ = run(capsys, "micro", "--input", "-")
-        assert (code, metric_map(out)["n"]) == (0, "3")
+        assert (code, metric_map(out)["n"], metric_map(out)["mean"]) == (0, "3", "101.000000")
+        assert len(sources) == 1 and not isinstance(sources[0], (str, list))
 
     def test_url_like_name_is_a_local_file(self, capsys, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -321,6 +344,79 @@ class TestMicro:
         metrics = metric_map(out)
         assert float(metrics["atkinson"]) == pytest.approx(0.25, abs=1e-9)
         assert float(metrics["ge"]) == pytest.approx(0.136297, abs=1e-6)
+
+
+def _near_ties():
+    """Exact binary ties of the sixth decimal, and the floats next to
+    (k + 0.5) / 1e6 on either side."""
+    exact = st.integers(0, 2**40).map(lambda k: k / 2**20)
+    halves = st.integers(0, 10**12).map(lambda k: (k + 0.5) / 1e6)
+    return st.one_of(
+        exact,
+        halves,
+        halves.map(lambda x: math.nextafter(x, -math.inf)),
+        halves.map(lambda x: math.nextafter(x, math.inf)),
+    )
+
+
+_FIELD_VALUES = st.one_of(
+    st.floats(0.0, 1e4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    _near_ties(),
+    st.sampled_from(
+        [
+            0.0078125, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, math.inf, -math.inf,
+            math.nan, 1e300, 0.5e-6, 2.5e-6,
+            2**52 / 1e6, math.nextafter(2**52 / 1e6, 0), math.nextafter(2**52 / 1e6, math.inf),
+        ]
+    ),
+)
+_YEARS = st.one_of(
+    st.integers(0, 3000),
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from([-1, 10**18, 2**63 - 1, -(2**63), 999999999999999999]),
+)
+
+
+class TestComputeRows:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        names=st.lists(
+            st.one_of(
+                st.sampled_from(["A", "Korea, Rep.", 'Quote "Q"', "Multi\nLine", "ÄÖ", "A\0"]),
+                st.text(min_size=1),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 4),
+                _YEARS,
+                st.one_of(
+                    st.lists(st.floats(0.0, 1e4), min_size=5, max_size=5),
+                    st.lists(st.one_of(st.floats(0.0, 1e4), _FIELD_VALUES), min_size=5, max_size=5),
+                ),
+            ),
+            max_size=30,
+        ),
+    )
+    @example(names=["A"], rows=[(0, 2015, [0.0078125, 2.5e-6, -0.0, math.inf, 1e300])])
+    @example(names=["A"], rows=[(0, 2015, [0.3, -0.0, 0.3, 0.3, 0.3]), (0, 1, [0.3] * 5)])
+    @example(names=["A"], rows=[(0, -2015, [0.3] * 5), (0, 2**63 - 1, [0.3] * 5)])
+    def test_matches_f_strings(self, names, rows):
+        """Each row is byte for byte the f-string `ineq compute` printed."""
+        quoted = [cli._csv_field(name) for name in names]
+        country = np.array([c % len(names) for c, _, _ in rows], dtype=np.intp)
+        year = np.array([y for _, y, _ in rows], dtype=np.int64)
+        fields = [np.array([f[k] for _, _, f in rows], dtype=np.float64) for k in range(5)]
+        expected = "".join(
+            f"{quoted[c]},{y},{g:.6f},{tb:.6f},{h:.6f},{i:.6f},{a:.6f}\n"
+            for c, y, g, tb, h, i, a in zip(
+                country.tolist(), year.tolist(), *(f.tolist() for f in fields)
+            )
+        )
+        assert cli._compute_rows(quoted, country, year, fields) == expected
 
 
 class TestCalibrate:

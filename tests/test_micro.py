@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ineqkit import (
@@ -284,7 +284,12 @@ class TestShares:
         assert bottom_share(s, 50) + top_share(s, 50) == pytest.approx(1.0, abs=1e-12)
         assert bottom_share(s, x) <= top_share(s, x) + 1e-12
 
+    def test_small_cut_top_share_keeps_its_digits(self):
+        # 1 - L(1 - x/100) cancelled here and read 1.554e-15
+        assert top_share([1, 2, 3], 1e-13) == pytest.approx(1.5e-15, rel=1e-12, abs=0)
+
     @given(samples, st.floats(min_value=0.01, max_value=50.0), st.floats(min_value=1e-3, max_value=1e3))
+    @example(IncomeSample.from_values([961809.0, 999994.0]), 0.01, 1.001)
     def test_scale_invariance(self, s, x, c):
         scaled = IncomeSample.from_values(s.values * c)
         assert bottom_share(scaled, x) == pytest.approx(bottom_share(s, x), abs=1e-12)

@@ -243,16 +243,19 @@ class TestRoundTrip:
 
 def reference_parse(text, schema):
     """Scalar reference for parse_panel: one row at a time, first failing
-    check wins, first occurrence of a key kept."""
-    reader = csv.reader(io.StringIO(text))
+    check wins, first occurrence of a key kept.  Also gives the name table:
+    every non-empty country cell, of kept and skipped rows alike."""
+    reader = csv.reader(io.StringIO(text, newline=None))
     positions = {name.strip(): i for i, name in enumerate(next(reader))}
     source_col = schema.source or ("source" if "source" in positions else None)
     gini_div = 100.0 if schema.gini_unit == "percent" else 1.0
     share_div = 100.0 if schema.share_unit == "percent" else 1.0
-    kept, diagnostics, seen = [], [], set()
+    kept, diagnostics, seen, names = [], [], set(), set()
     for row in reader:
         if not row:
             continue
+        if positions[schema.country] < len(row) and row[positions[schema.country]].strip():
+            names.add(row[positions[schema.country]].strip())
 
         def cell(col):
             if positions[col] >= len(row):
@@ -298,7 +301,14 @@ def reference_parse(text, schema):
             continue
         seen.add(record.key)
         kept.append(record)
-    return tuple(kept), diagnostics
+    return tuple(kept), diagnostics, sorted(names)
+
+
+def csv_cell(text):
+    """``text`` as csv.writer writes it in a row."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow([text])
+    return out.getvalue()
 
 
 SHARE_CELLS = (
@@ -312,42 +322,132 @@ row_cells = st.tuples(
     st.sampled_from(SHARE_CELLS),
     st.sampled_from(SHARE_CELLS),
     st.sampled_from(SHARE_CELLS),
+).map(lambda cells: [csv_cell(c) for c in cells])
+# Cells as they appear in the file, beyond what csv.writer writes: spaces
+# outside quotes, stray and unterminated quotes, NUL, names longer than any
+# cell width, non-Latin-1 text padded with Unicode spaces, Unicode digits and
+# lone CRs inside quotes.
+odd_country = st.sampled_from([
+    '"AAA" ', ' "AAA"', 'A"B', '"AAA"B', "AAA\0", "\0", "X" * 70, '"' + "Y, " * 30 + '"',
+    " Ωmega　", "\x85Ж", '"Multi\rLine"', '"Multi\r\nLine"', "ÄÖ",
+])
+odd_year = st.sampled_from(["２０１５", "٢٠١٥", " 2015 ", "2015\0", '"2015" ', "1" * 30])
+odd_share = st.sampled_from(["٠.٣", " 0.3", "0.3\x85", "0.3\0", '"0.3" ', ' "0.3"', "0." + "3" * 40])
+odd_source = st.sampled_from(["　WB", "wb\x85", '"OECD" '])
+odd_row_cells = st.tuples(
+    st.one_of(row_cells.map(lambda r: r[0]), odd_country),
+    st.one_of(row_cells.map(lambda r: r[1]), odd_year),
+    st.one_of(row_cells.map(lambda r: r[2]), odd_source),
+    st.one_of(row_cells.map(lambda r: r[3]), odd_share),
+    st.one_of(row_cells.map(lambda r: r[4]), odd_share),
+    st.one_of(row_cells.map(lambda r: r[5]), odd_share),
 )
 
 
+def raw_lines(cells):
+    """Rows of raw cells, each cut to 0-6 cells, or a blank or
+    whitespace-only line."""
+    return st.one_of(
+        cells.map(list),
+        st.tuples(cells, st.integers(0, 5)).map(lambda r: list(r[0][: r[1]])),
+        st.sampled_from([None, " ", "\t", " 　 "]),
+    )
+
+
 class TestColumnarParse:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
-        rows=st.lists(
-            st.one_of(
-                row_cells.map(list),
-                st.tuples(row_cells, st.integers(0, 5)).map(lambda r: list(r[0][: r[1]])),
-                st.just([]),
-            ),
-            max_size=40,
+        rows=st.one_of(
+            st.lists(row_cells, max_size=40),
+            st.lists(raw_lines(row_cells), max_size=40),
+            st.lists(raw_lines(odd_row_cells), max_size=40),
         ),
+        line_ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1),
+        unterminated=st.booleans(),
         with_source=st.booleans(),
         percent=st.booleans(),
-        block_rows=st.sampled_from([1, 3, 1 << 14]),
-        block_chars=st.sampled_from([1, 16, 1 << 20]),
+        block_chars=st.sampled_from([1, 16, 40, 1 << 20]),
     )
-    def test_matches_scalar_reference(self, rows, with_source, percent, block_rows, block_chars):
+    def test_matches_scalar_reference(
+        self, rows, line_ends, unterminated, with_source, percent, block_chars
+    ):
         columns = ["country", "year", "source", "gini", "top10", "bottom10"]
         if not with_source:
             columns.remove("source")
-            rows = [r[:2] + r[3:] for r in rows]
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
+            rows = [r[:2] + r[3:] if isinstance(r, list) else r for r in rows]
+        lines = [",".join(columns)]
+        lines += [",".join(r) if isinstance(r, list) else r or "" for r in rows]
+        text = "".join(
+            line + line_ends[i % len(line_ends)] for i, line in enumerate(lines)
+        )
+        if unterminated:
+            text += '"Open, 2015,WB,0.3,0.25,0.03'
         unit = "percent" if percent else "decimal"
         schema = SchemaConfig(gini_unit=unit, share_unit=unit, default_source=Source.WB)
 
-        with mock.patch.multiple(
-            panel_module, _BLOCK_ROWS=block_rows, _BLOCK_CHARS=block_chars
-        ):
-            panel, diags = parse_panel(out.getvalue(), schema)
-        kept, expected = reference_parse(out.getvalue(), schema)
+        with mock.patch.object(panel_module, "_BLOCK_CHARS", block_chars):
+            panel, diags = parse_panel(text, schema)
+        kept, expected, names = reference_parse(text, schema)
         assert [(d.line, d.reason) for d in diags] == expected
         assert panel.records == kept
-        assert len(panel) + len(diags) == sum(1 for r in rows if r)
+        assert list(panel.names) == names
+
+    def test_quoted_line_end_across_every_block_cut(self):
+        text = (
+            "country,year,gini,top10,bottom10\n"
+            "AAA,2015,0.3,0.25,0.03\n"
+            '"Multi\nLine, ""Q""",2015,0.3,0.25,0.03\n'
+            '"Bad\nRow",2015,x,0.25,0.03\n'
+            'Q"x,2015,0.3,0.25,"0.03\n"\n'
+            "BBB,2015,0.3,0.25,0.03\n"
+            'DDD,2015,0.3,0.25,"0.0\n3"\n'
+            '"Two\n\nBreaks",2015,x,0.25,0.03\n'
+            "N\0,2015,0.3,0.25,0.03\n"
+            'CCC,2015,0.3,0.25,"0.03'
+        )
+        kept, expected, _ = reference_parse(text, SchemaConfig())
+        assert (len(kept), len(expected)) == (6, 3)
+        for block_chars in range(1, len(text) + 1):
+            with mock.patch.object(panel_module, "_BLOCK_CHARS", block_chars):
+                panel, diags = parse_panel(text)
+            assert [(d.line, d.reason) for d in diags] == expected, block_chars
+            assert panel.records == kept, block_chars
+
+    def test_plain_ascii_blocks_take_the_c_reader(self, monkeypatch):
+        """Rows read by numpy's reader never reach csv.reader, which reads
+        only the header."""
+        rows = [f'"Name, {i}",{2000 + i % 20},0.3,0.25,0.03' for i in range(200)]
+        text = "country,year,gini,top10,bottom10\n" + "\n".join(rows) + "\n"
+        read = []
+        real = csv.reader
+
+        class Reader:
+            def __init__(self, lines):
+                self.rows = real(lines)
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                read.append(next(self.rows))
+                return read[-1]
+
+            line_num = property(lambda self: self.rows.line_num)
+
+        monkeypatch.setattr(panel_module.csv, "reader", Reader)
+        monkeypatch.setattr(panel_module, "_BLOCK_CHARS", 1000)
+        panel, diags = parse_panel(text)
+        assert (len(panel), diags, read) == (200, [], [["country", "year", "gini", "top10", "bottom10"]])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "country,year,gini,top10,bottom10\nA\rB,2015,0.3,0.25,0.03\n",
+            "country,year,gini,top10,bottom10\r\nA,2015,0.3,0.25,0.03\r\r\n\"B\rC\",x,0,0,0\r",
+        ],
+        ids=["lone CR", "CRLF and CR in quotes"],
+    )
+    def test_line_ends_read_as_universal_newlines(self, text):
+        translated = io.StringIO(text, newline=None).read()
+        panel, diags = parse_panel(text)
+        assert (panel, diags) == parse_panel(translated)

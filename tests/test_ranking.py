@@ -15,10 +15,12 @@ from ineqkit import (
     NotFoundError,
     Panel,
     Source,
+    calibrate_alpha,
     compare_rankings,
     composite,
     rank,
     rank_values,
+    replicate_table,
     round_half_away,
     series,
 )
@@ -173,3 +175,26 @@ class TestSeries:
         panel = _panel([("AAA", 0.3, 0.25, 0.05)])
         with pytest.raises(NotFoundError):
             series(panel, "ZZZ")
+
+
+class TestReplicateTable:
+    def test_matches_a_row_loop(self, wb_rows):
+        rows = [(r["country"], r["gini"], r["t_over_b"], r["h"], r["index_i"]) for r in wb_rows]
+        table = replicate_table(rows, 0.3)
+        index = {c: composite(g, 1.0 / t, 0.3).index_i for c, g, t, _, _ in rows}
+        dh = [abs(composite(g, 1.0 / t, 0.3).h - h) for _, g, t, h, _ in rows]
+        di = [abs(index[c] - i) for c, _, _, _, i in rows]
+        assert table.worst_h == (max(dh), rows[dh.index(max(dh))][0])
+        assert table.worst_i == (max(di), rows[di.index(max(di))][0])
+        assert table.rank_changes() == compare_rankings(
+            rank_values({c: g for c, g, *_ in rows}, Indicator.GINI),
+            rank_values(index, Indicator.INDEX_I),
+        )
+        n = len(rows)
+        assert table.alpha() == calibrate_alpha(
+            sum(g for _, g, *_ in rows) / n, sum(1.0 / t for _, _, t, *_ in rows) / n
+        )
+
+    def test_first_row_with_the_worst_deviation(self):
+        table = replicate_table([("B", 0.3, 10.0, 0.0, 0.0), ("A", 0.3, 10.0, 0.0, 0.0)])
+        assert (table.worst_h[1], table.worst_i[1]) == ("B", "B")
