@@ -16,6 +16,7 @@ freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,7 +61,7 @@ class IncomeSample:
             raise DomainError("sample values must be finite")
         if arr[0] < 0:
             raise DomainError("sample values must be non-negative")
-        if np.any(np.diff(arr) < 0):
+        if np.any(arr[1:] < arr[:-1]):
             raise DomainError("sample values must be in non-decreasing order")
         if arr[-1] <= 0:
             raise DegenerateSampleError("sample total must be positive")
@@ -107,21 +108,20 @@ def _check_percent(x) -> np.ndarray:
     return cuts
 
 
-@dataclass(frozen=True)
 class LorenzCurve:
     """Piecewise-linear Lorenz curve: (population share p, income share L).
 
     Invariants: starts at (0, 0), ends at (1, 1), p strictly increasing,
     L non-decreasing, L(p) <= p, and chord slopes non-decreasing (convexity).
+    ``LorenzCurve(p, L)`` checks them all.  A curve built from a checked
+    sample by :func:`lorenz_curve` holds them by construction, so it is
+    trusted, and stores only L: its p is k/n, built when it is first read.
     Every Lorenz-derived measure is a method of the curve.
     """
 
-    p: np.ndarray
-    L: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        L = np.asarray(self.L, dtype=float)
+    def __init__(self, p, L):
+        p = np.asarray(p, dtype=float)
+        L = np.asarray(L, dtype=float)
         if p.shape != L.shape or p.ndim != 1 or p.size < 2:
             raise DomainError("curve needs matching 1-d arrays of >= 2 points")
         if p[0] != 0.0 or L[0] != 0.0 or p[-1] != 1.0 or L[-1] != 1.0:
@@ -144,8 +144,34 @@ class LorenzCurve:
         slack += np.diff(slopes)
         if np.any(slack < 0.0):
             raise DomainError("curve must be convex (non-decreasing slopes)")
-        object.__setattr__(self, "p", _frozen(p))
-        object.__setattr__(self, "L", _frozen(L))
+        self.__dict__.update(p=_frozen(p), L=_frozen(L), _even=False)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        """Population shares; a sample-built curve's, k/n, are built when first read."""
+        p = np.arange(self.L.size) / (self.L.size - 1)
+        p.flags.writeable = False
+        return p
+
+    def _segment(self, x: np.ndarray):
+        """For each share of ``x`` in [0, 1], the index ``k`` of the point
+        that ends its segment, as a search of p finds it, p[k - 1], p[k] and
+        the segment's slope."""
+        n = self.L.size - 1
+        if self._even:
+            # On the grid fl(j/n), floor(x n) is at most one off the last j <= x.
+            j = np.floor(x * n)
+            j += (j < n) & ((j + 1.0) / n <= x)
+            j -= j / n > x
+            k = np.minimum(j.astype(np.intp) + 1, n)
+            left, right = (k - 1) / n, k / n
+        else:
+            k = np.minimum(np.searchsorted(self.p, x, side="right"), n)
+            left, right = self.p[k - 1], self.p[k]
+        return k, left, right, (self.L[k] - self.L[k - 1]) / (right - left)
 
     @classmethod
     def from_sample(cls, sample) -> "LorenzCurve":
@@ -162,15 +188,11 @@ class LorenzCurve:
         shares = np.asarray(p, dtype=float)
         if not np.all((0.0 <= shares) & (shares <= 1.0)):
             raise DomainError(f"population share {p!r} outside [0, 1]")
-        # np.interp copies a read-only array whole, so it is handed only the
-        # two points that bracket each share, which interpolate the same.
-        ends = np.minimum(np.searchsorted(self.p, shares, side="right"), self.p.size - 1)
-        values = np.array(
-            [
-                np.interp(x, self.p[k - 1 : k + 1], self.L[k - 1 : k + 1])
-                for x, k in zip(shares.flat, ends.flat)
-            ]
-        ).reshape(shares.shape)
+        # np.interp's arithmetic on the segment that holds each share
+        k, left, right, slope = self._segment(shares)
+        lo, hi = self.L[k - 1], self.L[k]
+        values = np.where(shares == left, lo, slope * (shares - left) + lo)
+        values = np.where(shares == right, hi, values)
         return float(values) if values.ndim == 0 else values
 
     def gini(self) -> float:
@@ -180,8 +202,11 @@ class LorenzCurve:
         Computed as 1 - 2 * (trapezoidal area under the curve), which is
         identical to the pairwise mean-difference form
         sum_ij |y_i - y_j| / (2 n^2 mean).  Population estimator: the maximum
-        for a sample of size n is 1 - 1/n.
+        for a sample of size n is 1 - 1/n.  On the grid p = k/n the area is
+        (2 sum_{0<k<n} L_k + 1) / 2n, summed with no temporary.
         """
+        if self._even:
+            return max(1.0 - (2.0 * float(self.L[1:-1].sum()) + 1.0) / (self.L.size - 1), 0.0)
         area = float(np.sum((self.L[1:] + self.L[:-1]) * np.diff(self.p)) / 2.0)
         return max(1.0 - 2.0 * area, 0.0)
 
@@ -204,9 +229,8 @@ class LorenzCurve:
         # 1 - L(1 - x/100) cancels for a small cut, so the top share is read
         # from the right end: the share above the segment that holds the cut,
         # plus the part of that segment right of the cut.
-        hi = np.minimum(np.searchsorted(self.p, 1.0 - tails, side="right"), self.p.size - 1)
-        slope = (self.L[hi] - self.L[hi - 1]) / (self.p[hi] - self.p[hi - 1])
-        top = (1.0 - self.L[hi]) + ((self.p[hi] - 1.0) + tails) * slope
+        hi, _, right, slope = self._segment(1.0 - tails)
+        top = (1.0 - self.L[hi]) + ((right - 1.0) + tails) * slope
         ratio = np.divide(bottom, top, out=np.zeros_like(bottom), where=bottom != 0.0)
         # float noise can push bottom/top one ulp past 1 when the shares tie
         return bottom, top, np.minimum(ratio, 1.0)
@@ -242,19 +266,19 @@ def lorenz_curve(sample) -> LorenzCurve:
     """Empirical Lorenz curve of a sample.
 
     Returns n + 1 points; point k is (k/n, sum of the smallest k values over
-    the total).
+    the total).  It is not checked again: the checked sample's sorted,
+    non-negative values make it convex (Gastwirth, Econometrica 39(6), 1971).
     """
     sample = _as_sample(sample)
-    n = sample.n
-    p = np.arange(n + 1, dtype=float)
-    p /= n
-    L = np.empty(n + 1)
+    L = np.empty(sample.n + 1)
     L[0] = 0.0
     np.cumsum(sample.values, out=L[1:])
     L[1:] /= L[-1]
     L[-1] = 1.0
-    p.flags.writeable = L.flags.writeable = False
-    return LorenzCurve(p, L)
+    L.flags.writeable = False
+    curve = LorenzCurve.__new__(LorenzCurve)
+    curve.__dict__.update(L=L, _even=True)
+    return curve
 
 
 def gini(sample) -> float:

@@ -86,11 +86,10 @@ _COLUMNS = {
 }
 
 
-def _repeats(country, year, source) -> np.ndarray:
+def _repeats(order, country, year, source) -> np.ndarray:
     """Mask of the rows whose (country, year, source) key is that of an
-    earlier row.  A stable sort puts equal keys next to each other in row
-    order, so each such row follows one with the same key."""
-    order = np.lexsort((source, year, country))
+    earlier row, given the rows in key order with equal keys in row order:
+    each such row follows one with the same key."""
     first, then = order[:-1], order[1:]
     repeat = np.zeros(len(order), dtype=bool)
     repeat[then] = (
@@ -112,7 +111,9 @@ class Panel:
 
     Building a panel from records checks that their keys are unique; the
     panels :func:`parse_panel` and :func:`slice_panel` return are not
-    checked again.
+    checked again.  Rows stay in the order given; the key order of a parsed
+    panel is the one its duplicate check sorted, and any other panel sorts
+    its keys when first asked for that order.
     """
 
     def __init__(self, records=(), label: str = ""):
@@ -122,23 +123,30 @@ class Panel:
         columns = {name: [getattr(r, name) for r in records] for name in _COLUMNS}
         columns["country"] = [code[name] for name in columns["country"]]
         columns["source"] = [SOURCES.index(source) for source in columns["source"]]
-        self._set(label, names, **columns)
-        repeat = _repeats(self.country, self.year, self.source)
+        self._set(label, names, None, **columns)
+        repeat = _repeats(self._key_order(), self.country, self.year, self.source)
         if repeat.any():
             raise DomainError(f"duplicate record {records[repeat.argmax()].key}")
 
-    def _set(self, label: str, names, **columns) -> "Panel":
-        self.label, self.names = label, tuple(names)
+    def _set(self, label: str, names, order, **columns) -> "Panel":
+        self.label, self.names, self._order = label, tuple(names), order
         for name, dtype in _COLUMNS.items():
             values = np.asarray(columns[name], dtype=dtype)
             values.flags.writeable = False
             setattr(self, name, values)
         return self
 
+    def _key_order(self) -> np.ndarray:
+        """Row indexes in ascending (country, year, source) order; equal keys
+        keep their row order."""
+        if self._order is None:
+            self._order = np.lexsort((self.source, self.year, self.country))
+        return self._order
+
     def take(self, rows) -> "Panel":
         """The panel of the rows at the indexes ``rows``, in that order."""
         columns = {name: getattr(self, name)[rows] for name in _COLUMNS}
-        return Panel.__new__(Panel)._set(self.label, self.names, **columns)
+        return Panel.__new__(Panel)._set(self.label, self.names, None, **columns)
 
     @property
     def records(self) -> "_Records":
@@ -332,7 +340,9 @@ def _lookup(cells: np.ndarray, convert, memo: dict) -> np.ndarray:
 def _cast(cells: np.ndarray, dtype, chars) -> tuple[np.ndarray, np.ndarray]:
     """The cells as ``dtype``, cast as one array, and the mask of the cells
     cast; only non-empty cells all of whose characters are in ``chars`` are
-    cast, and the others read 0."""
+    cast, and the others read 0.  Where such a cell is no number (``-``,
+    ``1.2.3``, a year beyond int64), those cells are cast one at a time as
+    the one-row check reads them, and only the failing ones are unmarked."""
     values = np.zeros(len(cells), dtype)
     plain = np.zeros(len(cells), dtype=bool)
     if cells.dtype == object:
@@ -343,7 +353,13 @@ def _cast(cells: np.ndarray, dtype, chars) -> tuple[np.ndarray, np.ndarray]:
     try:
         values[plain] = cells[plain].astype(dtype)
     except (ValueError, OverflowError):
-        plain[:] = False
+        kind = int if dtype == np.int64 else float
+        rows = np.flatnonzero(plain)
+        for j, cell in zip(rows.tolist(), cells[rows].tolist()):
+            try:
+                values[j] = kind(cell)
+            except (ValueError, OverflowError):
+                plain[j] = False
     return values, plain
 
 
@@ -399,7 +415,9 @@ def parse_panel(
     A row gets the reason of the first check it fails: its cells in the
     order country, year, gini, top10, bottom10, source, then the record's
     range and ordering rules, then a repeat of an earlier kept row's key.
-    Percent-mode columns are divided by 100 on the way in.  Lines end at
+    The panel also keeps the stable (country, year, source) order that the
+    duplicate check sorted, which :func:`slice_panel` reuses.  Percent-mode
+    columns are divided by 100 on the way in.  Lines end at
     "\\n", "\\r\\n" or a lone "\\r", as with universal newlines.
     """
     if "\r" in csv_text:
@@ -507,6 +525,7 @@ def parse_panel(
         blocks.append(values)
         lines.append(numbers)
         done += len(numbers)
+    del cells, col, values, shares  # else the last block's arrays live to the end
     country, year, gini, top10, bottom10, *source = map(np.concatenate, zip(*blocks))
     del blocks
     source = source[0] if source else np.full(done, SOURCES.index(schema.default_source))
@@ -520,14 +539,19 @@ def parse_panel(
     kept = np.ones(done, dtype=bool)
     kept[list(reasons)] = False
     live = np.flatnonzero(kept)
-    repeat = live[_repeats(country[live], year[live], source[live])]
+    # One stable key sort serves the duplicate check and the panel's key order.
+    order = np.lexsort((source[live], year[live], country[live]))
+    repeat = _repeats(order, country[live], year[live], source[live])
+    # The kept rows are the live ones without the repeats, renumbered.
+    order = (np.cumsum(~repeat) - 1)[order[~repeat[order]]]
+    repeat = live[repeat]
     for i in repeat.tolist():
         key = (names[country[i]], year[i].item(), SOURCES[source[i]].value)
         reasons[i] = f"duplicate record {key}"
     kept[repeat] = False
 
     columns = zip(_COLUMNS, (country, year, source, gini, top10, bottom10))
-    panel = Panel.__new__(Panel)._set(label, names, **{k: v[kept] for k, v in columns})
+    panel = Panel.__new__(Panel)._set(label, names, order, **{k: v[kept] for k, v in columns})
     return panel, [RowDiagnostic(line=int(lines[i]), reason=reasons[i]) for i in sorted(reasons)]
 
 
@@ -556,15 +580,15 @@ def slice_panel(
     year: int | None = None,
     source: Source | None = None,
 ) -> Panel:
-    """Rows matching the filters, in ascending (country, year, source) order."""
+    """Rows matching the filters, in ascending (country, year, source) order:
+    the panel's key order, filtered, with no sort of its own."""
     keep = np.ones(len(panel), dtype=bool)
     if year is not None:
         keep &= panel.year == year
     if source is not None:
         keep &= panel.source == SOURCES.index(source)
-    rows = np.flatnonzero(keep)
-    order = np.lexsort((panel.source[rows], panel.year[rows], panel.country[rows]))
-    return panel.take(rows[order])
+    rows = panel._key_order()
+    return panel.take(rows[keep[rows]])
 
 
 CANONICAL_COLUMNS = ("country", "year", "source", "gini", "top10", "bottom10")

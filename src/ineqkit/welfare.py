@@ -40,6 +40,12 @@ def _log_power_mean(v: np.ndarray, power: float) -> float:
     return power * (math.log(ext) - math.log(v.mean())) + math.log(terms.mean())
 
 
+def _log_ratios(v: np.ndarray, mean: float) -> np.ndarray:
+    """ln(v / mean) of positive values, as one new array."""
+    terms = v / mean
+    return np.log(terms, out=terms)
+
+
 def atkinson(sample, eps: float) -> float:
     """Atkinson index with inequality aversion ``eps`` >= 0.
 
@@ -58,14 +64,17 @@ def atkinson(sample, eps: float) -> float:
     if abs(eps - 1.0) <= LIMIT_WINDOW:
         if has_zero:
             return 1.0
-        return max(1.0 - float(np.exp(np.mean(np.log(v / mean)))), 0.0)
+        return max(1.0 - float(np.exp(_log_ratios(v, mean).mean())), 0.0)
     if eps > 1.0 and has_zero:
         return 1.0
     power = 1.0 - eps
     # The direct power mean is the more precise while it is finite; it
     # overflows only for power < 0 and a tiny income.
     with np.errstate(over="ignore", divide="ignore"):
-        moment = np.mean((v / mean) ** power)
+        terms = v / mean
+        terms **= power
+        moment = terms.mean()
+    del terms  # the fallback makes its own
     if np.isfinite(moment):
         return max(1.0 - float(moment ** (1.0 / power)), 0.0)
     return -math.expm1(_log_power_mean(v, power) / power)
@@ -91,13 +100,13 @@ def ge_index(sample, alpha: float) -> float:
     v = sample.values
     if alpha < 0 and v[0] == 0.0:
         raise ZeroIncomeError("GE with alpha <= 0 is undefined for zero incomes")
-    r = v / v.mean()
+    mean = v.mean()
     if -0.5 < alpha < 1.5:
         # Near alpha = 0 or 1, mean(r^alpha) - 1 nearly cancels and is then
         # divided by a tiny alpha or alpha - 1: sum it as expm1 terms instead.
         # Values ascend, so the zero incomes (alpha in (0, 1) only) lead.
         zeros = int(np.searchsorted(v, 0.0, side="right"))
-        terms = np.log(r[zeros:])
+        terms = _log_ratios(v[zeros:], mean)
         if alpha < 0.5:
             # r^alpha - 1 = expm1(alpha ln r); each zero income contributes -1
             terms *= alpha
@@ -108,12 +117,14 @@ def ge_index(sample, alpha: float) -> float:
             # instead; zero incomes contribute nothing
             terms *= alpha - 1.0
             np.expm1(terms, out=terms)
-            terms *= r[zeros:]
-            dev = float(terms.sum())
+            dev = float(np.dot(v[zeros:], terms)) / mean
     else:
         # The direct sum is the more precise while it is finite.
         with np.errstate(over="ignore", divide="ignore"):
-            total = float((r**alpha).sum())
+            terms = v / mean
+            terms **= alpha
+            total = float(terms.sum())
+        del terms  # the fallback makes its own
         if math.isinf(total):
             # mean(r^alpha) is then so large that subtracting 1 changes nothing
             try:
@@ -133,7 +144,8 @@ def ge_zero(sample) -> float:
     v = sample.values
     if v[0] == 0.0:
         raise ZeroIncomeError("mean log deviation is undefined for zero incomes")
-    return max(float(np.mean(np.log(v.mean() / v))), 0.0)
+    terms = np.divide(v.mean(), v)
+    return max(float(np.log(terms, out=terms).mean()), 0.0)
 
 
 def theil(sample) -> float:
@@ -141,8 +153,8 @@ def theil(sample) -> float:
 
     Zero values contribute nothing (the x ln x -> 0 limit).
     """
-    sample = _as_sample(sample)
-    r = sample.values / sample.mean
-    terms = np.log(r, out=np.zeros_like(r), where=r > 0)
-    terms *= r
-    return max(float(terms.mean()), 0.0)
+    v = _as_sample(sample).values
+    mean = v.mean()
+    # Values ascend, so the zero incomes lead.
+    positive = v[int(np.searchsorted(v, 0.0, side="right")) :]
+    return max(float(np.dot(positive, _log_ratios(positive, mean))) / mean / v.size, 0.0)

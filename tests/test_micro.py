@@ -1,6 +1,7 @@
 """Micro-data measures: examples with independent oracles, then properties."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,15 @@ from ineqkit import (
     IncomeSample,
     LorenzCurve,
     QuantileShares,
+    atkinson,
     bottom_share,
+    ge_index,
+    ge_zero,
     gini,
     lorenz_curve,
     palma_ratio,
     ratio_b_over_t,
+    theil,
     top_share,
 )
 
@@ -198,6 +203,90 @@ class TestLorenzCurve:
         slopes[n // 2] = slopes[n // 2 - 1] - 1e-6
         with pytest.raises(DomainError, match="convex"):
             curve(slopes)
+
+
+def _grid_shares(n):
+    """Each k/n and the doubles next to it, inside [0, 1]."""
+    grid = np.arange(n + 1) / n
+    shares = np.concatenate((grid, np.nextafter(grid, -1.0), np.nextafter(grid, 2.0)))
+    return shares[(0.0 <= shares) & (shares <= 1.0)]
+
+
+class TestSampleBuiltCurve:
+    """A curve built from a sample stores only L; p = k/n is implicit."""
+
+    @staticmethod
+    def direct(curve):
+        return LorenzCurve(np.arange(curve.L.size) / (curve.L.size - 1), np.array(curve.L))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 49, 100, 1000])
+    def test_reads_match_a_directly_built_curve_on_grid_points(self, n):
+        s = IncomeSample.from_values(_drawn_values((n, n)) + 0.1)
+        curve = lorenz_curve(s)
+        direct = self.direct(curve)
+        shares = _grid_shares(n)
+        assert curve.value_at(shares).tobytes() == direct.value_at(shares).tobytes()
+        cuts = 100.0 * shares[(0.0 < shares) & (shares <= 0.5)]
+        cuts = np.concatenate((cuts, 100.0 - 100.0 * shares[(0.5 <= shares) & (shares < 1.0)]))
+        cuts = cuts[1.0 - cuts / 100.0 < 1.0]  # a smaller cut is rejected
+        for got, want in zip(curve.tail_shares(cuts), direct.tail_shares(cuts)):
+            assert got.tobytes() == want.tobytes()
+        assert curve.palma() == direct.palma()
+        assert curve.gini() == pytest.approx(direct.gini(), abs=1e-15)
+
+    @settings(max_examples=200)
+    @given(st.one_of(samples, large_samples), st.data())
+    def test_reads_match_a_directly_built_curve(self, s, data):
+        curve = lorenz_curve(s)
+        direct = self.direct(curve)
+        on_grid = st.integers(0, s.n).map(lambda k: k / s.n)
+        shares = np.array(data.draw(st.lists(st.one_of(on_grid, st.floats(0.0, 1.0)), max_size=12)))
+        cuts = np.array(data.draw(st.lists(st.floats(0.01, 50.0), min_size=1, max_size=6)))
+        assert curve.value_at(shares).tobytes() == direct.value_at(shares).tobytes()
+        for got, want in zip(curve.tail_shares(cuts), direct.tail_shares(cuts)):
+            assert got.tobytes() == want.tobytes()
+        if curve.value_at(0.4) > 0:
+            assert curve.palma() == direct.palma()
+        assert curve.gini() == pytest.approx(direct.gini(), abs=1e-15)
+        assert curve.p.tobytes() == direct.p.tobytes()
+
+    def test_right_end_reads_one(self):
+        # the segment's interpolation formula reads 0.9999999999999998 here
+        assert lorenz_curve([2.3, 9.1, 1.5]).value_at(1.0) == 1.0
+
+    def test_fields_cannot_be_assigned(self):
+        curve = lorenz_curve([1, 2, 3])
+        for name, value in (("L", np.zeros(4)), ("p", np.zeros(4))):
+            with pytest.raises(AttributeError):
+                setattr(curve, name, value)
+        with pytest.raises(ValueError):
+            curve.p[1] = 0.5
+
+    def test_memory_within_three_times_the_sample(self):
+        # Sample, curve and one n-float temporary at a time, from the curve
+        # through every Lorenz and welfare measure.
+        s = IncomeSample.from_values(_drawn_values((7, 200_000)) + 1.0)
+        # a tiny income overflows the direct power sums: the log-space fallback
+        tiny = IncomeSample(np.concatenate(([1e-155], s.values[1:])))
+        tracemalloc.start()
+        try:
+            curve = lorenz_curve(s)
+            curve.gini()
+            curve.value_at(np.arange(11) / 10.0)
+            curve.tail_shares((10, 20, 30, 40, 50))
+            curve.palma()
+            for eps in (0.5, 1.0, 2.0):
+                atkinson(s, eps)
+            for alpha in (-1.0, 0.3, 0.7, 2.0):
+                ge_index(s, alpha)
+            theil(s)
+            ge_zero(s)
+            atkinson(tiny, 3.0)
+            ge_index(tiny, -2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.values.nbytes + peak <= 3 * s.values.nbytes + 64 * 1024
 
 
 class TestGini:

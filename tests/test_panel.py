@@ -199,6 +199,33 @@ class TestSlice:
         twice = slice_panel(once, year=2015, source=Source.WB)
         assert once == twice
 
+    def test_one_key_sort_per_parse(self, monkeypatch):
+        """The key order the duplicate check sorts is kept: slicing a parsed
+        panel sorts nothing, and the panel stays in file order."""
+        text = (
+            "country,year,gini,top10,bottom10,source\n"
+            "BBB,2015,0.3,0.25,0.03,WB\n"
+            "AAA,2016,0.3,0.25,0.03,WB\n"
+            "AAA,2015,0.3,0.25,0.03,OECD\n"
+            "BBB,2015,0.4,0.25,0.03,WB\n"
+            "CCC,2014,x,0.25,0.03,WB\n"
+            "AAA,2015,0.3,0.25,0.03,WB\n"
+        )
+        sorts = []
+        real = panel_module.np.lexsort
+        monkeypatch.setattr(panel_module.np, "lexsort", lambda keys: sorts.append(1) or real(keys))
+        panel, diags = parse_panel(text)
+        assert (len(sorts), [d.line for d in diags]) == (1, [5, 6])
+        file_order = [("BBB", 2015, "WB"), ("AAA", 2016, "WB"), ("AAA", 2015, "OECD"), ("AAA", 2015, "WB")]
+        assert [r.key for r in panel.records] == file_order
+        assert [r.key for r in slice_panel(panel).records] == sorted(file_order)
+        assert [r.key for r in slice_panel(panel, year=2015).records] == sorted(file_order[::2] + file_order[3:])
+        assert len(sorts) == 1
+        # a panel taken from rows sorts its keys when a slice needs them
+        taken = panel.take([3, 0, 1])
+        assert [r.key for r in slice_panel(taken).records] == sorted(file_order[3:] + file_order[:2])
+        assert len(sorts) == 2
+
 
 class TestRoundTrip:
     def test_hand_panel(self):
@@ -314,10 +341,14 @@ def csv_cell(text):
 SHARE_CELLS = (
     "0.3", " 0.25 ", "0.03", "0.0", "1", "1.3", "-0.01", "30", "2.5", "1e-320",
     "nan", "inf", "-inf", "1e400", "1_0", "abc", "", "+.5", " 0.2",
+    "-", "1.2.3", "--1", "e", ".",
 )
 row_cells = st.tuples(
     st.sampled_from(["AAA", "BBB", " AAA ", "Korea, Rep.", 'Quote "Q"', "Multi\nLine", "", "ÄÖ"]),
-    st.sampled_from(["2015", "2016", " 2015 ", "+2016", "1_0", "x", "", "99999999999999999999"]),
+    st.sampled_from([
+        "2015", "2016", " 2015 ", "+2016", "1_0", "x", "", "99999999999999999999",
+        "-", "1.2.3", "--1", "e", ".",
+    ]),
     st.sampled_from(["WB", "wb", " oecd ", "OTHER", "XX", ""]),
     st.sampled_from(SHARE_CELLS),
     st.sampled_from(SHARE_CELLS),
@@ -391,6 +422,7 @@ class TestColumnarParse:
         assert [(d.line, d.reason) for d in diags] == expected
         assert panel.records == kept
         assert list(panel.names) == names
+        assert slice_panel(panel).records == tuple(sorted(kept, key=lambda r: r.key))
 
     def test_quoted_line_end_across_every_block_cut(self):
         text = (
@@ -438,6 +470,25 @@ class TestColumnarParse:
         monkeypatch.setattr(panel_module, "_BLOCK_CHARS", 1000)
         panel, diags = parse_panel(text)
         assert (len(panel), diags, read) == (200, [], [["country", "year", "gini", "top10", "bottom10"]])
+
+    @pytest.mark.parametrize("bad", ["-", "1.2.3", "--1", "e", ".", "99999999999999999999"])
+    def test_bad_numeric_cell_leaves_its_block_cast(self, monkeypatch, bad):
+        """A cell that fails the block's cast is checked alone: the good rows
+        of its block are not checked one by one."""
+        rows = [f"AAA,{1000 + i},0.3,0.25,0.03" for i in range(2000)]
+        rows[700] = f"AAA,{bad},0.3,0.25,0.03"
+        rows[1300] = f"AAA,2300,{bad},0.25,0.03"
+        rows[1500] = "AAA,1234567890123456789,0.3,0.25,0.03"  # not a float's integer
+        text = "country,year,gini,top10,bottom10\n" + "\n".join(rows) + "\n"
+        read = []
+        real = panel_module._text
+        monkeypatch.setattr(panel_module, "_text", lambda cell: read.append(cell) or real(cell))
+        panel, diags = parse_panel(text)
+        assert [d.line for d in diags] == [702, 1302]
+        assert len(panel) == 1998
+        assert 1234567890123456789 in panel.year.tolist()
+        # one lookup of the one country, then the five cells of each bad row
+        assert len(read) == 1 + 2 * 5
 
     @pytest.mark.parametrize(
         "text",
