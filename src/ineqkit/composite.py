@@ -36,6 +36,14 @@ def _check_unit(name: str, value) -> np.ndarray:
     return value
 
 
+def _check_t_over_b(value) -> np.ndarray:
+    value = np.asarray(value, dtype=float)
+    bad = ~(value >= 1.0)
+    if bad.any():
+        raise DomainError(f"top-over-bottom ratio {float(value[bad][0])!r} must be >= 1")
+    return value
+
+
 def _check_weight(weight: float) -> float:
     weight = float(weight)
     if not 0.0 < weight <= 1.0 or math.isnan(weight):
@@ -87,20 +95,19 @@ def mean_alpha(alphas) -> float:
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise EmptyInputError("no exponents to average")
+    for alpha in alphas:
+        if not math.isfinite(alpha):
+            raise DomainError(f"exponent {alpha!r} is not finite")
     return sum(alphas) / len(alphas)
 
 
-def b_over_t_from_t_over_b(t_over_b: float) -> float:
-    """Convert a printed top-over-bottom ratio to the canonical B/T form.
+def b_over_t_from_t_over_b(t_over_b):
+    """Convert a printed top-over-bottom ratio, or an array of them, to the
+    canonical B/T form.
 
     An infinite T/B (bottom share zero) maps to 0.
     """
-    t_over_b = float(t_over_b)
-    if math.isinf(t_over_b) and t_over_b > 0:
-        return 0.0
-    if math.isnan(t_over_b) or t_over_b < 1.0:
-        raise DomainError(f"top-over-bottom ratio {t_over_b!r} must be >= 1")
-    return 1.0 / t_over_b
+    return _scalar_or_array(1.0 / _check_t_over_b(t_over_b))
 
 
 @dataclass(frozen=True)
@@ -123,7 +130,7 @@ def composite(gini, b_over_t, weight: float = DEFAULT_WEIGHT) -> CompositeResult
     """
     gini = _check_unit("gini", gini)
     b_over_t = _check_unit("share ratio", b_over_t)
-    h = np.asarray(h_transform(b_over_t, weight))
+    h = 1.0 - _each(pow, b_over_t, _check_weight(weight))
     index_i = np.sqrt(gini * gini + h * h) / np.sqrt(2.0)
     with np.errstate(over="ignore"):  # a subnormal ratio's T/B is +inf
         t_over_b = np.divide(
@@ -134,7 +141,7 @@ def composite(gini, b_over_t, weight: float = DEFAULT_WEIGHT) -> CompositeResult
         b_over_t=_scalar_or_array(b_over_t),
         h=_scalar_or_array(h),
         index_i=_scalar_or_array(index_i),
-        alt_index=alternative_index(gini, t_over_b),
+        alt_index=_scalar_or_array(_each(math.hypot, gini * 100.0, t_over_b) / 100.0),
     )
 
 
@@ -176,9 +183,6 @@ def alternative_index(gini, t_over_b):
     bottom share is zero.
     """
     gini = _check_unit("gini", gini)
-    t_over_b = np.asarray(t_over_b, dtype=float)
-    bad = ~(t_over_b >= 1.0)
-    if bad.any():
-        raise DomainError(f"top-over-bottom ratio {float(t_over_b[bad][0])!r} must be >= 1")
+    t_over_b = _check_t_over_b(t_over_b)
     # hypot avoids overflow for ratios near the float ceiling
     return _scalar_or_array(_each(math.hypot, gini * 100.0, t_over_b) / 100.0)

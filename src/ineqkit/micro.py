@@ -173,11 +173,6 @@ class LorenzCurve:
             left, right = self.p[k - 1], self.p[k]
         return k, left, right, (self.L[k] - self.L[k - 1]) / (right - left)
 
-    @classmethod
-    def from_sample(cls, sample) -> "LorenzCurve":
-        """Same as :func:`lorenz_curve`."""
-        return lorenz_curve(sample)
-
     @property
     def points(self) -> list[tuple[float, float]]:
         return list(zip(self.p.tolist(), self.L.tolist()))
@@ -235,18 +230,6 @@ class LorenzCurve:
         # float noise can push bottom/top one ulp past 1 when the shares tie
         return bottom, top, np.minimum(ratio, 1.0)
 
-    def bottom(self, x) -> float:
-        """Income share held by the poorest ``x`` percent, x in (0, 50]."""
-        return float(self.tail_shares(x)[0][0])
-
-    def top(self, x) -> float:
-        """Income share held by the richest ``x`` percent, x in (0, 50]."""
-        return float(self.tail_shares(x)[1][0])
-
-    def b_over_t(self, x) -> float:
-        """Bottom-x share over top-x share; 0 when the bottom share is zero."""
-        return float(self.tail_shares(x)[2][0])
-
     def palma(self) -> float:
         """Top-10% share over bottom-40% share.
 
@@ -256,10 +239,6 @@ class LorenzCurve:
         if bottom[0] == 0.0:
             raise DivisionByZeroShareError("bottom 40% share is zero")
         return float(top[1] / bottom[0])
-
-
-# Public name for the share queries, which a curve answers itself.
-QuantileShares = LorenzCurve
 
 
 def lorenz_curve(sample) -> LorenzCurve:
@@ -272,7 +251,12 @@ def lorenz_curve(sample) -> LorenzCurve:
     sample = _as_sample(sample)
     L = np.empty(sample.n + 1)
     L[0] = 0.0
-    np.cumsum(sample.values, out=L[1:])
+    with np.errstate(over="ignore"):
+        np.cumsum(sample.values, out=L[1:])
+    if np.isinf(L[-1]):
+        # The sample's total is finite but the running sum overflows: that of
+        # the halves does not, and halving is exact (subnormals aside).
+        np.cumsum(sample.values * 0.5, out=L[1:])
     L[1:] /= L[-1]
     L[-1] = 1.0
     L.flags.writeable = False
@@ -288,17 +272,17 @@ def gini(sample) -> float:
 
 def bottom_share(sample, x) -> float:
     """Income share held by the poorest ``x`` percent, x in (0, 50]."""
-    return lorenz_curve(sample).bottom(x)
+    return float(lorenz_curve(sample).tail_shares(x)[0][0])
 
 
 def top_share(sample, x) -> float:
     """Income share held by the richest ``x`` percent, x in (0, 50]."""
-    return lorenz_curve(sample).top(x)
+    return float(lorenz_curve(sample).tail_shares(x)[1][0])
 
 
 def ratio_b_over_t(sample, x) -> float:
     """Bottom-x share over top-x share; see :meth:`LorenzCurve.tail_shares`."""
-    return lorenz_curve(sample).b_over_t(x)
+    return float(lorenz_curve(sample).tail_shares(x)[2][0])
 
 
 def palma_ratio(sample) -> float:

@@ -160,9 +160,6 @@ class Panel:
     def __len__(self) -> int:
         return len(self.year)
 
-    def slice(self, year: int | None = None, source: Source | None = None) -> "Panel":
-        return slice_panel(self, year=year, source=source)
-
     def countries(self) -> list[str]:
         return [self.names[c] for c in np.unique(self.country).tolist()]
 
@@ -279,26 +276,24 @@ def _csv_rows(text: str, start: int, stop: int):
 
 def _plain_quotes(raw: np.ndarray) -> bool:
     """Whether each quote of the bytes ``raw`` opens a field, closes one just
-    before a delimiter or line end, or is one of a doubled pair inside one;
-    no field is left open and none holds a line end.  Numpy's reader and
-    csv.reader read such quoting alike, and each line is one row."""
+    before a delimiter or line end, or is one of a doubled pair inside one,
+    and no field is left open: numpy's reader and csv.reader read such
+    quoting alike.  A field that holds a line end is left to the row count."""
     at = np.flatnonzero(raw == ord('"'))
     if at.size % 2:
         return False
     padded = np.concatenate(([ord("\n")], raw, [ord("\n")]))
     opens, closes = at[0::2], at[1::2]
-    if not (_QUOTE_BORDERS[padded[opens]].all() and _QUOTE_BORDERS[padded[closes + 2]].all()):
-        return False
-    line_ends = np.flatnonzero(raw == ord("\n"))
-    return bool((np.searchsorted(line_ends, opens) == np.searchsorted(line_ends, closes)).all())
+    return bool(_QUOTE_BORDERS[padded[opens]].all() and _QUOTE_BORDERS[padded[closes + 2]].all())
 
 
 def _byte_cells(block: str, usecols: list[int], widths) -> list[np.ndarray] | None:
     """The cells of columns ``usecols`` of every row of ``block``, one byte
     column each, read by numpy's C reader; None for a block it may read
-    otherwise than csv.reader, or whose line numbers would not follow from
-    its row count."""
-    if block.startswith("\n") or "\n\n" in block:
+    otherwise than csv.reader, or that has fewer rows than lines, as a blank
+    line or a quoted line end gives it (numpy's reader skips the one and
+    reads the other into its row)."""
+    if block.isspace():  # numpy's reader warns that blank lines hold no data
         return None
     data = block.encode(errors=_ERRORS)
     raw = np.frombuffer(data, dtype=np.uint8)

@@ -101,20 +101,22 @@ def rank_values(values: dict[str, float], indicator: Indicator) -> RankTable:
     """Competition-rank a country -> value mapping (values already computed).
 
     Values are rounded to three decimals before ranking so that ties printed
-    at table precision are honored.
+    at table precision are honored.  A NaN value cannot be ranked; an
+    infinite one (a zero bottom share's T/B) ranks last.
     """
     if not values:
         raise EmptyInputError("nothing to rank")
-    rounded = [(round_half_away(v), c) for c, v in values.items()]
-    rounded.sort()
+    for country, value in values.items():
+        if math.isnan(value):
+            raise DomainError(f"cannot rank {country!r}: its {indicator.value} is NaN")
+    rounded = sorted((round_half_away(v), c) for c, v in values.items())
     entries = []
     current_rank = 1
     for pos, (value, country) in enumerate(rounded, start=1):
         if pos > 1 and value != rounded[pos - 2][0]:
             current_rank = pos
         entries.append(RankEntry(rank=current_rank, country=country, value=value))
-    table = RankTable(entries=tuple(entries), indicator=indicator)
-    return table
+    return RankTable(entries=tuple(entries), indicator=indicator)
 
 
 def rank(panel: Panel, indicator: Indicator, weight: float = DEFAULT_WEIGHT) -> RankTable:
@@ -134,17 +136,15 @@ def compare_rankings(a: RankTable, b: RankTable) -> RankComparison:
     Any rank difference counts as changed, including moves within tie
     groups.  The tables must cover the same country set.
     """
-    countries_a = {e.country for e in a.entries}
-    countries_b = {e.country for e in b.entries}
-    if countries_a != countries_b:
-        only_a = sorted(countries_a - countries_b)
-        only_b = sorted(countries_b - countries_a)
+    ranks_a = {e.country: e.rank for e in a.entries}
+    ranks_b = {e.country: e.rank for e in b.entries}
+    if ranks_a.keys() != ranks_b.keys():
+        only_a = sorted(ranks_a.keys() - ranks_b.keys())
+        only_b = sorted(ranks_b.keys() - ranks_a.keys())
         raise JoinError(
             f"country sets differ: only in first {only_a}, only in second {only_b}"
         )
-    ranks_a = {e.country: e.rank for e in a.entries}
-    ranks_b = {e.country: e.rank for e in b.entries}
-    per_country = {c: (ranks_a[c], ranks_b[c]) for c in sorted(countries_a)}
+    per_country = {c: (ranks_a[c], ranks_b[c]) for c in sorted(ranks_a)}
     changed = sum(1 for ra, rb in per_country.values() if ra != rb)
     return RankComparison(
         changed=changed,
@@ -171,11 +171,7 @@ class ReplicatedRow:
 def _worst(rows, deviation: str) -> tuple[float, str]:
     """The largest deviation of the rows and the first country with it;
     (0.0, "") when none is above 0."""
-    worst = (0.0, "")
-    for row in rows:
-        if getattr(row, deviation) > worst[0]:
-            worst = (getattr(row, deviation), row.country)
-    return worst
+    return max([(0.0, ""), *((getattr(r, deviation), r.country) for r in rows)], key=lambda w: w[0])
 
 
 @dataclass(frozen=True)
@@ -209,17 +205,13 @@ class Replication:
 
 def replicate_table(rows, weight: float = DEFAULT_WEIGHT) -> Replication:
     """Recompute each ``(country, gini, t_over_b, h, index_i)`` row of a
-    published table and compare it with the published H and index."""
-    replicated = []
-    for country, gini, t_over_b, h, index_i in rows:
-        ratio = b_over_t_from_t_over_b(t_over_b)
-        res = composite(gini, ratio, weight)
-        replicated.append(
-            ReplicatedRow(
-                country, gini, ratio, res.h, res.index_i, abs(res.h - h), abs(res.index_i - index_i)
-            )
-        )
-    return Replication(tuple(replicated))
+    published table, in one composite over its columns, and compare it with
+    the published H and index."""
+    rows = list(rows)
+    gini, t_over_b, h, index_i = (np.array([r[k] for r in rows], dtype=float) for k in range(1, 5))
+    res = composite(gini, b_over_t_from_t_over_b(t_over_b), weight)
+    columns = (res.gini, res.b_over_t, res.h, res.index_i, abs(res.h - h), abs(res.index_i - index_i))
+    return Replication(tuple(map(ReplicatedRow, [r[0] for r in rows], *(c.tolist() for c in columns))))
 
 
 def series(panel: Panel, country: str, weight: float = DEFAULT_WEIGHT) -> list[SeriesPoint]:

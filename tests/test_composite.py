@@ -1,7 +1,9 @@
 """Composite index: transform, calibration, combination, and variants."""
 
+import importlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -89,6 +91,11 @@ class TestMeanAlpha:
         with pytest.raises(EmptyInputError):
             mean_alpha([])
 
+    @pytest.mark.parametrize("alphas", [[math.nan, 1.0], [math.inf], [0.2, -math.inf]])
+    def test_non_finite_rejected(self, alphas):
+        with pytest.raises(DomainError, match="not finite"):
+            mean_alpha(alphas)
+
 
 class TestComposite:
     def test_greece_row(self):
@@ -117,6 +124,27 @@ class TestComposite:
         with pytest.raises(DomainError):
             composite(-0.1, 0.5)
 
+    def test_each_input_checked_once(self, monkeypatch):
+        # the package's `composite` attribute is the function, not the module
+        composite_module = importlib.import_module("ineqkit.composite")
+        checked = []
+        for name in ("_check_unit", "_check_weight"):
+            real = getattr(composite_module, name)
+            monkeypatch.setattr(
+                composite_module, name, lambda *a, real=real: checked.append(a[0]) or real(*a)
+            )
+        composite(0.3, [0.1, 0.0], 0.5)
+        assert checked == ["gini", "share ratio", 0.5]
+
+    def test_first_bad_input_in_check_order(self):
+        for args, message in (
+            ((1.5, 2.0, 0.0), "gini"),
+            ((0.3, 2.0, 0.0), "share ratio"),
+            ((0.3, 0.2, 0.0), "weight"),
+        ):
+            with pytest.raises(DomainError, match=message):
+                composite(*args)
+
     @given(unit_floats, unit_floats)
     def test_bounds(self, g, ratio):
         assert 0.0 <= composite(g, ratio).index_i <= 1.0
@@ -132,6 +160,36 @@ class TestComposite:
             assert all(b < a for a, b in zip(values, values[1:]))
 
 
+# Ratios at the ends of the domain, and subnormal ones, whose T/B is +inf.
+edge_ratios = st.one_of(unit_floats, st.sampled_from([0.0, 1.0, 5e-324, 1e-310, 2.2e-308]))
+
+
+class TestArraysMatchScalars:
+    """Arrays give, element by element, the bits of scalar calls."""
+
+    @given(
+        st.lists(st.tuples(unit_floats, edge_ratios), min_size=1, max_size=30),
+        st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.01, 1.0)),
+    )
+    def test_composite_h_and_alternative_index(self, pairs, weight):
+        gini = np.array([g for g, _ in pairs])
+        ratio = np.array([r for _, r in pairs])
+        with np.errstate(over="ignore"):
+            t_over_b = np.divide(1.0, ratio, out=np.full(ratio.shape, math.inf), where=ratio != 0.0)
+        res = composite(gini, ratio, weight)
+        h = h_transform(ratio, weight)
+        alt = alternative_index(gini, t_over_b)
+        for k, (g, r) in enumerate(pairs):
+            one = composite(g, r, weight)
+            assert np.array([res.h[k], res.index_i[k], res.alt_index[k]]).tobytes() == (
+                np.array([one.h, one.index_i, one.alt_index]).tobytes()
+            )
+            assert np.float64(h[k]).tobytes() == np.float64(h_transform(r, weight)).tobytes()
+            scalar = alternative_index(g, t_over_b[k])
+            assert np.float64(alt[k]).tobytes() == np.float64(scalar).tobytes()
+            assert np.float64(res.alt_index[k]).tobytes() == np.float64(scalar).tobytes()
+
+
 class TestRatioOrientation:
     def test_reciprocal(self):
         assert b_over_t_from_t_over_b(4.0) == 0.25
@@ -142,6 +200,12 @@ class TestRatioOrientation:
     def test_below_one_rejected(self):
         with pytest.raises(DomainError):
             b_over_t_from_t_over_b(0.8)
+
+    def test_array(self):
+        got = b_over_t_from_t_over_b(np.array([4.0, math.inf, 1.0]))
+        assert got.tolist() == [0.25, 0.0, 1.0]
+        with pytest.raises(DomainError, match="ratio nan must be >= 1"):
+            b_over_t_from_t_over_b(np.array([4.0, math.nan, 0.5]))
 
 
 class TestGeneralizedComposite:

@@ -1,11 +1,16 @@
 """Golden CLI output: the sha256 of stdout and stderr, and the exit code, of
-each panel subcommand on the bundled data and on a small fixture.
+each panel subcommand on the bundled data and on a small fixture, and of
+`ineq micro` on two small samples.
 
 The fixture ``tests/data/golden_panel.csv`` starts with a byte-order mark,
 ends its lines with CRLF and holds every skip reason, quoted names with
 commas, quotes and newlines, a negative year, a zero bottom share and
-percent-unit columns.  A digest that changes means the printed output
-changed; update the table only for an intended change.
+percent-unit columns.  The sample ``tests/data/golden_micro.txt`` holds
+blank lines, padded values and exponent notation; the zeros of
+``tests/data/golden_micro_zeros.txt`` make the tail ratios and the Palma
+ratio print ``inf`` and the mean log deviation ``nan``.  A digest that
+changes means the printed output changed; update the table only for an
+intended change.
 """
 
 import contextlib
@@ -21,6 +26,7 @@ from ineqkit.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE = "tests/data/golden_panel.csv"
+MICRO = "tests/data/golden_micro.txt"
 PERCENT = (
     "--schema", "gini=gini_pct,top10=top10_pct,bottom10=bottom10_pct",
     "--gini-unit", "percent", "--share-unit", "percent",
@@ -65,6 +71,11 @@ def _cases():
     yield ("series", *where, "--country", "Korea, Rep.")
     yield ("series", *where, "--country", "Nowhere")
     yield ("compute", "--input", "-")
+    yield ("micro", "--input", MICRO)
+    yield ("micro", "--input", MICRO, "--epsilon", "0.5", "--alpha", "0")
+    yield ("micro", "--input", MICRO, "--alpha", "1")
+    yield ("micro", "--input", "tests/data/golden_micro_zeros.txt")
+    yield ("micro", "--input", "-")
 
 
 CASES = {" ".join(map(repr, argv)): argv for argv in _cases()}
@@ -125,15 +136,23 @@ DIGESTS = {
     "'series' '--input' 'tests/data/golden_panel.csv' '--country' 'Korea, Rep.'": ('1675043e945042c6d675dd03481c892405bc5f703620a44b0589cfef9de548bb', 'f85be4a8a4e2f8edc72b677a46b407cf61b4a585804a3409e9c06a1159328834', 0),
     "'series' '--input' 'tests/data/golden_panel.csv' '--country' 'Nowhere'": ('e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '4dd142f24bcc5d304cf78bd2ab612c768599cf981190382206eed3172c2e27a1', 2),
     "'compute' '--input' '-'": ('04e1794088cea341bae7d00c9276eda6ee1459f67f41c48209f11be7f4941d01', 'a665a397759e800f6f4b9d9d89892254242f39feb18dd593c3945c5339b4e8e5', 0),
+    "'micro' '--input' 'tests/data/golden_micro.txt'": ('1c91e3e430e4b08265c62c491c3e7845146675c5bc11faea68b51c6620c8e38e', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 0),
+    "'micro' '--input' 'tests/data/golden_micro.txt' '--epsilon' '0.5' '--alpha' '0'": ('be246018c094d777356d120891fdfac6b28247e44eff000c01e4de639b0db1ac', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 0),
+    "'micro' '--input' 'tests/data/golden_micro.txt' '--alpha' '1'": ('3f1410bb28ca359999d6ef6da0c09605afe15da3d36dafed5aa059a73b8ac7b3', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 0),
+    "'micro' '--input' 'tests/data/golden_micro_zeros.txt'": ('b93c4e4e2361af92a723c8075188957812857abb691fa289973517694bb476cb', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 0),
+    "'micro' '--input' '-'": ('1c91e3e430e4b08265c62c491c3e7845146675c5bc11faea68b51c6620c8e38e', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 0),
 }
 
 
 def run_case(argv) -> tuple[str, str, int]:
     """Run ``main(argv)`` in process from the repository root, with the
-    fixture as stdin, read as the CLI reads it (UTF-8, universal newlines)."""
+    micro sample as stdin of `ineq micro` and the panel fixture as that of
+    any other subcommand, read as the CLI reads it (UTF-8, universal
+    newlines)."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
-    with open(ROOT / FIXTURE, encoding="utf-8") as stdin, mock.patch("sys.stdin", stdin):
+    path = ROOT / (MICRO if argv[0] == "micro" else FIXTURE)
+    with open(path, encoding="utf-8") as stdin, mock.patch("sys.stdin", stdin):
         os.chdir(ROOT)
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

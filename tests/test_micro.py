@@ -15,7 +15,6 @@ from ineqkit import (
     EmptyInputError,
     IncomeSample,
     LorenzCurve,
-    QuantileShares,
     atkinson,
     bottom_share,
     ge_index,
@@ -250,6 +249,17 @@ class TestSampleBuiltCurve:
         assert curve.gini() == pytest.approx(direct.gini(), abs=1e-15)
         assert curve.p.tobytes() == direct.p.tobytes()
 
+    def test_running_total_past_the_float_range(self):
+        # The sample's total is finite, but not the running sum of its values.
+        v = np.sort(np.random.default_rng(5).random(35))
+        v = v / v.sum() * np.finfo(float).max
+        with np.errstate(over="ignore"):
+            assert np.isfinite(v.sum()) and np.isinf(np.cumsum(v)[-1])
+        curve = lorenz_curve(v)
+        # halving the values is exact and leaves every share as it is
+        assert curve.L.tobytes() == lorenz_curve(v * 0.5).L.tobytes()
+        assert curve.gini() == pytest.approx(rank_gini(v / 1024.0), abs=1e-12)
+
     def test_right_end_reads_one(self):
         # the segment's interpolation formula reads 0.9999999999999998 here
         assert lorenz_curve([2.3, 9.1, 1.5]).value_at(1.0) == 1.0
@@ -419,12 +429,3 @@ class TestPalma:
         with pytest.raises(DivisionByZeroShareError):
             palma_ratio([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
 
-
-class TestQuantileShares:
-    def test_matches_functions(self):
-        s = IncomeSample.from_values([1, 2, 3, 4, 10])
-        q = QuantileShares.from_sample(s)
-        for x in (10, 25, 40, 50):
-            assert q.bottom(x) == bottom_share(s, x)
-            assert q.top(x) == top_share(s, x)
-            assert q.b_over_t(x) == ratio_b_over_t(s, x)

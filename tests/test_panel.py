@@ -471,6 +471,23 @@ class TestColumnarParse:
         panel, diags = parse_panel(text)
         assert (len(panel), diags, read) == (200, [], [["country", "year", "gini", "top10", "bottom10"]])
 
+    @pytest.mark.parametrize(
+        "block",
+        [
+            "AAA,2015,0.3,0.25,0.03\n\nBBB,2015,0.3,0.25,0.03\n",
+            "\nAAA,2015,0.3,0.25,0.03\n",
+            '"Multi\nLine",2015,0.3,0.25,0.03\n',
+            "\n\n",
+        ],
+        ids=["blank line", "leading blank line", "quoted line end", "blank lines only"],
+    )
+    def test_block_with_fewer_rows_than_lines_goes_to_csv_reader(self, block):
+        """Numpy's reader skips a blank line and reads a quoted line end into
+        its row; the row count turns such a block away, with no warning."""
+        assert panel_module._byte_cells(block, [0, 1, 2, 3, 4], (64, 24, 32, 32, 32)) is None
+        panel, diags = parse_panel("country,year,gini,top10,bottom10\n" + block)
+        assert (len(panel), diags) == (block.count(",") // 4, [])
+
     @pytest.mark.parametrize("bad", ["-", "1.2.3", "--1", "e", ".", "99999999999999999999"])
     def test_bad_numeric_cell_leaves_its_block_cast(self, monkeypatch, bad):
         """A cell that fails the block's cast is checked alone: the good rows

@@ -1,5 +1,6 @@
 """Ranking: competition ranks, comparisons, and per-country series."""
 
+import math
 import random
 
 import pytest
@@ -100,6 +101,14 @@ class TestRank:
             _panel(shuffled), Indicator.INDEX_I
         )
 
+    def test_nan_rejected_with_its_country(self):
+        with pytest.raises(DomainError, match="'a'"):
+            rank_values({"a": math.nan, "b": 0.5, "c": 0.2}, Indicator.INDEX_I)
+
+    def test_infinite_ranks_last(self):
+        table = rank_values({"a": math.inf, "b": 0.5, "c": 0.2}, Indicator.RATIO_TB)
+        assert [(e.rank, e.country) for e in table.entries] == [(1, "c"), (2, "b"), (3, "a")]
+
     @given(
         st.dictionaries(
             keys=st.text(alphabet="abcdefgh", min_size=1, max_size=3),
@@ -194,6 +203,33 @@ class TestReplicateTable:
         assert table.alpha() == calibrate_alpha(
             sum(g for _, g, *_ in rows) / n, sum(1.0 / t for _, _, t, *_ in rows) / n
         )
+
+    def test_one_composite_call_per_table(self, wb_rows, monkeypatch):
+        import ineqkit.ranking as ranking_module
+
+        calls = []
+        real = ranking_module.composite
+        monkeypatch.setattr(ranking_module, "composite", lambda *a: calls.append(a) or real(*a))
+        rows = [(r["country"], r["gini"], r["t_over_b"], r["h"], r["index_i"]) for r in wb_rows]
+        replicate_table(rows)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((0.3, 0.5), "top-over-bottom ratio 0.5 must be >= 1"),
+            ((0.3, math.nan), "top-over-bottom ratio nan must be >= 1"),
+            ((1.5, 4.0), "gini 1.5 outside [0, 1]"),
+        ],
+    )
+    def test_a_bad_value_is_named(self, bad, message):
+        rows = [("A", 0.3, 4.0, 0.0, 0.0), ("B", *bad, 0.0, 0.0), ("C", 0.2, 2.0, 0.0, 0.0)]
+        with pytest.raises(DomainError) as err:
+            replicate_table(rows)
+        assert str(err.value) == message
+
+    def test_empty_table(self):
+        assert replicate_table([]).rows == ()
 
     def test_first_row_with_the_worst_deviation(self):
         table = replicate_table([("B", 0.3, 10.0, 0.0, 0.0), ("A", 0.3, 10.0, 0.0, 0.0)])
