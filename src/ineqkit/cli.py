@@ -9,6 +9,7 @@ acceptance failure, 2 input or schema error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import math
@@ -22,6 +23,7 @@ import numpy as np
 from . import micro
 from .composite import (
     DEFAULT_WEIGHT,
+    alternative_index,
     calibrate_alpha,
     composite,
     mean_alpha,
@@ -123,9 +125,14 @@ def _load_panel(args) -> Panel:
 
     Raises when a row was skipped under --strict.
     """
-    text = _read_text(args.input)
-    schema = _schema_from_args(args)
-    panel, diagnostics = parse_panel(text, schema, label=args.input)
+    if args.input == "-":
+        # Bytes where stdin has them; a text stdin is read as text.
+        stream = contextlib.nullcontext(getattr(sys.stdin, "buffer", sys.stdin))
+    else:
+        stream = open(args.input, "rb")
+    with stream as source:
+        schema = _schema_from_args(args)
+        panel, diagnostics = parse_panel(source, schema, label=args.input)
     for diag in diagnostics:
         print(f"{args.input}:{diag.line}: skipped row: {diag.reason}", file=sys.stderr)
     if diagnostics and args.strict:
@@ -227,11 +234,13 @@ def _compute_rows(names: list[str], country, year, fields) -> str:
 
 def cmd_compute(args) -> int:
     panel = _load_panel(args)
-    fields = [panel.gini, t_over_b_of(panel)]
+    t_over_b = t_over_b_of(panel)
+    fields = [panel.gini, t_over_b]
     # The weight is checked only when some row uses it.
     if len(panel):
         res = composite(panel.gini, ratio_of(panel), args.weight)
-        fields += [res.h, res.index_i, res.alt_index]
+        # The printed T/B, as `rank --indicator alt` reads it
+        fields += [res.h, res.index_i, alternative_index(panel.gini, t_over_b)]
     names = [_csv_field(name) for name in panel.names]
 
     def chunks():
@@ -275,7 +284,8 @@ def _load_values(source) -> np.ndarray | None:
         return None
     if values.size == 0 or values.shape[1] != 1:
         return None
-    return values[:, 0]
+    values.shape = (len(values),)  # one column: an array of its own, no view
+    return values
 
 
 def _parse_lines(path: str, lines: list[str]) -> np.ndarray:
@@ -323,7 +333,11 @@ def _read_values(path: str) -> np.ndarray:
 
 
 def cmd_micro(args) -> int:
-    sample = micro.IncomeSample.from_values(_read_values(args.input))
+    values = _read_values(args.input)
+    # Sorted here and handed over read-only: the sample keeps this array.
+    values.sort()
+    values.flags.writeable = False
+    sample = micro.IncomeSample.from_values(values)
     # Every Lorenz-based row reads this one curve.  It is looked up on the
     # module so that code patching ``ineqkit.micro.lorenz_curve`` sees it.
     curve = micro.lorenz_curve(sample)
@@ -347,6 +361,9 @@ def cmd_micro(args) -> int:
     except DivisionByZeroShareError:
         palma = math.inf
     rows.append(("palma", _fmt(palma)))
+    # Freed before the welfare measures, each of which holds an n-float
+    # temporary of its own.
+    del curve
     rows.append(("epsilon", _fmt(args.epsilon)))
     rows.append(("atkinson", _fmt(atkinson(sample, args.epsilon))))
     rows.append(("alpha", _fmt(args.alpha)))

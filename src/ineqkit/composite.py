@@ -26,6 +26,8 @@ from .errors import (
 # Fixed default exponent for the tail term; close to the panel-calibrated
 # mean and trivial to evaluate (two square roots).
 DEFAULT_WEIGHT = 0.25
+# Elements per slice of a per-element kernel (see ``_each``).
+_EACH_ROWS = 1 << 14
 
 
 def _check_unit(name: str, value) -> np.ndarray:
@@ -59,10 +61,16 @@ def _scalar_or_array(values: np.ndarray):
 def _each(fn, *arrays) -> np.ndarray:
     """``fn`` applied to Python floats, element by element: numpy's vector
     loops for ``pow`` and ``hypot`` differ from the C library's in the last
-    bit on a few percent of inputs, and a scalar and a column must agree."""
+    bit on a few percent of inputs, and a scalar and a column must agree.
+    The floats are made a slice of ``_EACH_ROWS`` at a time, so that a
+    column never becomes one Python float per row at once."""
     arrays = np.broadcast_arrays(*arrays)
-    flat = (a.ravel().tolist() for a in arrays)
-    return np.fromiter(map(fn, *flat), float, arrays[0].size).reshape(arrays[0].shape)
+    flat = [a.reshape(-1) for a in arrays]
+    out = np.empty(flat[0].size)
+    for start in range(0, out.size, _EACH_ROWS):
+        rows = slice(start, start + _EACH_ROWS)
+        out[rows] = list(map(fn, *(a[rows].tolist() for a in flat)))
+    return out.reshape(arrays[0].shape)
 
 
 def h_transform(b_over_t, weight: float = DEFAULT_WEIGHT):
@@ -118,7 +126,19 @@ class CompositeResult:
     b_over_t: float
     h: float
     index_i: float
-    alt_index: float
+
+    @property
+    def alt_index(self):
+        """The unbounded variant of the same inputs, with T/B = 1 / (B/T);
+        computed when read.  A caller that holds the printed T/B passes it
+        to :func:`alternative_index` instead."""
+        b_over_t = np.asarray(self.b_over_t)
+        with np.errstate(over="ignore"):  # a subnormal ratio's T/B is +inf
+            t_over_b = np.divide(
+                1.0, b_over_t, out=np.full(b_over_t.shape, math.inf), where=b_over_t != 0.0
+            )
+        gini = np.asarray(self.gini)
+        return _scalar_or_array(_each(math.hypot, gini * 100.0, t_over_b) / 100.0)
 
 
 def composite(gini, b_over_t, weight: float = DEFAULT_WEIGHT) -> CompositeResult:
@@ -132,16 +152,11 @@ def composite(gini, b_over_t, weight: float = DEFAULT_WEIGHT) -> CompositeResult
     b_over_t = _check_unit("share ratio", b_over_t)
     h = 1.0 - _each(pow, b_over_t, _check_weight(weight))
     index_i = np.sqrt(gini * gini + h * h) / np.sqrt(2.0)
-    with np.errstate(over="ignore"):  # a subnormal ratio's T/B is +inf
-        t_over_b = np.divide(
-            1.0, b_over_t, out=np.full(b_over_t.shape, math.inf), where=b_over_t != 0.0
-        )
     return CompositeResult(
         gini=_scalar_or_array(gini),
         b_over_t=_scalar_or_array(b_over_t),
         h=_scalar_or_array(h),
         index_i=_scalar_or_array(index_i),
-        alt_index=_scalar_or_array(_each(math.hypot, gini * 100.0, t_over_b) / 100.0),
     )
 
 

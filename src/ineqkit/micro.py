@@ -41,6 +41,28 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _checked(values, ordered: bool) -> np.ndarray:
+    """``values`` as the read-only array of a sample, once its invariants
+    hold; their order is checked unless ``ordered`` says it was just made."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1:
+        raise DomainError("sample values must be one-dimensional")
+    if arr.size == 0:
+        raise EmptyInputError("sample must contain at least one value")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("sample values must be finite")
+    if arr[0] < 0:
+        raise DomainError("sample values must be non-negative")
+    if not ordered and np.any(arr[1:] < arr[:-1]):
+        raise DomainError("sample values must be in non-decreasing order")
+    if arr[-1] <= 0:
+        raise DegenerateSampleError("sample total must be positive")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(arr.sum()):
+            raise DomainError("sample total overflows")
+    return _frozen(arr)
+
+
 @dataclass(frozen=True)
 class IncomeSample:
     """Non-negative values in ascending order with a positive, finite total.
@@ -52,33 +74,36 @@ class IncomeSample:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 1:
-            raise DomainError("sample values must be one-dimensional")
-        if arr.size == 0:
-            raise EmptyInputError("sample must contain at least one value")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("sample values must be finite")
-        if arr[0] < 0:
-            raise DomainError("sample values must be non-negative")
-        if np.any(arr[1:] < arr[:-1]):
-            raise DomainError("sample values must be in non-decreasing order")
-        if arr[-1] <= 0:
-            raise DegenerateSampleError("sample total must be positive")
-        with np.errstate(over="ignore"):
-            if not np.isfinite(arr.sum()):
-                raise DomainError("sample total overflows")
-        object.__setattr__(self, "values", _frozen(arr))
+        object.__setattr__(self, "values", _checked(self.values, ordered=False))
 
     @classmethod
     def from_values(cls, values) -> "IncomeSample":
-        """Sort ``values`` ascending and wrap them as a sample.  An array is
-        copied once and sorted in place; other iterables go through ``list()``."""
-        arr = np.array(values if isinstance(values, np.ndarray) else list(values), dtype=float)
+        """Sort ``values`` ascending and wrap them as a sample.
+
+        A read-only float array that owns its memory, which no caller can
+        write to, is kept as it is where it is already in order: ``ineq
+        micro`` sorts its own array and hands it over.  Any other array is
+        copied once and sorted in place, so the caller's array is never
+        changed; other iterables go through ``list()``.  The order is either
+        checked or made here, once.
+        """
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        elif not values.flags.writeable and values.base is None and values.dtype == float:
+            if values.ndim == 1 and not np.any(values[1:] < values[:-1]):
+                return cls._of_sorted(values)
+        arr = np.array(values, dtype=float)
         if arr.ndim == 1:
             arr.sort()
         arr.flags.writeable = False
-        return cls(arr)
+        return cls._of_sorted(arr)
+
+    @classmethod
+    def _of_sorted(cls, arr: np.ndarray) -> "IncomeSample":
+        """A sample of ``arr``, known to be in ascending order."""
+        sample = cls.__new__(cls)
+        object.__setattr__(sample, "values", _checked(arr, ordered=True))
+        return sample
 
     @property
     def n(self) -> int:

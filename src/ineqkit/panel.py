@@ -10,6 +10,7 @@ diagnostics, while a missing declared column rejects the whole file.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import enum
 import io
@@ -86,17 +87,38 @@ _COLUMNS = {
 }
 
 
-def _repeats(order, country, year, source) -> np.ndarray:
-    """Mask of the rows whose (country, year, source) key is that of an
-    earlier row, given the rows in key order with equal keys in row order:
-    each such row follows one with the same key."""
-    first, then = order[:-1], order[1:]
-    repeat = np.zeros(len(order), dtype=bool)
-    repeat[then] = (
-        (country[then] == country[first])
-        & (year[then] == year[first])
-        & (source[then] == source[first])
-    )
+def _sort_keys(country, year, source, countries: int, rows=True) -> tuple[np.ndarray, ...]:
+    """The (country, year, source) keys of rows as one packed int64 column,
+    where the key of every row of the mask ``rows`` fits in one, else as the
+    three columns, first column first; ``countries`` bounds the country
+    codes.  The packed key sorts the rows of ``rows`` alike, in half the time
+    of a lexsort of the three columns."""
+    low = year.min(initial=np.iinfo(np.int64).max, where=rows).item()
+    high = year.max(initial=np.iinfo(np.int64).min, where=rows).item()
+    years = high - low + 1
+    if 0 < countries * years * len(SOURCES) < 2**63:
+        # Exact in int64 for those rows: an intermediate that wraps around
+        # wraps back.
+        key = country.astype(np.int64)
+        key *= years
+        key += year
+        key -= low
+        key *= len(SOURCES)
+        key += source
+        return (key,)
+    return (country, year, source)
+
+
+def _repeats(order, *keys) -> np.ndarray:
+    """Mask of the rows whose key, in the columns ``keys``, is that of an
+    earlier row of ``order``, the rows in key order with equal keys in row
+    order: each such row follows one with the same key."""
+    same = np.ones(max(len(order) - 1, 0), dtype=bool)
+    for column in keys:
+        ordered = column[order]
+        same &= ordered[1:] == ordered[:-1]
+    repeat = np.zeros(len(keys[0]), dtype=bool)
+    repeat[order[1:]] = same
     return repeat
 
 
@@ -140,7 +162,8 @@ class Panel:
         """Row indexes in ascending (country, year, source) order; equal keys
         keep their row order."""
         if self._order is None:
-            self._order = np.lexsort((self.source, self.year, self.country))
+            keys = _sort_keys(self.country, self.year, self.source, len(self.names))
+            self._order = np.lexsort(keys[::-1])
         return self._order
 
     def take(self, rows) -> "Panel":
@@ -221,15 +244,18 @@ class RowDiagnostic:
     reason: str
 
 
-# Characters of CSV text tokenized at a time: the cells of one block are held
-# at once.
-_BLOCK_CHARS = 1 << 20
+# Bytes of CSV input read and tokenized at a time: the cells of one block are
+# held at once.
+_BLOCK_CHARS = 1 << 18
+# Rows of a column handled at a time where it is changed in place.
+_SLICE_ROWS = 1 << 16
 # Bytes per cell of numpy's reader, by declared column (country, year, gini,
 # top10, bottom10, source).  A cell that fills its width may have been cut
 # short, so its block is read by csv.reader instead.
 _CELL_BYTES = (64, 24, 32, 32, 32, 16)
 _SOURCE_CODES = {s.value: i for i, s in enumerate(SOURCES)}
-# Cells are held as UTF-8 bytes; a lone surrogate is kept, not an error.
+# Cells are held as UTF-8 bytes; a lone surrogate of text input is kept, not
+# an error.
 _ERRORS = "surrogatepass"
 
 
@@ -246,32 +272,118 @@ def _text(cell) -> str:
     return (cell.decode(errors=_ERRORS) if isinstance(cell, bytes) else cell).strip()
 
 
-def _csv_rows(text: str, start: int, stop: int):
-    """The rows csv.reader reads from ``text[start:]``, ``start`` being where
-    a row begins, up to the first row that ends at or after ``stop``, a line
-    end or the end of the text.
+def _undecodable(exc: UnicodeDecodeError, offset: int) -> ValueError:
+    """The error ``exc`` of bytes that start ``offset`` bytes into the input,
+    worded as decoding the whole input words it."""
+    start = exc.start + offset
+    if exc.end - exc.start == 1:
+        where = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+    else:
+        where = f"bytes in position {start}-{exc.end - 1 + offset}"
+    return ValueError(f"'{exc.encoding}' codec can't decode {where}: {exc.reason}")
 
-    Returns the rows, the number of lines read up to the end of each, and the
-    offset where the next row begins.
+
+def _byte_blocks(source):
+    """The bytes of ``source``, CSV text or a binary or text stream of it, in
+    blocks of about ``_BLOCK_CHARS`` bytes, each ending at a line end or at
+    the end of the input.
+
+    A leading byte-order mark is dropped, and "\\r\\n" and a lone "\\r" are
+    read as "\\n", as with universal newlines.  Text is encoded as UTF-8,
+    lone surrogates kept.  Bytes must be UTF-8: a ValueError names the first
+    byte that is not, by its position in the input after the mark.
     """
-    lines = text.count("\n", start, stop) + (start < stop and text[stop - 1] != "\n")
-    end = stop
+    size = _BLOCK_CHARS
 
-    def beyond():
-        # The lines after ``stop``, read only by a row that runs past it.
-        nonlocal end
-        while end < len(text):
-            begin, end = end, text.find("\n", end) + 1 or len(text)
-            yield text[begin:end]
+    def parts():
+        if isinstance(source, str):
+            for start in range(0, len(source), size):
+                yield source[start : start + size]
+        else:
+            while part := source.read(size):
+                yield part
 
-    reader = csv.reader(itertools.chain(io.StringIO(text[start:stop]), beyond()))
+    def block(raw: bytes) -> bytes:
+        nonlocal offset
+        if check and not raw.isascii():
+            try:
+                raw.decode()
+            except UnicodeDecodeError as exc:
+                raise _undecodable(exc, offset) from None
+        offset += len(raw)
+        if b"\r" in raw:
+            raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        return raw
+
+    pending: list[bytes] = []  # read, and no line end since the last block
+    offset, check, head = 0, True, True
+    for part in parts():
+        if isinstance(part, str):
+            part, check = part.encode("utf-8", _ERRORS), False
+        if head:
+            part = b"".join([*pending, part])
+            if codecs.BOM_UTF8.startswith(part):  # the mark may be cut short
+                pending = [part]
+                continue
+            part, pending, head = part.removeprefix(codecs.BOM_UTF8), [], False
+        # After the last line end; a "\r" that ends the part may start "\r\n".
+        cut = max(part.rfind(b"\n"), part.rfind(b"\r", 0, len(part) - 1)) + 1
+        if cut:
+            yield block(b"".join([*pending, part[:cut]]))
+            pending = [part[cut:]]
+        else:
+            pending.append(part)
+    data = b"".join(pending)
+    if head:
+        data = data.removeprefix(codecs.BOM_UTF8)
+    if data:
+        yield block(data)
+
+
+class _Input:
+    """The blocks of :func:`_byte_blocks`, from which a row that runs past
+    the end of its block reads on, a line at a time."""
+
+    def __init__(self, source):
+        self._blocks = _byte_blocks(source)
+        self._block, self._at = b"", 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> bytes:
+        """The lines of the last block that no row read, else the next block."""
+        block = self._block[self._at :] or next(self._blocks)
+        self._block, self._at = b"", 0
+        return block
+
+    def lines(self):
+        """The lines that follow, as text, each taken when it is read."""
+        while True:
+            if self._at == len(self._block):
+                self._block, self._at = next(self._blocks, b""), 0
+                if not self._block:
+                    return
+            end = self._block.find(b"\n", self._at) + 1 or len(self._block)
+            line = self._block[self._at : end]
+            self._at = end
+            yield line.decode("utf-8", _ERRORS)
+
+
+def _csv_rows(text: str, more):
+    """The rows csv.reader reads from ``text`` up to the first row that ends
+    at or after its end; a row that runs past the end reads on from the lines
+    ``more``.  Returns the rows and the number of lines read up to the end of
+    each."""
+    lines = text.count("\n") + (text[-1:] not in ("", "\n"))
+    reader = csv.reader(itertools.chain(io.StringIO(text), more))
     rows, numbers = [], []
     for row in reader:
         rows.append(row)
         numbers.append(reader.line_num)
         if reader.line_num >= lines:
             break
-    return rows, numbers, end
+    return rows, numbers
 
 
 def _plain_quotes(raw: np.ndarray) -> bool:
@@ -282,40 +394,43 @@ def _plain_quotes(raw: np.ndarray) -> bool:
     at = np.flatnonzero(raw == ord('"'))
     if at.size % 2:
         return False
-    padded = np.concatenate(([ord("\n")], raw, [ord("\n")]))
+    line_end = np.full(1, ord("\n"), dtype=np.uint8)
+    padded = np.concatenate((line_end, raw, line_end))
     opens, closes = at[0::2], at[1::2]
     return bool(_QUOTE_BORDERS[padded[opens]].all() and _QUOTE_BORDERS[padded[closes + 2]].all())
 
 
-def _byte_cells(block: str, usecols: list[int], widths) -> list[np.ndarray] | None:
-    """The cells of columns ``usecols`` of every row of ``block``, one byte
-    column each, read by numpy's C reader; None for a block it may read
-    otherwise than csv.reader, or that has fewer rows than lines, as a blank
-    line or a quoted line end gives it (numpy's reader skips the one and
-    reads the other into its row)."""
+def _byte_cells(block, usecols: list[int], widths) -> list[np.ndarray] | None:
+    """The cells of columns ``usecols`` of every row of ``block``, UTF-8
+    bytes (or text), one byte column each, read by numpy's C reader; None for
+    a block it may read otherwise than csv.reader, or that has fewer rows
+    than lines, as a blank line or a quoted line end gives it (numpy's reader
+    skips the one and reads the other into its row)."""
+    if isinstance(block, str):
+        block = block.encode(errors=_ERRORS)
     if block.isspace():  # numpy's reader warns that blank lines hold no data
         return None
-    data = block.encode(errors=_ERRORS)
-    raw = np.frombuffer(data, dtype=np.uint8)
+    raw = np.frombuffer(block, dtype=np.uint8)
     # A bare CR, a NUL or another control character
     if ((raw < 32) & (raw != ord("\n"))).any() or not _plain_quotes(raw):
         return None
     dtype = np.dtype([(f"c{k}", f"S{width}") for k, width in enumerate(widths)])
     try:
-        # Each UTF-8 byte read as one Latin-1 character, which a byte
-        # column stores as that byte: the cells hold UTF-8.
+        # Each byte read as one Latin-1 character, which a byte column
+        # stores as that byte: the cells hold UTF-8.
         table = np.loadtxt(
-            io.StringIO(data.decode("latin-1")),
+            io.BytesIO(block),
             dtype=dtype,
             delimiter=",",
             quotechar='"',
             comments=None,
             usecols=usecols,
             ndmin=1,
+            encoding="latin-1",
         )
     except ValueError:  # a short row, a whitespace-only line, ...
         return None
-    if len(table) != data.count(b"\n") + (data[-1] != ord("\n")):
+    if len(table) != block.count(b"\n") + (block[-1] != ord("\n")):
         return None
     cells = [table[name] for name in dtype.names]
     if any(col[:, None].view(np.uint8)[:, -1].any() for col in cells):
@@ -358,52 +473,73 @@ def _cast(cells: np.ndarray, dtype, chars) -> tuple[np.ndarray, np.ndarray]:
     return values, plain
 
 
-def _blocks(text: str, start: int, line: int, usecols: list[int], widths):
-    """Tokenize ``text`` from ``start``, where a row on line ``line`` begins,
-    a block of about ``_BLOCK_CHARS`` characters at a time.
+def _blocks(stream: _Input, line: int, usecols: list[int], widths):
+    """Tokenize the blocks of ``stream`` that follow, the first row starting
+    on line ``line``.
 
-    Yields, for each block (at least one), the cells of columns ``usecols``
-    of its non-empty rows, one array per column; the number of cells of each
-    row that has fewer than ``max(usecols) + 1``, by row index; and the line
-    number each row ends on.  A column holds the UTF-8 bytes of its cells.
-    Numpy's C reader tokenizes a block where it reads the block as
-    csv.reader would and its rows are its lines; otherwise csv.reader does,
-    and its cells are stripped (and kept as text where a NUL is in the
-    block).
+    Yields, for each block, the cells of columns ``usecols`` of its non-empty
+    rows, one array per column; the number of cells of each row that has
+    fewer than ``max(usecols) + 1``, by row index; and the line number each
+    row ends on.  A column holds the UTF-8 bytes of its cells.  Numpy's C
+    reader tokenizes a block where it reads the block as csv.reader would and
+    its rows are its lines; otherwise csv.reader does, and its cells are
+    stripped (and kept as text where one holds a NUL).
     """
     width = max(usecols) + 1
-    while True:
-        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
-        block = text[start:end]
-        cells = _byte_cells(block, usecols, widths) if block else None
+    for block in stream:
+        cells = _byte_cells(block, usecols, widths)
         if cells is not None:
+            # Its rows are its lines; only the last block may lack a line end.
             yield cells, {}, line + np.arange(len(cells[0]))
-            line += block.count("\n")
+            line += len(cells[0])
+            continue
+        rows, numbers = _csv_rows(block.decode("utf-8", _ERRORS), stream.lines())
+        ends = [line - 1 + n for row, n in zip(rows, numbers) if row]
+        rows = [row for row in rows if row]
+        short = {j: len(row) for j, row in enumerate(rows) if len(row) < width}
+        for j, length in short.items():
+            rows[j] += [""] * (width - length)
+        texts = [[row[i].strip() for row in rows] for i in usecols]
+        if any("\0" in "".join(col) for col in texts):  # a byte column would drop a trailing NUL
+            cells = [np.array(col, dtype=object) for col in texts]
         else:
-            rows, numbers, end = _csv_rows(text, start, end)
-            ends = [line - 1 + n for row, n in zip(rows, numbers) if row]
-            rows = [row for row in rows if row]
-            short = {j: len(row) for j, row in enumerate(rows) if len(row) < width}
-            for j, length in short.items():
-                rows[j] += [""] * (width - length)
-            texts = [[row[i].strip() for row in rows] for i in usecols]
-            if "\0" in text[start:end]:  # a byte column would drop a trailing NUL
-                cells = [np.array(col, dtype=object) for col in texts]
-            else:
-                cells = [np.array([t.encode("utf-8", _ERRORS) for t in col], dtype=bytes) for col in texts]
-            yield cells, short, np.array(ends, dtype=np.int64)
-            line += numbers[-1] if numbers else 0
-        start = end
-        if start >= len(text):
-            return
+            cells = [np.array([t.encode("utf-8", _ERRORS) for t in col], dtype=bytes) for col in texts]
+        yield cells, short, np.array(ends, dtype=np.int64)
+        line += numbers[-1]
+
+
+def _compact(values: np.ndarray, keep: np.ndarray) -> None:
+    """Keep the elements of the array ``values`` where ``keep`` is set, in
+    order and in place: they are moved down a slice at a time and the array
+    is then shrunk, so no second copy of it is held."""
+    size = 0
+    for start in range(0, len(values), _SLICE_ROWS):
+        part = values[start : start + _SLICE_ROWS][keep[start : start + _SLICE_ROWS]]
+        values[size : size + len(part)] = part
+        size += len(part)
+    values.resize(size, refcheck=False)
+
+
+def _remap(values: np.ndarray, table: np.ndarray) -> None:
+    """Replace each index of the array ``values`` by the entry of ``table``
+    at it, in place, a slice at a time."""
+    for start in range(0, len(values), _SLICE_ROWS):
+        part = values[start : start + _SLICE_ROWS]
+        part[:] = table[part]
 
 
 def parse_panel(
-    csv_text: str,
+    source,
     schema: SchemaConfig = SchemaConfig(),
     label: str = "",
 ) -> tuple[Panel, list[RowDiagnostic]]:
-    """Parse CSV text into a panel plus per-row diagnostics.
+    """Parse CSV into a panel plus per-row diagnostics.
+
+    ``source`` is the CSV text, or a binary or text stream of it, read a
+    block at a time: the whole input is never held, and the panel's columns
+    grow in place as the blocks are read.  A leading byte-order mark is
+    dropped, and lines end at "\\n", "\\r\\n" or a lone "\\r", as with
+    universal newlines.  Bytes that are not UTF-8 raise ValueError.
 
     Every non-empty data row either becomes a row of the panel, in file
     order, or produces exactly one diagnostic; there is no silent coercion.
@@ -412,12 +548,10 @@ def parse_panel(
     range and ordering rules, then a repeat of an earlier kept row's key.
     The panel also keeps the stable (country, year, source) order that the
     duplicate check sorted, which :func:`slice_panel` reuses.  Percent-mode
-    columns are divided by 100 on the way in.  Lines end at
-    "\\n", "\\r\\n" or a lone "\\r", as with universal newlines.
+    columns are divided by 100 on the way in.
     """
-    if "\r" in csv_text:
-        csv_text = csv_text.replace("\r\n", "\n").replace("\r", "\n")
-    rows, numbers, start = _csv_rows(csv_text, 0, 0)
+    stream = _Input(source)
+    rows, numbers = _csv_rows("", stream.lines())
     if not rows:
         raise SchemaError("input has no header row")
     header = [h.strip() for h in rows[0]]
@@ -486,15 +620,17 @@ def parse_panel(
         return _share_fault(*shares), (year, *shares)
 
     # Each block's cells become columns in one cast each; only the rows that
-    # a cast skips or a share rule rejects are checked one by one.
+    # a cast skips or a share rule rejects are checked one by one.  The
+    # block's rows are then copied to the ends of the panel's columns, which
+    # grow in place, with the line each row ends on.
+    columns = {name: np.empty(0, dtype) for name, dtype in _COLUMNS.items()}
+    columns["line"] = np.empty(0, np.int64)
+    skipped: list[tuple[int, str]] = []
     country_memo: dict = {}
     source_memo: dict = {}
-    blocks: list[list[np.ndarray]] = []
-    lines: list[np.ndarray] = []
-    reasons: dict[int, str] = {}
     done = 0
     widths = _CELL_BYTES[: len(declared)]
-    for cells, short, numbers in _blocks(csv_text, start, numbers[-1] + 1, where, widths):
+    for cells, short, numbers in _blocks(stream, numbers[-1] + 1, where, widths):
         country = _lookup(cells[0], country_code, country_memo)
         year, good = _cast(cells[1], np.int64, _INT_CHARS)
         good &= country >= 0
@@ -503,51 +639,71 @@ def parse_panel(
             values, ok = _cast(col, np.float64, _FLOAT_CHARS)
             shares.append(values / s)
             good &= ok
-        values = [country, year, *shares]
+        values = {"country": country, "year": year}
+        values.update(zip(("gini", "top10", "bottom10"), shares))
         if len(cells) > 5:
-            values.append(_lookup(cells[5], source_code, source_memo))
-            good &= values[5] >= 0
+            values["source"] = _lookup(cells[5], source_code, source_memo)
+            good &= values["source"] >= 0
+        else:
+            values["source"] = SOURCES.index(schema.default_source)
         # A non-finite share breaks a range rule, so it needs no mask here.
         for rule, _ in _SHARE_RULES:
             good &= rule(*shares)
         for j in np.flatnonzero(~good).tolist():
             reason, row = check([_text(col[j]) for col in cells], short.get(j, width))
             if reason is None:
-                for column, value in zip(values[1:5], row):
-                    column[j] = value
+                for name, value in zip(("year", "gini", "top10", "bottom10"), row):
+                    values[name][j] = value
             else:
-                reasons[done + j] = reason
-        blocks.append(values)
-        lines.append(numbers)
-        done += len(numbers)
-    del cells, col, values, shares  # else the last block's arrays live to the end
-    country, year, gini, top10, bottom10, *source = map(np.concatenate, zip(*blocks))
-    del blocks
-    source = source[0] if source else np.full(done, SOURCES.index(schema.default_source))
-    lines = np.concatenate(lines)
+                skipped.append((numbers[j].item(), reason))
+        values["line"] = numbers
+        rows = slice(done, done + len(numbers))
+        if rows.stop > len(columns["line"]):
+            for column in columns.values():
+                column.resize(max(rows.stop, len(column) * 5 // 4), refcheck=False)
+        for name, column in columns.items():
+            column[rows] = values[name]
+        done = rows.stop
+    for column in columns.values():
+        column.resize(done, refcheck=False)
 
     names = sorted(codes)
     # One spare slot: a row whose country was rejected reads code -1.
     rank = np.zeros(len(names) + 1, dtype=np.intp)
     rank[[codes[name] for name in names]] = np.arange(len(names))
-    country = rank[country]
+    country, year, source = (columns[name] for name in ("country", "year", "source"))
+    _remap(country, rank)
+    lines = columns.pop("line")
     kept = np.ones(done, dtype=bool)
-    kept[list(reasons)] = False
-    live = np.flatnonzero(kept)
-    # One stable key sort serves the duplicate check and the panel's key order.
-    order = np.lexsort((source[live], year[live], country[live]))
-    repeat = _repeats(order, country[live], year[live], source[live])
-    # The kept rows are the live ones without the repeats, renumbered.
-    order = (np.cumsum(~repeat) - 1)[order[~repeat[order]]]
-    repeat = live[repeat]
-    for i in repeat.tolist():
-        key = (names[country[i]], year[i].item(), SOURCES[source[i]].value)
-        reasons[i] = f"duplicate record {key}"
-    kept[repeat] = False
+    kept[np.searchsorted(lines, [line for line, _ in skipped])] = False
 
-    columns = zip(_COLUMNS, (country, year, source, gini, top10, bottom10))
-    panel = Panel.__new__(Panel)._set(label, names, order, **{k: v[kept] for k, v in columns})
-    return panel, [RowDiagnostic(line=int(lines[i]), reason=reasons[i]) for i in sorted(reasons)]
+    # One stable key sort serves the duplicate check and the panel's key
+    # order; the skipped rows are sorted too, and then dropped from it.
+    keys = _sort_keys(country, year, source, len(names), kept)
+    order = np.lexsort(keys[::-1])
+    if skipped:
+        _compact(order, kept[order])
+    repeat = _repeats(order, *keys)
+    del keys
+    repeats = np.flatnonzero(repeat)
+    for i, line in zip(repeats.tolist(), lines[repeats].tolist()):
+        key = (names[country[i]], year[i].item(), SOURCES[source[i]].value)
+        skipped.append((line, f"duplicate record {key}"))
+    del country, year, source
+    if repeats.size:
+        skipped.sort(key=lambda diagnostic: diagnostic[0])
+        _compact(order, ~repeat[order])
+        kept[repeats] = False
+    if skipped:
+        # The panel's rows are the kept ones, renumbered; the line numbers,
+        # read for the last time above, make room for the new row numbers.
+        for column in columns.values():
+            _compact(column, kept)
+        renumber = np.cumsum(kept, out=lines)
+        renumber -= 1
+        _remap(order, renumber)
+    panel = Panel.__new__(Panel)._set(label, names, order, **columns)
+    return panel, [RowDiagnostic(line, reason) for line, reason in skipped]
 
 
 def _share_ratio(rows, numerator, denominator, zero_bottom: float):
@@ -577,13 +733,15 @@ def slice_panel(
 ) -> Panel:
     """Rows matching the filters, in ascending (country, year, source) order:
     the panel's key order, filtered, with no sort of its own."""
-    keep = np.ones(len(panel), dtype=bool)
-    if year is not None:
-        keep &= panel.year == year
-    if source is not None:
-        keep &= panel.source == SOURCES.index(source)
     rows = panel._key_order()
-    return panel.take(rows[keep[rows]])
+    if year is not None or source is not None:
+        keep = np.ones(len(panel), dtype=bool)
+        if year is not None:
+            keep &= panel.year == year
+        if source is not None:
+            keep &= panel.source == SOURCES.index(source)
+        rows = rows[keep[rows]]
+    return panel.take(rows)
 
 
 CANONICAL_COLUMNS = ("country", "year", "source", "gini", "top10", "bottom10")

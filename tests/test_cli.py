@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from ineqkit import IneqError, cli
 from ineqkit.cli import main
+from ineqkit.ranking import Indicator, indicator_value
 
 from conftest import DYNAMICS_PANEL, OECD_TABLE, WB_TABLE
 
@@ -128,6 +129,62 @@ class TestCompute:
         code, out, err = run(capsys, "compute", "--input", "-" if via_stdin else str(path))
         assert (code, err) == (0, "")
         assert [r["country"] for r in parse_csv(out)] == ["GRC"]
+
+    @pytest.mark.parametrize("command", ["compute", "rank"])
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    @pytest.mark.parametrize("via_stdin", [False, True])
+    def test_invalid_utf8(self, capsys, tmp_path, monkeypatch, command, bom, via_stdin):
+        """Bytes that are not UTF-8 stop the run before any output, with the
+        message of decoding the whole file, on stdin's bytes as on a file."""
+        rows = "".join(f"C{i},2015,0.3,0.25,0.03\n" for i in range(3000))
+        data = bom + (PANEL_HEADER + rows).encode() + b"B\xffB,2015,0.3,0.25,0.03\n"
+        path = tmp_path / "panel.csv"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            path.read_text(encoding="utf-8-sig")
+        if via_stdin:
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        code, out, err = run(capsys, command, "--input", "-" if via_stdin else str(path))
+        assert (code, out, err) == (2, "", f"error: {whole.value}\n")
+
+    @pytest.mark.parametrize("via_stdin", [False, True])
+    def test_input_is_read_as_a_binary_stream(self, capsys, tmp_path, monkeypatch, via_stdin):
+        """The panel reaches the parser as a stream of bytes, never as one
+        text of the whole input."""
+        data = (PANEL_HEADER + "GRC,2015,0.360,0.262,0.019\n").encode()
+        path = tmp_path / "panel.csv"
+        path.write_bytes(data)
+        if via_stdin:
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        sources = []
+        real = cli.parse_panel
+        monkeypatch.setattr(cli, "parse_panel", lambda source, *a, **k: sources.append(source) or real(source, *a, **k))
+        code, out, _ = run(capsys, "compute", "--input", "-" if via_stdin else str(path))
+        assert code == 0 and len(parse_csv(out)) == 1
+        assert len(sources) == 1 and isinstance(sources[0], io.BufferedIOBase)
+
+    def test_alt_index_reads_the_printed_t_over_b(self, capsys, tmp_path, monkeypatch):
+        """`compute`'s alt_index is `rank --indicator alt`'s value, bit for
+        bit, from one hypot per row: its T/B is top10 / bottom10, not
+        1 / (B/T)."""
+        rng = np.random.default_rng(3)
+        top10 = rng.uniform(0.2, 0.45, 2000)
+        bottom10 = top10 / rng.uniform(1.5, 30.0, 2000)
+        lines = [f"C{i},2015,0.35,{t!r},{b!r}" for i, (t, b) in enumerate(zip(top10.tolist(), bottom10.tolist()))]
+        path = tmp_path / "panel.csv"
+        path.write_text(PANEL_HEADER + "\n".join(lines) + "\n")
+        fields, calls = [], []
+        real_rows, real_hypot = cli._compute_rows, math.hypot
+        monkeypatch.setattr(cli, "_compute_rows", lambda *a: fields.append(a[3]) or real_rows(*a))
+        monkeypatch.setattr(math, "hypot", lambda *a: calls.append(1) or real_hypot(*a))
+        code, _, _ = run(capsys, "compute", "--input", str(path))
+        monkeypatch.undo()
+        assert (code, len(calls)) == (0, 2000)
+        panel = cli.slice_panel(cli.parse_panel(path.read_text())[0])
+        alt = indicator_value(panel, Indicator.ALT)
+        assert np.concatenate([f[4] for f in fields]).tobytes() == alt.tobytes()
+        # the two T/B differ in the last bit on some of these rows
+        assert not np.array_equal(1.0 / (bottom10 / top10), top10 / bottom10)
 
     def test_lone_cr_line_ends(self, capsys, tmp_path):
         text = PANEL_HEADER + 'AAA,2015,0.3,0.25,0.03\n"B\nC",2015,x,0.25,0.03\nBBB,2016,0.4,0.3,0.02\n'
@@ -291,6 +348,20 @@ class TestMicro:
         code, out, _ = run(capsys, "micro", "--input", "-")
         assert (code, metric_map(out)["n"], metric_map(out)["mean"]) == (0, "3", "101.000000")
         assert len(sources) == 1 and not isinstance(sources[0], (str, list))
+
+    def test_sample_keeps_the_array_read(self, capsys, tmp_path, monkeypatch):
+        """`ineq micro` sorts the array it read in place and hands it to the
+        sample: no second copy of the values is made."""
+        read, samples = [], []
+        real_read, real_curve = cli._read_values, cli.micro.lorenz_curve
+        monkeypatch.setattr(cli, "_read_values", lambda path: read.append(real_read(path)) or read[-1])
+        monkeypatch.setattr(cli.micro, "lorenz_curve", lambda s: samples.append(s) or real_curve(s))
+        path = tmp_path / "values.txt"
+        path.write_text("3\n1\n2\n")
+        code, out, _ = run(capsys, "micro", "--input", str(path))
+        assert (code, metric_map(out)["n"]) == (0, "3")
+        assert samples[0].values is read[0]
+        assert read[0].tolist() == [1.0, 2.0, 3.0] and not read[0].flags.writeable
 
     def test_url_like_name_is_a_local_file(self, capsys, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -188,6 +189,25 @@ class TestArraysMatchScalars:
             scalar = alternative_index(g, t_over_b[k])
             assert np.float64(alt[k]).tobytes() == np.float64(scalar).tobytes()
             assert np.float64(res.alt_index[k]).tobytes() == np.float64(scalar).tobytes()
+
+
+    @given(
+        st.lists(st.tuples(unit_floats, edge_ratios), min_size=1, max_size=30),
+        st.sampled_from([0.25, 0.5, 1.0]),
+        st.integers(1, 7),
+    )
+    def test_slices_of_the_kernel(self, pairs, weight, rows):
+        """Applied a slice of ``rows`` elements at a time, the per-element
+        kernels give the bits of one pass."""
+        gini = np.array([g for g, _ in pairs])
+        ratio = np.array([r for _, r in pairs])
+        whole = composite(gini, ratio, weight)
+        with mock.patch.object(importlib.import_module("ineqkit.composite"), "_EACH_ROWS", rows):
+            sliced = composite(gini, ratio, weight)
+            h = h_transform(ratio, weight)
+        for name in ("h", "index_i", "alt_index"):
+            assert getattr(sliced, name).tobytes() == getattr(whole, name).tobytes()
+        assert h.tobytes() == whole.h.tobytes()
 
 
 class TestRatioOrientation:

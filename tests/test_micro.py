@@ -121,6 +121,41 @@ class TestIncomeSample:
         p[1], L[1] = 0.6, 0.3
         assert curve.points == [(0.0, 0.0), (0.5, 0.25), (1.0, 1.0)]
 
+    def test_from_values_never_changes_the_callers_array(self):
+        """An array the caller can write is copied before it is sorted; a
+        read-only array that owns its memory is kept only when in order."""
+        values = np.array([3.0, 1.0, 2.0])
+        s = IncomeSample.from_values(values)
+        assert values.tolist() == [3.0, 1.0, 2.0] and values.flags.writeable
+        assert s.values.tolist() == [1.0, 2.0, 3.0] and not np.shares_memory(s.values, values)
+        frozen = np.array([3.0, 1.0, 2.0])
+        frozen.flags.writeable = False
+        s = IncomeSample.from_values(frozen)
+        assert frozen.tolist() == [3.0, 1.0, 2.0] and s.values.tolist() == [1.0, 2.0, 3.0]
+        ordered = np.array([1.0, 2.0, 3.0])
+        ordered.flags.writeable = False
+        assert IncomeSample.from_values(ordered).values is ordered
+        # a read-only view could still change through its base: copied
+        base = np.array([1.0, 2.0, 3.0])
+        view = base[:]
+        view.flags.writeable = False
+        s = IncomeSample.from_values(view)
+        base[0] = 9.0
+        assert s.values.tolist() == [1.0, 2.0, 3.0]
+
+    def test_order_checked_once(self, monkeypatch):
+        """from_values checks the order of an array it keeps, or sorts the
+        array it copies, and does not check that order again."""
+        ordered = np.array([1.0, 2.0, 3.0])
+        ordered.flags.writeable = False
+        real = np.any
+        for values in ([3.0, 1.0, 2.0], ordered):
+            checks = []
+            monkeypatch.setattr(np, "any", lambda *a, **k: checks.append(1) or real(*a, **k))
+            IncomeSample.from_values(values)
+            monkeypatch.undo()
+            assert len(checks) == (values is ordered)
+
     def test_overflowing_total_rejected(self):
         # each value is finite, their sum is not
         with pytest.raises(DomainError, match="sample total overflows"):

@@ -519,3 +519,156 @@ class TestColumnarParse:
         translated = io.StringIO(text, newline=None).read()
         panel, diags = parse_panel(text)
         assert (panel, diags) == parse_panel(translated)
+
+
+def panel_text(rows, line_ends, unterminated, with_source):
+    """A panel's CSV text from rows of raw cells, blank lines (None) and
+    whitespace-only lines, the line ends taken in turn."""
+    columns = ["country", "year", "source", "gini", "top10", "bottom10"]
+    if not with_source:
+        columns.remove("source")
+        rows = [r[:2] + r[3:] if isinstance(r, list) else r for r in rows]
+    lines = [",".join(columns)]
+    lines += [",".join(r) if isinstance(r, list) else r or "" for r in rows]
+    text = "".join(line + line_ends[i % len(line_ends)] for i, line in enumerate(lines))
+    if unterminated:
+        text += '"Open, 2015,WB,0.3,0.25,0.03'
+    return text
+
+
+def parsed(source, block_chars, schema=SchemaConfig()):
+    with mock.patch.object(panel_module, "_BLOCK_CHARS", block_chars):
+        panel, diags = parse_panel(source, schema)
+    return panel, [(d.line, d.reason) for d in diags]
+
+
+class TestStreamedInput:
+    """A binary stream is read a block of bytes at a time; it parses as the
+    text it decodes to."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.one_of(
+            st.lists(raw_lines(row_cells), max_size=40),
+            st.lists(raw_lines(odd_row_cells), max_size=40),
+        ),
+        line_ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1),
+        unterminated=st.booleans(),
+        with_source=st.booleans(),
+        bom=st.booleans(),
+        block_chars=st.sampled_from([1, 3, 16, 40, 1 << 18]),
+    )
+    def test_binary_stream_matches_scalar_reference(
+        self, rows, line_ends, unterminated, with_source, bom, block_chars
+    ):
+        text = panel_text(rows, line_ends, unterminated, with_source)
+        data = ("﻿" if bom else "").encode() + text.encode()
+        schema = SchemaConfig(default_source=Source.WB)
+        panel, diags = parsed(io.BytesIO(data), block_chars, schema)
+        kept, expected, names = reference_parse(text, schema)
+        assert diags == expected
+        assert panel.records == kept
+        assert list(panel.names) == names
+        assert slice_panel(panel).records == tuple(sorted(kept, key=lambda r: r.key))
+
+    @pytest.mark.parametrize(
+        "text, counts",
+        [
+            (
+                "country,year,gini,top10,bottom10\n"
+                "AAA,2015,0.3,0.25,0.03\n"
+                '"Multi\nLine, ""Q""",2015,0.3,0.25,0.03\n'
+                '"Bad\nRow",2015,x,0.25,0.03\n'
+                'Q"x,2015,0.3,0.25,"0.03\n"\n'
+                "BBB,2015,0.3,0.25,0.03\n"
+                'DDD,2015,0.3,0.25,"0.0\n3"\n'
+                '"Two\n\nBreaks",2015,x,0.25,0.03\n'
+                "N\0,2015,0.3,0.25,0.03\n"
+                'CCC,2015,0.3,0.25,"0.03',
+                (6, 3),
+            ),
+            (
+                "country,year,gini,top10,bottom10\r\n"
+                "AAA,2015,0.3,0.25,0.03\r"
+                '"Multi\nLine, ""Q""",2015,0.3,0.25,0.03\r\n'
+                '"Bad\r\nRow",2015,x,0.25,0.03\n'
+                "Ärø Ωmega,2015,0.3,0.25,0.03\r"
+                "Ärø Ωmega,2015,0.3,0.25,0.03\r\r"
+                'DDD,2015,0.3,0.25,"0.0\r3"\n'
+                "N\0,2015,0.3,0.25,0.03\r\n"
+                "😀,2016,0.3,0.25,0.03\r"
+                'CCC,2015,0.3,0.25,"0.03',
+                (6, 3),
+            ),
+        ],
+        ids=["quoted line ends", "CRLF, lone CR and multi-byte UTF-8"],
+    )
+    def test_binary_stream_at_every_block_cut(self, text, counts):
+        kept, diags, _ = reference_parse(text, SchemaConfig())
+        assert (len(kept), len(diags)) == counts
+        data = text.encode()
+        for block_chars in range(1, len(data) + 1):
+            for source in (io.BytesIO(data), io.StringIO(text)):
+                panel, streamed = parsed(source, block_chars)
+                assert (panel.records, streamed) == (kept, diags), block_chars
+
+    @pytest.mark.parametrize("slice_rows", [1, 2, 5, 1 << 16])
+    def test_columns_changed_in_place_a_slice_at_a_time(self, slice_rows):
+        """Country codes, the kept rows and the key order are rewritten in
+        place a slice of rows at a time, with the results of one pass."""
+        rows = [f"C{i % 7},{2000 + i % 5},0.3,0.25,0.03" for i in range(60)]
+        rows[3] = "C1,2001,x,0.25,0.03"
+        rows[17] = "C2,2002,0.3,0.25,0.5"
+        text = "country,year,gini,top10,bottom10\n" + "\n".join(rows) + "\n"
+        kept, expected, names = reference_parse(text, SchemaConfig())
+        assert (len(kept), len(expected)) == (35, 25)
+        with mock.patch.object(panel_module, "_SLICE_ROWS", slice_rows):
+            panel, diags = parse_panel(text)
+        assert [(d.line, d.reason) for d in diags] == expected
+        assert (panel.records, list(panel.names)) == (kept, names)
+        assert slice_panel(panel).records == tuple(sorted(kept, key=lambda r: r.key))
+
+    def test_reads_blocks_of_the_block_size(self, monkeypatch):
+        """The input is read a block at a time, never whole."""
+        sizes = []
+
+        class Recording(io.BytesIO):
+            def read(self, size=-1):
+                sizes.append(size)
+                return super().read(size)
+
+        rows = "".join(f"C{i},{2000 + i % 20},0.3,0.25,0.03\n" for i in range(400))
+        monkeypatch.setattr(panel_module, "_BLOCK_CHARS", 1000)
+        panel, diags = parse_panel(Recording(("country,year,gini,top10,bottom10\n" + rows).encode()))
+        assert (len(panel), diags) == (400, [])
+        assert set(sizes) == {1000} and len(sizes) > 10
+
+    @pytest.mark.parametrize("block_chars", [1, 2, 3, 4, 1 << 18])
+    def test_byte_order_mark_only_at_the_start(self, block_chars):
+        mark = "﻿"
+        text = "country,year,gini,top10,bottom10\n" + mark + "AAA,2015,0.3,0.25,0.03\n"
+        for source in (mark + text, io.BytesIO((mark + text).encode())):
+            panel, diags = parsed(source, block_chars)
+            assert (list(panel.names), diags) == ([mark + "AAA"], [])
+        with pytest.raises(SchemaError, match="missing declared column"):
+            parsed(io.BytesIO((mark + mark + text).encode()), block_chars)
+        for empty in (mark, io.BytesIO(mark.encode()), io.BytesIO(b"")):
+            with pytest.raises(SchemaError, match="no header row"):
+                parsed(empty, block_chars)
+
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xe2\x82", b"\xed\xa0\x80", b"\xc3"])
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    @pytest.mark.parametrize("block_chars", [7, 64, 1 << 18])
+    def test_invalid_utf8_in_a_late_block(self, bad, bom, block_chars):
+        """The error is the one decoding the whole input as UTF-8 gives,
+        its position counted after the byte-order mark."""
+        rows = b"".join(b"AAA,%d,0.3,0.25,0.03\r\n" % year for year in range(1900, 1960))
+        for data in (
+            bom + b"country,year,gini,top10,bottom10\n" + rows + b"B" + bad + b"B,2015,0.3,0.25,0.03\n",
+            bom + b"country,year,gini,top10,bottom10\n" + rows + b"B" + bad,
+        ):
+            with pytest.raises(UnicodeDecodeError) as whole:
+                data.decode("utf-8-sig")
+            with pytest.raises(ValueError) as streamed:
+                parsed(io.BytesIO(data), block_chars)
+            assert str(streamed.value) == str(whole.value)
