@@ -23,7 +23,7 @@ import numpy as np
 from . import micro
 from .composite import (
     DEFAULT_WEIGHT,
-    alternative_index,
+    _alt_index,
     calibrate_alpha,
     composite,
     mean_alpha,
@@ -239,8 +239,9 @@ def cmd_compute(args) -> int:
     # The weight is checked only when some row uses it.
     if len(panel):
         res = composite(panel.gini, ratio_of(panel), args.weight)
-        # The printed T/B, as `rank --indicator alt` reads it
-        fields += [res.h, res.index_i, alternative_index(panel.gini, t_over_b)]
+        # The printed T/B, as `rank --indicator alt` reads it, of rows whose
+        # shares the parse checked.
+        fields += [res.h, res.index_i, _alt_index(panel.gini, t_over_b)]
     names = [_csv_field(name) for name in panel.names]
 
     def chunks():
@@ -337,7 +338,7 @@ def cmd_micro(args) -> int:
     # Sorted here and handed over read-only: the sample keeps this array.
     values.sort()
     values.flags.writeable = False
-    sample = micro.IncomeSample.from_values(values)
+    sample = micro.IncomeSample(values)
     # Every Lorenz-based row reads this one curve.  It is looked up on the
     # module so that code patching ``ineqkit.micro.lorenz_curve`` sees it.
     curve = micro.lorenz_curve(sample)

@@ -137,8 +137,7 @@ class CompositeResult:
             t_over_b = np.divide(
                 1.0, b_over_t, out=np.full(b_over_t.shape, math.inf), where=b_over_t != 0.0
             )
-        gini = np.asarray(self.gini)
-        return _scalar_or_array(_each(math.hypot, gini * 100.0, t_over_b) / 100.0)
+        return _alt_index(np.asarray(self.gini), t_over_b)
 
 
 def composite(gini, b_over_t, weight: float = DEFAULT_WEIGHT) -> CompositeResult:
@@ -197,7 +196,10 @@ def alternative_index(gini, t_over_b):
     Equals 0.01 at perfect equality (gini 0, T/B = 1) and +infinity when the
     bottom share is zero.
     """
-    gini = _check_unit("gini", gini)
-    t_over_b = _check_t_over_b(t_over_b)
+    return _alt_index(_check_unit("gini", gini), _check_t_over_b(t_over_b))
+
+
+def _alt_index(gini: np.ndarray, t_over_b: np.ndarray):
+    """:func:`alternative_index` of inputs already checked."""
     # hypot avoids overflow for ratios near the float ceiling
     return _scalar_or_array(_each(math.hypot, gini * 100.0, t_over_b) / 100.0)

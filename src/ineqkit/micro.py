@@ -78,21 +78,11 @@ class IncomeSample:
 
     @classmethod
     def from_values(cls, values) -> "IncomeSample":
-        """Sort ``values`` ascending and wrap them as a sample.
-
-        A read-only float array that owns its memory, which no caller can
-        write to, is kept as it is where it is already in order: ``ineq
-        micro`` sorts its own array and hands it over.  Any other array is
+        """Sort ``values`` ascending and wrap them as a sample.  An array is
         copied once and sorted in place, so the caller's array is never
-        changed; other iterables go through ``list()``.  The order is either
-        checked or made here, once.
-        """
-        if not isinstance(values, np.ndarray):
-            values = list(values)
-        elif not values.flags.writeable and values.base is None and values.dtype == float:
-            if values.ndim == 1 and not np.any(values[1:] < values[:-1]):
-                return cls._of_sorted(values)
-        arr = np.array(values, dtype=float)
+        changed; other iterables go through ``list()``.  The order made here
+        is not checked again."""
+        arr = np.array(values if isinstance(values, np.ndarray) else list(values), dtype=float)
         if arr.ndim == 1:
             arr.sort()
         arr.flags.writeable = False

@@ -87,37 +87,16 @@ _COLUMNS = {
 }
 
 
-def _sort_keys(country, year, source, countries: int, rows=True) -> tuple[np.ndarray, ...]:
-    """The (country, year, source) keys of rows as one packed int64 column,
-    where the key of every row of the mask ``rows`` fits in one, else as the
-    three columns, first column first; ``countries`` bounds the country
-    codes.  The packed key sorts the rows of ``rows`` alike, in half the time
-    of a lexsort of the three columns."""
-    low = year.min(initial=np.iinfo(np.int64).max, where=rows).item()
-    high = year.max(initial=np.iinfo(np.int64).min, where=rows).item()
-    years = high - low + 1
-    if 0 < countries * years * len(SOURCES) < 2**63:
-        # Exact in int64 for those rows: an intermediate that wraps around
-        # wraps back.
-        key = country.astype(np.int64)
-        key *= years
-        key += year
-        key -= low
-        key *= len(SOURCES)
-        key += source
-        return (key,)
-    return (country, year, source)
-
-
-def _repeats(order, *keys) -> np.ndarray:
-    """Mask of the rows whose key, in the columns ``keys``, is that of an
-    earlier row of ``order``, the rows in key order with equal keys in row
-    order: each such row follows one with the same key."""
+def _repeats(order, country, year, source) -> np.ndarray:
+    """Mask of the rows whose (country, year, source) key is that of an
+    earlier row, given the rows in key order with equal keys in row order:
+    each such row follows one with the same key.  The key columns are read
+    in that order one at a time."""
     same = np.ones(max(len(order) - 1, 0), dtype=bool)
-    for column in keys:
+    for column in (country, year, source):
         ordered = column[order]
         same &= ordered[1:] == ordered[:-1]
-    repeat = np.zeros(len(keys[0]), dtype=bool)
+    repeat = np.zeros(len(country), dtype=bool)
     repeat[order[1:]] = same
     return repeat
 
@@ -162,8 +141,7 @@ class Panel:
         """Row indexes in ascending (country, year, source) order; equal keys
         keep their row order."""
         if self._order is None:
-            keys = _sort_keys(self.country, self.year, self.source, len(self.names))
-            self._order = np.lexsort(keys[::-1])
+            self._order = np.lexsort((self.source, self.year, self.country))
         return self._order
 
     def take(self, rows) -> "Panel":
@@ -247,8 +225,6 @@ class RowDiagnostic:
 # Bytes of CSV input read and tokenized at a time: the cells of one block are
 # held at once.
 _BLOCK_CHARS = 1 << 18
-# Rows of a column handled at a time where it is changed in place.
-_SLICE_ROWS = 1 << 16
 # Bytes per cell of numpy's reader, by declared column (country, year, gini,
 # top10, bottom10, source).  A cell that fills its width may have been cut
 # short, so its block is read by csv.reader instead.
@@ -508,13 +484,20 @@ def _blocks(stream: _Input, line: int, usecols: list[int], widths):
         line += numbers[-1]
 
 
+def _slices(values: np.ndarray):
+    """Consecutive slices of the array ``values``, each of about a block's
+    bytes, that cover it."""
+    step = max(_BLOCK_CHARS // values.itemsize, 1)
+    return (slice(start, start + step) for start in range(0, len(values), step))
+
+
 def _compact(values: np.ndarray, keep: np.ndarray) -> None:
     """Keep the elements of the array ``values`` where ``keep`` is set, in
     order and in place: they are moved down a slice at a time and the array
     is then shrunk, so no second copy of it is held."""
     size = 0
-    for start in range(0, len(values), _SLICE_ROWS):
-        part = values[start : start + _SLICE_ROWS][keep[start : start + _SLICE_ROWS]]
+    for rows in _slices(values):
+        part = values[rows][keep[rows]]
         values[size : size + len(part)] = part
         size += len(part)
     values.resize(size, refcheck=False)
@@ -523,9 +506,8 @@ def _compact(values: np.ndarray, keep: np.ndarray) -> None:
 def _remap(values: np.ndarray, table: np.ndarray) -> None:
     """Replace each index of the array ``values`` by the entry of ``table``
     at it, in place, a slice at a time."""
-    for start in range(0, len(values), _SLICE_ROWS):
-        part = values[start : start + _SLICE_ROWS]
-        part[:] = table[part]
+    for rows in _slices(values):
+        values[rows] = table[values[rows]]
 
 
 def parse_panel(
@@ -626,6 +608,7 @@ def parse_panel(
     columns = {name: np.empty(0, dtype) for name, dtype in _COLUMNS.items()}
     columns["line"] = np.empty(0, np.int64)
     skipped: list[tuple[int, str]] = []
+    bad_rows: list[int] = []
     country_memo: dict = {}
     source_memo: dict = {}
     done = 0
@@ -656,6 +639,7 @@ def parse_panel(
                     values[name][j] = value
             else:
                 skipped.append((numbers[j].item(), reason))
+                bad_rows.append(done + j)
         values["line"] = numbers
         rows = slice(done, done + len(numbers))
         if rows.stop > len(columns["line"]):
@@ -675,16 +659,14 @@ def parse_panel(
     _remap(country, rank)
     lines = columns.pop("line")
     kept = np.ones(done, dtype=bool)
-    kept[np.searchsorted(lines, [line for line, _ in skipped])] = False
+    kept[bad_rows] = False
 
     # One stable key sort serves the duplicate check and the panel's key
     # order; the skipped rows are sorted too, and then dropped from it.
-    keys = _sort_keys(country, year, source, len(names), kept)
-    order = np.lexsort(keys[::-1])
+    order = np.lexsort((source, year, country))
     if skipped:
         _compact(order, kept[order])
-    repeat = _repeats(order, *keys)
-    del keys
+    repeat = _repeats(order, country, year, source)
     repeats = np.flatnonzero(repeat)
     for i, line in zip(repeats.tolist(), lines[repeats].tolist()):
         key = (names[country[i]], year[i].item(), SOURCES[source[i]].value)

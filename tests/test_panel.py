@@ -612,17 +612,18 @@ class TestStreamedInput:
                 panel, streamed = parsed(source, block_chars)
                 assert (panel.records, streamed) == (kept, diags), block_chars
 
-    @pytest.mark.parametrize("slice_rows", [1, 2, 5, 1 << 16])
-    def test_columns_changed_in_place_a_slice_at_a_time(self, slice_rows):
+    @pytest.mark.parametrize("block_chars", [1, 8, 16, 40, 1 << 18])
+    def test_columns_changed_in_place_a_slice_at_a_time(self, block_chars):
         """Country codes, the kept rows and the key order are rewritten in
-        place a slice of rows at a time, with the results of one pass."""
+        place a slice of a block's bytes at a time (here 1, 1, 2, 5 and all
+        rows), with the results of one pass."""
         rows = [f"C{i % 7},{2000 + i % 5},0.3,0.25,0.03" for i in range(60)]
         rows[3] = "C1,2001,x,0.25,0.03"
         rows[17] = "C2,2002,0.3,0.25,0.5"
         text = "country,year,gini,top10,bottom10\n" + "\n".join(rows) + "\n"
         kept, expected, names = reference_parse(text, SchemaConfig())
         assert (len(kept), len(expected)) == (35, 25)
-        with mock.patch.object(panel_module, "_SLICE_ROWS", slice_rows):
+        with mock.patch.object(panel_module, "_BLOCK_CHARS", block_chars):
             panel, diags = parse_panel(text)
         assert [(d.line, d.reason) for d in diags] == expected
         assert (panel.records, list(panel.names)) == (kept, names)
