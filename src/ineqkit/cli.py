@@ -120,8 +120,9 @@ def _schema_from_args(args) -> SchemaConfig:
     )
 
 
-def _load_panel(args) -> Panel:
-    """Parse, report diagnostics, apply --year/--source filters.
+def _load_panel(args, country: str | None = None) -> Panel:
+    """Parse, report diagnostics, apply --year/--source filters and keep
+    only the rows of ``country``, when given.
 
     Raises when a row was skipped under --strict.
     """
@@ -138,7 +139,7 @@ def _load_panel(args) -> Panel:
     if diagnostics and args.strict:
         raise IneqError(f"{len(diagnostics)} bad row(s) with --strict")
     source = Source(args.source.upper()) if args.source else None
-    return slice_panel(panel, year=args.year, source=source)
+    return slice_panel(panel, year=args.year, source=source, country=country)
 
 
 def _csv_text(header, rows) -> list[str]:
@@ -402,12 +403,16 @@ def cmd_calibrate(args) -> int:
     rows = []
     if args.by_sample:
         alphas = []
-        for source, year in sorted(set(zip(panel.source.tolist(), panel.year.tolist()))):
-            sample = np.flatnonzero((panel.source == source) & (panel.year == year))
+        # One stable sort groups the rows by (source, year), each sample's
+        # rows still in panel order.
+        order = np.lexsort((panel.year, panel.source))
+        source, year = panel.source[order], panel.year[order]
+        starts = np.flatnonzero((source[1:] != source[:-1]) | (year[1:] != year[:-1])) + 1
+        for first, sample in zip(np.r_[0, starts].tolist(), np.split(order, starts)):
             avg_gini, avg_ratio, alpha = sample_alpha(sample)
             alphas.append(alpha)
             stats = [_fmt(avg_gini), _fmt(avg_ratio), _fmt(alpha)]
-            rows.append([SOURCES[source].value, year, sample.size, *stats])
+            rows.append([SOURCES[source[first]].value, year[first].item(), sample.size, *stats])
         rows.append(["mean", "", len(panel), "", "", _fmt(mean_alpha(alphas))])
     else:
         avg_gini, avg_ratio, alpha = sample_alpha(np.arange(len(panel)))
@@ -442,7 +447,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_series(args) -> int:
-    panel = _load_panel(args)
+    panel = _load_panel(args, args.country)
     points = series(panel, args.country, args.weight)
     rows = [
         [p.year, _fmt(p.gini), _fmt(p.t_over_b), _fmt(p.index_i)]

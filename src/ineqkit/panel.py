@@ -241,6 +241,8 @@ _INT_CHARS = np.array([c in b"\0+-0123456789" for c in range(256)])
 _FLOAT_CHARS = np.array([c in b"\0+-.0123456789Ee" for c in range(256)])
 # Mask, by byte, of the bytes that may border a quote.
 _QUOTE_BORDERS = np.array([c in b'\n",' for c in range(256)])
+# The powers of ten a fraction of at most 15 digits divides by, all exact.
+_POWERS_OF_TEN = 10.0 ** np.arange(16)
 
 
 def _text(cell) -> str:
@@ -423,24 +425,91 @@ def _lookup(cells: np.ndarray, convert, memo: dict) -> np.ndarray:
     return np.fromiter(map(memo.__getitem__, cells), np.intp, len(cells))
 
 
+def _source_codes(cells: np.ndarray, memo: dict) -> np.ndarray:
+    """The index in :data:`SOURCES` of the source each cell names, -1 for
+    none.  A cell that spells a source exactly is found by comparing the
+    column with each spelling; only the others are looked up."""
+    codes = np.full(len(cells), -1, dtype=np.intp)
+    for i, source in enumerate(SOURCES):
+        codes[cells == source.value.encode()] = i
+    rest = np.flatnonzero(codes < 0)
+    codes[rest] = _lookup(cells[rest], lambda text: _SOURCE_CODES.get(text.upper(), -1), memo)
+    return codes
+
+
+def _decimals(cells: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The byte cells of the form ``[+-]digits[.digits]`` read exactly as
+    ``dtype`` from their bytes, and the mask of the cells read; the others
+    read 0.
+
+    A float64 cell holds at most 15 digits: its digits make an integer
+    m < 2**53 and it reads as m / 10**f, f <= 15 its fraction digits, in one
+    correctly rounded division of two exact floats, so it has the bits
+    float() gives (Clinger's fast path).  An int64 cell has no point and at
+    most 18 digits, so m fits.  The digits are read a byte position at a
+    time over every cell at once."""
+    integer = dtype == np.int64
+    n = len(cells)
+    byte = np.ascontiguousarray(cells[:, None].view(np.uint8).T)
+    # Positions past every cell's end hold padding only.
+    used = np.flatnonzero(byte.any(axis=1))
+    if not used.size:
+        return np.zeros(n, dtype), np.zeros(n, dtype=bool)
+    byte = byte[: used[-1] + 1]
+    width = len(byte)
+    count_type = np.min_scalar_type(width)  # counts of bytes up to the width
+    filled = byte != 0
+    digit_of = byte - np.uint8(ord("0"))  # wraps to >= 10 below "0"
+    digit = digit_of < 10
+    point = byte == ord(".")
+    count, points, length = (x.sum(axis=0, dtype=count_type) for x in (digit, point, filled))
+    # Each byte of a cell is a digit, a point or a leading sign, a float has
+    # at most one point and an integer none, and padding only ends a cell.
+    minus = byte[0] == ord("-")
+    signed = minus | (byte[0] == ord("+"))
+    plain = (count + points + signed == length) & (count > 0) & (count <= (18 if integer else 15))
+    plain &= points <= (0 if integer else 1)
+    plain &= ~(filled[1:] > filled[:-1]).any(axis=0)
+    m = np.zeros(n, dtype)
+    with np.errstate(over="ignore"):  # a long cell, not read, may overflow
+        for j in range(width):
+            np.multiply(m, 10, out=m, where=digit[j])
+            np.add(m, digit_of[j], out=m, where=digit[j])
+    if not integer:
+        # The fraction digits are the bytes after the point.
+        at = np.zeros(n, count_type)
+        for j in range(1, width):
+            at[point[j]] = j
+        fraction = np.where(points > 0, length - 1 - at, 0)
+        np.minimum(fraction, 15, out=fraction)
+        m /= _POWERS_OF_TEN[fraction]
+    np.negative(m, out=m, where=minus)
+    m[~plain] = 0
+    return m, plain
+
+
 def _cast(cells: np.ndarray, dtype, chars) -> tuple[np.ndarray, np.ndarray]:
-    """The cells as ``dtype``, cast as one array, and the mask of the cells
-    cast; only non-empty cells all of whose characters are in ``chars`` are
-    cast, and the others read 0.  Where such a cell is no number (``-``,
-    ``1.2.3``, a year beyond int64), those cells are cast one at a time as
-    the one-row check reads them, and only the failing ones are unmarked."""
-    values = np.zeros(len(cells), dtype)
-    plain = np.zeros(len(cells), dtype=bool)
+    """The cells as ``dtype``, and the mask of the cells cast; the others
+    read 0.  :func:`_decimals` reads the cells it can exactly.  Of the rest,
+    only non-empty cells all of whose characters are in ``chars`` are cast,
+    as one array.  Where such a cell is no number (``-``, ``1.2.3``, a year
+    beyond int64), those cells are cast one at a time as the one-row check
+    reads them, and only the failing ones are unmarked."""
     if cells.dtype == object:
+        return np.zeros(len(cells), dtype), np.zeros(len(cells), dtype=bool)
+    values, plain = _decimals(cells, dtype)
+    rest = np.flatnonzero(~plain)
+    if not rest.size:
         return values, plain
-    length = np.char.str_len(cells)
-    codes = cells[:, None].view(np.uint8)[:, : length.max(initial=0)]
-    plain = chars[codes].all(axis=1) & (length > 0)
+    odd = cells[rest]
+    length = np.char.str_len(odd)
+    codes = odd[:, None].view(np.uint8)[:, : length.max(initial=0)]
+    rows = rest[chars[codes].all(axis=1) & (length > 0)]
+    plain[rows] = True
     try:
-        values[plain] = cells[plain].astype(dtype)
+        values[rows] = cells[rows].astype(dtype)
     except (ValueError, OverflowError):
         kind = int if dtype == np.int64 else float
-        rows = np.flatnonzero(plain)
         for j, cell in zip(rows.tolist(), cells[rows].tolist()):
             try:
                 values[j] = kind(cell)
@@ -559,9 +628,6 @@ def parse_panel(
     def country_code(text: str) -> int:
         return codes.setdefault(text, len(codes)) if text else -1
 
-    def source_code(text: str) -> int:
-        return _SOURCE_CODES.get(text.upper(), -1)
-
     def check(texts: list[str], length: int):
         """The first check a row of ``length`` cells with the stripped cells
         ``texts`` fails, as its reason and None, or None and the row's year
@@ -601,8 +667,8 @@ def parse_panel(
             return str(exc), None
         return _share_fault(*shares), (year, *shares)
 
-    # Each block's cells become columns in one cast each; only the rows that
-    # a cast skips or a share rule rejects are checked one by one.  The
+    # Each block's cells become columns, each read by one _cast; only the rows
+    # that a cast skips or a share rule rejects are checked one by one.  The
     # block's rows are then copied to the ends of the panel's columns, which
     # grow in place, with the line each row ends on.
     columns = {name: np.empty(0, dtype) for name, dtype in _COLUMNS.items()}
@@ -625,7 +691,7 @@ def parse_panel(
         values = {"country": country, "year": year}
         values.update(zip(("gini", "top10", "bottom10"), shares))
         if len(cells) > 5:
-            values["source"] = _lookup(cells[5], source_code, source_memo)
+            values["source"] = _source_codes(cells[5], source_memo)
             good &= values["source"] >= 0
         else:
             values["source"] = SOURCES.index(schema.default_source)
@@ -712,16 +778,20 @@ def slice_panel(
     panel: Panel,
     year: int | None = None,
     source: Source | None = None,
+    country: str | None = None,
 ) -> Panel:
     """Rows matching the filters, in ascending (country, year, source) order:
-    the panel's key order, filtered, with no sort of its own."""
+    the panel's key order, filtered, with no sort of its own.  Only the rows
+    kept are copied."""
     rows = panel._key_order()
-    if year is not None or source is not None:
+    if year is not None or source is not None or country is not None:
         keep = np.ones(len(panel), dtype=bool)
         if year is not None:
             keep &= panel.year == year
         if source is not None:
             keep &= panel.source == SOURCES.index(source)
+        if country is not None:
+            keep &= panel.country == (panel.names.index(country) if country in panel.names else -1)
         rows = rows[keep[rows]]
     return panel.take(rows)
 

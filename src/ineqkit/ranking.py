@@ -23,7 +23,7 @@ from .composite import (
     composite,
 )
 from .errors import DomainError, EmptyInputError, JoinError, NotFoundError
-from .panel import CountryYearRecord, Panel, ratio_of, t_over_b_of
+from .panel import CountryYearRecord, Panel, ratio_of, slice_panel, t_over_b_of
 
 
 class Indicator(enum.Enum):
@@ -215,12 +215,11 @@ def replicate_table(rows, weight: float = DEFAULT_WEIGHT) -> Replication:
 
 
 def series(panel: Panel, country: str, weight: float = DEFAULT_WEIGHT) -> list[SeriesPoint]:
-    """Year-ascending (gini, T/B, index) trajectory for one country."""
-    code = panel.names.index(country) if country in panel.names else -1
-    rows = np.flatnonzero(panel.country == code)
-    if not rows.size:
+    """Year-ascending (gini, T/B, index) trajectory for one country; rows
+    of one year are in source order."""
+    points = slice_panel(panel, country=country)
+    if not len(points):
         raise NotFoundError(country)
-    points = panel.take(rows[np.lexsort((panel.source[rows], panel.year[rows]))])
     index_i = composite(points.gini, ratio_of(points), weight).index_i
     return [
         SeriesPoint(year=y, gini=g, t_over_b=t, index_i=i)

@@ -3,8 +3,10 @@
 import csv
 import io
 import math
+import re
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -341,13 +343,15 @@ def csv_cell(text):
 SHARE_CELLS = (
     "0.3", " 0.25 ", "0.03", "0.0", "1", "1.3", "-0.01", "30", "2.5", "1e-320",
     "nan", "inf", "-inf", "1e400", "1_0", "abc", "", "+.5", " 0.2",
-    "-", "1.2.3", "--1", "e", ".",
+    "-", "1.2.3", "--1", "e", ".", "0.1234567890123456", "0.123456789012345",
+    "9007199254740993", "-0.0", "5.", "00000000000000000001.5",
 )
 row_cells = st.tuples(
     st.sampled_from(["AAA", "BBB", " AAA ", "Korea, Rep.", 'Quote "Q"', "Multi\nLine", "", "ÄÖ"]),
     st.sampled_from([
         "2015", "2016", " 2015 ", "+2016", "1_0", "x", "", "99999999999999999999",
-        "-", "1.2.3", "--1", "e", ".",
+        "-", "1.2.3", "--1", "e", ".", "-0", "123456789012345678", "9223372036854775807",
+        "9223372036854775808", "-9223372036854775808",
     ]),
     st.sampled_from(["WB", "wb", " oecd ", "OTHER", "XX", ""]),
     st.sampled_from(SHARE_CELLS),
@@ -519,6 +523,107 @@ class TestColumnarParse:
         translated = io.StringIO(text, newline=None).read()
         panel, diags = parse_panel(text)
         assert (panel, diags) == parse_panel(translated)
+
+
+# Cells at the edges of the exact kernel: digit counts around its limits of
+# 15 (float) and 18 (int64) digits, an odd integer above 2**53, signed zero,
+# a bare sign or point, leading zeros, the ends of the int64 range, and NULs
+# that a byte cell holds but does not end with.
+KERNEL_EDGE_CELLS = (
+    "0.1234567890123456", "123456789012345", "9007199254740993", "-0.0", "+.5", "5.",
+    ".", "-", "00000000000000000001.5", "9223372036854775807", "9223372036854775808",
+    "-9223372036854775808", "1\x002", "\x005",
+)
+decimal_cells = st.one_of(
+    st.from_regex(r"[+-]?[0-9]{0,20}(\.[0-9]{0,25})?", fullmatch=True),
+    st.sampled_from(KERNEL_EDGE_CELLS),
+)
+
+
+def scalar_number(kind, cell: str):
+    """``kind(cell)``, float() or int() as the one-row check reads a cell,
+    or None where that fails or an int leaves int64."""
+    try:
+        value = kind(cell)
+        if kind is int:
+            np.int64(value)
+    except (ValueError, OverflowError):
+        return None
+    return value
+
+
+class TestExactKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(cells=st.lists(decimal_cells, min_size=1, max_size=30), pad=st.integers(0, 6))
+    def test_cast_gives_the_bits_of_float_and_int(self, cells, pad):
+        """The kernel reads each cell of at most 15 digits (18 for an int64,
+        which has no point), and every cell cast, by the kernel or not,
+        holds the bits float() or int() gives; the mask is that of the cells
+        those accept."""
+        width = max(1, *map(len, cells)) + pad
+        # A column of a structured array, strided as numpy's reader gives it.
+        table = np.zeros(len(cells), dtype=[("before", "S3"), ("cell", f"S{width}")])
+        table["cell"] = [c.encode() for c in cells]
+        column = table["cell"]
+        for kind, dtype, chars, most in (
+            (float, np.float64, panel_module._FLOAT_CHARS, 15),
+            (int, np.int64, panel_module._INT_CHARS, 18),
+        ):
+            values, cast = panel_module._cast(column, dtype, chars)
+            expected = [scalar_number(kind, c) for c in cells]
+            assert cast.tolist() == [e is not None for e in expected]
+            want = np.array([0 if e is None else e for e in expected], dtype=dtype)
+            assert values.view(np.int64).tolist() == want.view(np.int64).tolist()
+            _, fast = panel_module._decimals(column, dtype)
+            form = r"[+-]?[0-9]*\.?[0-9]*" if kind is float else r"[+-]?[0-9]*"
+            assert fast.tolist() == [
+                re.fullmatch(form, c) is not None and 0 < sum(map(str.isdigit, c)) <= most
+                for c in cells
+            ]
+
+    def test_cells_that_miss_the_fast_path(self, monkeypatch):
+        """A panel none of whose numeric cells the kernel reads (17-digit
+        reprs, exponents, 19-digit years) parses as the reference does, and
+        exact source spellings mix with looked-up ones in one block."""
+        # Percents whose decimal share's repr has more than 15 digits
+        long = [x for x in (k / 100 for k in range(100, 4500)) if len(repr(x / 100).lstrip("0.")) > 15]
+        high, low = [x for x in long if x >= 20], [x for x in long if x < 5]
+        percent = ["country,year,source,gini,top10,bottom10"]
+        for i in range(60):
+            percent.append(f"C{i % 20},{2000 + i // 20},WB,{high[7 * i]},{high[i]},{low[i]}")
+        panel, diags = parse_panel("\n".join(percent) + "\n", PERCENT_SCHEMA)
+        assert (len(panel), diags) == (60, [])
+        # The reprs serialize_panel writes, with years of 19 digits and the
+        # sources spelled in turn exactly, in lower case and padded.
+        lines = serialize_panel(panel).splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        assert all(len(cell.lstrip("0.")) > 15 for row in rows for cell in row[3:])
+        spellings = ["WB", "OECD", "OTHER", "wb", " Oecd "]
+        for i, row in enumerate(rows):
+            row[1] = f"{int(row[1]):019d}"
+            row[2] = spellings[i % len(spellings)]
+        rows += [
+            ["C0", "0000000000000002000", "WB", "3e-1", "2.5E-1", "3e-2"],
+            ["C1", "0000000000000002000", "OECD", "3e1", "0.25e0", "3e-2"],
+            ["C2", "0000000000000002001", "wb", "4E-1", "0.3e0", "1e-1"],
+            list(rows[0]),
+        ]
+        text = "\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n"
+        read = []
+        real = panel_module._decimals
+
+        def spy(cells, dtype):
+            values, fast = real(cells, dtype)
+            read.append(fast.any())
+            return values, fast
+
+        monkeypatch.setattr(panel_module, "_decimals", spy)
+        panel, diags = parse_panel(text)
+        kept, expected, _ = reference_parse(text, SchemaConfig())
+        assert (read, [(d.line, d.reason) for d in diags]) == ([False] * 4, expected)
+        assert panel.records == kept
+        assert {r.source for r in kept} == set(Source)
+        assert len(expected) == 3
 
 
 def panel_text(rows, line_ends, unterminated, with_source):
