@@ -134,8 +134,8 @@ def _load_panel(args, country: str | None = None) -> Panel:
     with stream as source:
         schema = _schema_from_args(args)
         panel, diagnostics = parse_panel(source, schema, label=args.input)
-    for diag in diagnostics:
-        print(f"{args.input}:{diag.line}: skipped row: {diag.reason}", file=sys.stderr)
+    # One write: stderr is line-buffered, so a print per row is a write per row.
+    sys.stderr.write("".join(f"{args.input}:{d.line}: skipped row: {d.reason}\n" for d in diagnostics))
     if diagnostics and args.strict:
         raise IneqError(f"{len(diagnostics)} bad row(s) with --strict")
     source = Source(args.source.upper()) if args.source else None

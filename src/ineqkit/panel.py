@@ -87,18 +87,63 @@ _COLUMNS = {
 }
 
 
-def _repeats(order, country, year, source) -> np.ndarray:
-    """Mask of the rows whose (country, year, source) key is that of an
-    earlier row, given the rows in key order with equal keys in row order:
-    each such row follows one with the same key.  The key columns are read
-    in that order one at a time."""
-    same = np.ones(max(len(order) - 1, 0), dtype=bool)
-    for column in (country, year, source):
-        ordered = column[order]
-        same &= ordered[1:] == ordered[:-1]
-    repeat = np.zeros(len(country), dtype=bool)
-    repeat[order[1:]] = same
-    return repeat
+def _key_sort(country, year, source, kept=None) -> tuple[np.ndarray, np.ndarray]:
+    """The indexes of the rows where ``kept`` is set (every row when None) in
+    ascending (country, year, source) order, equal keys in row order, and the
+    mask of the places in that order whose key is the one before: each row
+    there repeats the key of an earlier row.
+
+    Each row's country code, year above the least year, source code and row
+    index are packed into one int64, a slice of rows at a time.  The keys
+    then differ, and their value order is the stable key order, so one
+    in-place value sort of them gives it: equal keys are neighbours that
+    differ only in the row-index bits, which are then all that is kept.  A
+    key too wide for 63 bits (years spread towards int64's ends) takes a
+    stable lexsort of the three columns instead.
+    """
+    where = True if kept is None else kept
+    count = len(country) if kept is None else int(np.count_nonzero(kept))
+    if not count:
+        return np.empty(0, dtype=np.intp), np.zeros(0, dtype=bool)
+    low = np.min(year, where=where, initial=np.iinfo(np.int64).max)
+    high = np.max(year, where=where, initial=np.iinfo(np.int64).min)
+    row_bits = (len(country) - 1).bit_length()
+    source_bits = (len(SOURCES) - 1).bit_length()
+    year_bits = (int(high) - int(low)).bit_length()
+    country_bits = int(np.max(country, where=where, initial=0)).bit_length()
+    if country_bits + year_bits + source_bits + row_bits > 63:
+        order = np.lexsort((source, year, country))
+        if kept is not None:
+            order = order[kept[order]]
+        repeat = np.zeros(count, dtype=bool)
+        repeat[1:] = True
+        for column in (country, year, source):
+            ordered = column[order]
+            repeat[1:] &= ordered[1:] == ordered[:-1]
+        return order, repeat
+    key = np.empty(count, dtype=np.int64)
+    size = 0
+    for rows in _slices(year):
+        index = np.arange(rows.start, rows.stop)
+        if kept is not None:
+            index = index[kept[rows]]  # a skipped row's cells may be out of range
+        part = country[index] << year_bits
+        part |= year[index] - low
+        part <<= source_bits
+        part |= source[index]
+        part <<= row_bits
+        part |= index
+        key[size : size + len(part)] = part
+        size += len(part)
+    key.sort()
+    limit = 1 << row_bits
+    repeat = np.zeros(count, dtype=bool)
+    for rows in _slices(key):
+        first = max(rows.start, 1)
+        step = key[first : rows.stop] ^ key[first - 1 : rows.stop - 1]
+        np.less(step, limit, out=repeat[first : rows.stop])
+    key &= limit - 1
+    return key, repeat
 
 
 class Panel:
@@ -125,9 +170,9 @@ class Panel:
         columns["country"] = [code[name] for name in columns["country"]]
         columns["source"] = [SOURCES.index(source) for source in columns["source"]]
         self._set(label, names, None, **columns)
-        repeat = _repeats(self._key_order(), self.country, self.year, self.source)
+        self._order, repeat = _key_sort(self.country, self.year, self.source)
         if repeat.any():
-            raise DomainError(f"duplicate record {records[repeat.argmax()].key}")
+            raise DomainError(f"duplicate record {records[self._order[repeat].min()].key}")
 
     def _set(self, label: str, names, order, **columns) -> "Panel":
         self.label, self.names, self._order = label, tuple(names), order
@@ -141,7 +186,7 @@ class Panel:
         """Row indexes in ascending (country, year, source) order; equal keys
         keep their row order."""
         if self._order is None:
-            self._order = np.lexsort((self.source, self.year, self.country))
+            self._order = _key_sort(self.country, self.year, self.source)[0]
         return self._order
 
     def take(self, rows) -> "Panel":
@@ -557,7 +602,7 @@ def _slices(values: np.ndarray):
     """Consecutive slices of the array ``values``, each of about a block's
     bytes, that cover it."""
     step = max(_BLOCK_CHARS // values.itemsize, 1)
-    return (slice(start, start + step) for start in range(0, len(values), step))
+    return (slice(start, min(start + step, len(values))) for start in range(0, len(values), step))
 
 
 def _compact(values: np.ndarray, keep: np.ndarray) -> None:
@@ -727,20 +772,17 @@ def parse_panel(
     kept = np.ones(done, dtype=bool)
     kept[bad_rows] = False
 
-    # One stable key sort serves the duplicate check and the panel's key
-    # order; the skipped rows are sorted too, and then dropped from it.
-    order = np.lexsort((source, year, country))
-    if skipped:
-        _compact(order, kept[order])
-    repeat = _repeats(order, country, year, source)
-    repeats = np.flatnonzero(repeat)
+    # One key sort of the rows not skipped serves the duplicate check and
+    # the panel's key order.
+    order, repeat = _key_sort(country, year, source, kept)
+    repeats = order[repeat]
     for i, line in zip(repeats.tolist(), lines[repeats].tolist()):
         key = (names[country[i]], year[i].item(), SOURCES[source[i]].value)
         skipped.append((line, f"duplicate record {key}"))
     del country, year, source
     if repeats.size:
         skipped.sort(key=lambda diagnostic: diagnostic[0])
-        _compact(order, ~repeat[order])
+        _compact(order, ~repeat)
         kept[repeats] = False
     if skipped:
         # The panel's rows are the kept ones, renumbered; the line numbers,

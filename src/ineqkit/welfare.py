@@ -117,7 +117,8 @@ def ge_index(sample, alpha: float) -> float:
             # instead; zero incomes contribute nothing
             terms *= alpha - 1.0
             np.expm1(terms, out=terms)
-            dev = float(np.dot(v[zeros:], terms)) / mean
+            terms *= v[zeros:]
+            dev = float(terms.sum()) / mean
     else:
         # The direct sum is the more precise while it is finite.
         with np.errstate(over="ignore", divide="ignore"):
@@ -157,4 +158,6 @@ def theil(sample) -> float:
     mean = v.mean()
     # Values ascend, so the zero incomes lead.
     positive = v[int(np.searchsorted(v, 0.0, side="right")) :]
-    return max(float(np.dot(positive, _log_ratios(positive, mean))) / mean / v.size, 0.0)
+    terms = _log_ratios(positive, mean)
+    terms *= positive
+    return max(float(terms.sum()) / mean / v.size, 0.0)

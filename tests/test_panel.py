@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ineqkit.panel as panel_module
@@ -214,8 +214,8 @@ class TestSlice:
             "AAA,2015,0.3,0.25,0.03,WB\n"
         )
         sorts = []
-        real = panel_module.np.lexsort
-        monkeypatch.setattr(panel_module.np, "lexsort", lambda keys: sorts.append(1) or real(keys))
+        real = panel_module._key_sort
+        monkeypatch.setattr(panel_module, "_key_sort", lambda *keys: sorts.append(1) or real(*keys))
         panel, diags = parse_panel(text)
         assert (len(sorts), [d.line for d in diags]) == (1, [5, 6])
         file_order = [("BBB", 2015, "WB"), ("AAA", 2016, "WB"), ("AAA", 2015, "OECD"), ("AAA", 2015, "WB")]
@@ -227,6 +227,73 @@ class TestSlice:
         taken = panel.take([3, 0, 1])
         assert [r.key for r in slice_panel(taken).records] == sorted(file_order[3:] + file_order[:2])
         assert len(sorts) == 2
+
+
+INT64 = np.iinfo(np.int64)
+# Years near int64's ends make the packed key wider than 63 bits.
+KEY_YEARS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(1990, 1993),
+    st.sampled_from([int(INT64.min), int(INT64.min) + 1, int(INT64.max) - 1, int(INT64.max)]),
+)
+
+
+def reference_key_sort(country, year, source, kept):
+    """The stable key order of the kept rows, and its repeat mask, by sorted()."""
+    key = lambda i: (country[i], year[i], source[i])
+    order = sorted((i for i in range(len(country)) if kept[i]), key=key)
+    return order, [j > 0 and key(order[j]) == key(order[j - 1]) for j in range(len(order))]
+
+
+class TestKeySort:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 4), KEY_YEARS, st.integers(0, 2), st.booleans()),
+            min_size=1,
+            max_size=40,
+        ),
+        st.booleans(),
+    )
+    @example([(0, -1, 0, True)], False)
+    @example([(3, int(INT64.max), 2, True)], True)
+    def test_matches_sorted(self, rows, skip):
+        """Repeated keys, negative years, wide keys, and skipped rows whose
+        cells read as a parse leaves them (country -1, any year)."""
+        kept = [keep or not skip for *_, keep in rows]
+        country = np.array([c if k else -1 for (c, *_), k in zip(rows, kept)], dtype=np.intp)
+        year = np.array([y for _, y, _, _ in rows], dtype=np.int64)
+        source = np.array([s for _, _, s, _ in rows], dtype=np.intp)
+        order, repeat = panel_module._key_sort(country, year, source, np.array(kept) if skip else None)
+        expected = reference_key_sort(country.tolist(), year.tolist(), source.tolist(), kept)
+        assert (order.tolist(), repeat.tolist()) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["AAA", "BBB", "CCC"]),
+                st.integers(1990, 1992),
+                st.sampled_from(["WB", "OECD", "OTHER"]),
+                st.sampled_from(["0.3", "x"]),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_wide_keys_give_the_same_diagnostics(self, rows):
+        """Two rows at int64's year ends, appended, send the key sort to its
+        lexsort path; the other rows' diagnostics and key order stay."""
+        head = "country,year,gini,top10,bottom10,source\n"
+        text = head + "".join(f"{c},{y},{g},0.25,0.03,{s}\n" for c, y, s, g in rows)
+        ends = f"ZZZ,{INT64.min},0.3,0.25,0.03,WB\nZZZ,{INT64.max},0.3,0.25,0.03,WB\n"
+        with mock.patch.object(panel_module.np, "lexsort", wraps=np.lexsort) as lexsort:
+            narrow, narrow_diags = parse_panel(text)
+            assert lexsort.call_count == 0
+            wide, wide_diags = parse_panel(text + ends)
+            assert lexsort.call_count == 1
+        assert wide_diags == narrow_diags
+        assert [r.key for r in slice_panel(wide).records][:-2] == [r.key for r in slice_panel(narrow).records]
 
 
 class TestRoundTrip:

@@ -174,6 +174,37 @@ class TestTheil:
         assert theil([0, 2]) == pytest.approx(math.log(2), abs=1e-12)
 
 
+class TestNoBlas:
+    """Theil and GE near alpha = 1 sum an in-place product, not np.dot, so no
+    BLAS call (and no BLAS thread) is made and the result does not depend on
+    the BLAS build or its thread count."""
+
+    # Each term carries a few ulps and the sums of 2,000 terms lose a few more;
+    # the index is far from the cancelling limit, so 1e-9 leaves a wide margin.
+    REL = 1e-9
+
+    def test_no_dot(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        values = [0.0, 0.0, *rng.lognormal(0.0, 1.0, 2_000).tolist()]
+        s = IncomeSample.from_values(values)
+        mean = math.fsum(values) / len(values)
+        ratios = [x / mean for x in values]
+
+        def reference_ge(alpha):
+            terms = [r**alpha for r in ratios]
+            return math.fsum([*terms, -len(values)]) / len(values) / (alpha * (alpha - 1))
+
+        reference_theil = math.fsum(r * math.log(r) for r in ratios if r > 0) / len(values)
+
+        def no_dot(*args, **kwargs):
+            raise AssertionError("numpy.dot called")
+
+        monkeypatch.setattr(np, "dot", no_dot)
+        assert theil(s) == pytest.approx(reference_theil, rel=self.REL)
+        assert ge_index(s, 0.7) == pytest.approx(reference_ge(0.7), rel=self.REL)
+        assert ge_index(s, 1.2) == pytest.approx(reference_ge(1.2), rel=self.REL)
+
+
 @given(positive_samples, st.data())
 def test_pigou_dalton_family(s, data):
     """A progressive transfer never increases any index in the family."""
