@@ -61,6 +61,8 @@ _INDICATORS = {i.value: i for i in Indicator}
 _TAIL_CUTS = (10, 20, 30, 40, 50)
 # Rows formatted per write of `ineq compute`.
 _CHUNK_ROWS = 1 << 14
+# Skipped-row diagnostics per write to stderr.
+_DIAGNOSTIC_ROWS = 1 << 10
 # Characters of stdin text split into lines at a time by `ineq micro`.
 _BLOCK_CHARS = 1 << 20
 # A field of `ineq compute` below this is printed from its count of
@@ -134,8 +136,12 @@ def _load_panel(args, country: str | None = None) -> Panel:
     with stream as source:
         schema = _schema_from_args(args)
         panel, diagnostics = parse_panel(source, schema, label=args.input)
-    # One write: stderr is line-buffered, so a print per row is a write per row.
-    sys.stderr.write("".join(f"{args.input}:{d.line}: skipped row: {d.reason}\n" for d in diagnostics))
+    # stderr is line-buffered, so a print per row is a write per row; a write
+    # per batch also bounds the string built (one string for all of a large
+    # panel's rows outlives its use as a hole in the heap).
+    for start in range(0, len(diagnostics), _DIAGNOSTIC_ROWS):
+        batch = diagnostics[start : start + _DIAGNOSTIC_ROWS]
+        sys.stderr.write("".join(f"{args.input}:{d.line}: skipped row: {d.reason}\n" for d in batch))
     if diagnostics and args.strict:
         raise IneqError(f"{len(diagnostics)} bad row(s) with --strict")
     source = Source(args.source.upper()) if args.source else None
