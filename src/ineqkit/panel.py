@@ -101,20 +101,20 @@ def _key_sort(country, year, source, kept=None) -> tuple[np.ndarray, np.ndarray]
     key too wide for 63 bits (years spread towards int64's ends) takes a
     stable lexsort of the three columns instead.
     """
-    where = True if kept is None else kept
-    count = len(country) if kept is None else int(np.count_nonzero(kept))
+    if kept is None:
+        kept = np.ones(len(country), dtype=bool)
+    count = int(np.count_nonzero(kept))
     if not count:
         return np.empty(0, dtype=np.intp), np.zeros(0, dtype=bool)
-    low = np.min(year, where=where, initial=np.iinfo(np.int64).max)
-    high = np.max(year, where=where, initial=np.iinfo(np.int64).min)
+    low = np.min(year, where=kept, initial=np.iinfo(np.int64).max)
+    high = np.max(year, where=kept, initial=np.iinfo(np.int64).min)
     row_bits = (len(country) - 1).bit_length()
     source_bits = (len(SOURCES) - 1).bit_length()
     year_bits = (int(high) - int(low)).bit_length()
-    country_bits = int(np.max(country, where=where, initial=0)).bit_length()
+    country_bits = int(np.max(country, where=kept, initial=0)).bit_length()
     if country_bits + year_bits + source_bits + row_bits > 63:
         order = np.lexsort((source, year, country))
-        if kept is not None:
-            order = order[kept[order]]
+        order = order[kept[order]]
         repeat = np.zeros(count, dtype=bool)
         repeat[1:] = True
         for column in (country, year, source):
@@ -124,9 +124,8 @@ def _key_sort(country, year, source, kept=None) -> tuple[np.ndarray, np.ndarray]
     key = np.empty(count, dtype=np.int64)
     size = 0
     for rows in _slices(year):
-        index = np.arange(rows.start, rows.stop)
-        if kept is not None:
-            index = index[kept[rows]]  # a skipped row's cells may be out of range
+        # A skipped row's cells may be out of range: it is not packed.
+        index = np.arange(rows.start, rows.stop)[kept[rows]]
         part = country[index] << year_bits
         part |= year[index] - low
         part <<= source_bits

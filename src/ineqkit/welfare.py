@@ -6,6 +6,9 @@ distribution) with aversion parameter epsilon.  The generalized-entropy
 family GE(alpha) shifts sensitivity from the bottom (small alpha) to the top
 (large alpha) of the distribution; GE(0) is the mean logarithmic deviation
 and GE(1) is the Theil index.
+
+No index calls BLAS: a weighted sum is an in-place product and ``sum``, not
+``np.dot``, so results do not depend on the BLAS build or its thread count.
 """
 
 from __future__ import annotations

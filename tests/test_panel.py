@@ -230,11 +230,13 @@ class TestSlice:
 
 
 INT64 = np.iinfo(np.int64)
-# Years near int64's ends make the packed key wider than 63 bits.
+# Years near int64's ends make the packed key wider than 63 bits; years near
+# +-2**60 make it about 63 bits wide, at the edge of the packed path.
 KEY_YEARS = st.one_of(
     st.integers(-3, 3),
     st.integers(1990, 1993),
     st.sampled_from([int(INT64.min), int(INT64.min) + 1, int(INT64.max) - 1, int(INT64.max)]),
+    st.sampled_from([-(2**61), -(2**60), 2**60 - 1, 2**60, 2**61]),
 )
 
 
@@ -257,6 +259,7 @@ class TestKeySort:
     )
     @example([(0, -1, 0, True)], False)
     @example([(3, int(INT64.max), 2, True)], True)
+    @example([(0, 0, 0, True), (0, 2**60, 0, True)], False)  # a 64-bit key
     def test_matches_sorted(self, rows, skip):
         """Repeated keys, negative years, wide keys, and skipped rows whose
         cells read as a parse leaves them (country -1, any year)."""
