@@ -24,6 +24,7 @@ from . import micro
 from .composite import (
     DEFAULT_WEIGHT,
     _alt_index,
+    _check_weight,
     calibrate_alpha,
     composite,
     mean_alpha,
@@ -59,8 +60,8 @@ from .welfare import atkinson, ge_index, ge_zero, theil
 _INDICATORS = {i.value: i for i in Indicator}
 # Percent cuts of the tail-share rows of `ineq micro`.
 _TAIL_CUTS = (10, 20, 30, 40, 50)
-# Rows formatted per write of `ineq compute`.
-_CHUNK_ROWS = 1 << 14
+# Rows composited and formatted at a time by `ineq compute`.
+_CHUNK_ROWS = 1 << 13
 # Skipped-row diagnostics per write to stderr.
 _DIAGNOSTIC_ROWS = 1 << 10
 # Characters of stdin text split into lines at a time by `ineq micro`.
@@ -145,7 +146,9 @@ def _load_panel(args, country: str | None = None) -> Panel:
     if diagnostics and args.strict:
         raise IneqError(f"{len(diagnostics)} bad row(s) with --strict")
     source = Source(args.source.upper()) if args.source else None
-    return slice_panel(panel, year=args.year, source=source, country=country)
+    # The one panel is put in key order in place; slicing it copies nothing.
+    panel._sort_in_place(year=args.year, source=source, country=country)
+    return slice_panel(panel)
 
 
 def _csv_text(header, rows) -> list[str]:
@@ -162,20 +165,20 @@ def _csv_field(value: str) -> str:
     return _csv_text([value], [])[0][:-1]
 
 
-def _digits(values: np.ndarray, least: int) -> tuple[np.ndarray, np.ndarray]:
-    """The decimal digits of non-negative integers as ASCII bytes, one
-    right-aligned row each, and the mask of the digits printed: all but
-    leading zeros, and at least the last ``least``."""
-    width = max(least, len(str(values.max(initial=0))))
-    digits = np.empty((len(values), width), dtype=np.uint8)
+def _digits(values: np.ndarray, least: int, out: np.ndarray, keep: np.ndarray) -> None:
+    """Write the decimal digits of non-negative integers as ASCII bytes into
+    the rows of ``out``, right-aligned, and clear in ``keep`` (set on entry)
+    the leading zeros before the last ``least`` digits."""
+    width = out.shape[1]
     rest = values
     for j in range(width - 1, -1, -1):
         # numpy divides by a scalar divisor faster than np.divmod does
         quotient = rest // 10
-        digits[:, j] = rest - quotient * 10 + ord("0")
+        out[:, j] = rest - quotient * 10 + ord("0")
         rest = quotient
-    powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    return digits, (values[:, None] >= powers) | (powers < 10**least)
+    if width > least:
+        powers = 10 ** np.arange(width - 1, least - 1, -1, dtype=np.int64)
+        np.greater_equal(values[:, None], powers, out=keep[:, : width - least])
 
 
 def _millionths(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,42 +192,47 @@ def _millionths(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.rint(scaled).astype(np.int64), exact
 
 
-def _compute_rows(names: list[str], country, year, fields) -> str:
-    """The CSV rows ``names[country],year,*fields`` of `ineq compute`, each
-    field as ``f"{x:.6f}"``.
+def _name_table(names: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of ``names`` as one zero-padded matrix, a row per
+    name, and their lengths."""
+    encoded = [name.encode() for name in names]
+    table = np.array(encoded, dtype=bytes)
+    return table.view(np.uint8).reshape(len(table), table.itemsize), np.array(list(map(len, encoded)))
 
-    The rows are laid out as one byte matrix with a slot per digit, and one
+
+def _compute_rows(names: list[str], country, year, fields, name_table) -> str:
+    """The CSV rows ``names[country],year,*fields`` of `ineq compute`, each
+    field as ``f"{x:.6f}"``; ``name_table`` is ``_name_table(names)``.
+
+    The rows are laid out in one byte matrix with a slot per byte, and one
     mask drops the unused slots.  A row with a value the matrix cannot print
     exactly (a negative year, or a field that is negative, -0.0, inf, NaN,
     huge or near a rounding tie) is formatted by an f-string instead.
     """
+    table, lengths = name_table
     millionths = [_millionths(x) for x in fields]
     fast = np.logical_and.reduce([year >= 0, *(exact for _, exact in millionths)])
-    used, code = np.unique(country[fast], return_inverse=True)
-    quoted = [names[c].encode() for c in used.tolist()]
-    width = max(map(len, quoted), default=1)
-    table = np.array(quoted, dtype=f"S{width}").view(np.uint8).reshape(len(quoted), width)
-    lengths = np.array([len(q) for q in quoted], dtype=np.intp)
-
-    n = int(fast.sum())
-    separator = lambda byte: (np.full((n, 1), ord(byte), np.uint8), np.ones((n, 1), bool))
-    pieces = [
-        (table[code], np.arange(width) < lengths[code][:, None]),
-        separator(","),
-        _digits(year[fast], 1),
-    ]
+    code = country[fast]
+    # Each number after its separator: the year, then each field's whole
+    # millionths and the six digits after its point.
+    numbers = [(",", year[fast], 1)]
     for k, _ in millionths:
-        digits, keep = _digits(k[fast], 7)
-        pieces += [
-            separator(","),
-            (digits[:, :-6], keep[:, :-6]),
-            separator("."),
-            (digits[:, -6:], keep[:, -6:]),
-        ]
-    pieces.append(separator("\n"))
-    matrix = np.concatenate([p for p, _ in pieces], axis=1)
-    keep = np.concatenate([m for _, m in pieces], axis=1)
+        whole = k[fast] // 10**6
+        numbers += [(",", whole, 1), (".", k[fast] - whole * 10**6, 6)]
+    widths = [max(least, len(str(v.max(initial=0)))) for _, v, least in numbers]
+    matrix = np.empty((len(code), table.shape[1] + sum(widths) + len(widths) + 1), np.uint8)
+    keep = np.ones(matrix.shape, bool)
+    matrix[:, : table.shape[1]] = table[code]
+    np.less(np.arange(table.shape[1]), lengths[code][:, None], out=keep[:, : table.shape[1]])
+    at = table.shape[1]
+    for (separator, values, least), width in zip(numbers, widths):
+        matrix[:, at] = ord(separator)
+        at += 1 + width
+        _digits(values, least, matrix[:, at - width : at], keep[:, at - width : at])
+    matrix[:, at] = ord("\n")
     blob = matrix[keep].tobytes()
+    if fast.all():
+        return blob.decode()
 
     # Splice the f-string rows in at their places.
     ends = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
@@ -241,21 +249,21 @@ def _compute_rows(names: list[str], country, year, fields) -> str:
 
 def cmd_compute(args) -> int:
     panel = _load_panel(args)
-    t_over_b = t_over_b_of(panel)
-    fields = [panel.gini, t_over_b]
-    # The weight is checked only when some row uses it.
+    # Checked before any output, and only when some row uses it.
     if len(panel):
-        res = composite(panel.gini, ratio_of(panel), args.weight)
-        # The printed T/B, as `rank --indicator alt` reads it, of rows whose
-        # shares the parse checked.
-        fields += [res.h, res.index_i, _alt_index(panel.gini, t_over_b)]
+        _check_weight(args.weight)
     names = [_csv_field(name) for name in panel.names]
+    table = _name_table(names)
 
     def chunks():
         yield "country,year,gini,t_over_b,h,index_i,alt_index\n"
         for start in range(0, len(panel), _CHUNK_ROWS):
-            rows = slice(start, start + _CHUNK_ROWS)
-            yield _compute_rows(names, panel.country[rows], panel.year[rows], [f[rows] for f in fields])
+            rows = panel.take(slice(start, start + _CHUNK_ROWS))
+            t_over_b = t_over_b_of(rows)
+            res = composite(rows.gini, ratio_of(rows), args.weight)
+            # `rank --indicator alt`'s value, from the printed T/B the parse checked.
+            fields = [rows.gini, t_over_b, res.h, res.index_i, _alt_index(rows.gini, t_over_b)]
+            yield _compute_rows(names, rows.country, rows.year, fields, table)
 
     _emit(chunks(), args.output)
     return 0

@@ -181,12 +181,34 @@ class Panel:
             setattr(self, name, values)
         return self
 
-    def _key_order(self) -> np.ndarray:
-        """Row indexes in ascending (country, year, source) order; equal keys
-        keep their row order."""
+    def _key_order(self, year=None, source=None, country=None):
+        """Indexes of the rows matching the filters in ascending (country,
+        year, source) order; equal keys keep their row order.  A range when
+        no filter is given and the rows are in that order."""
         if self._order is None:
             self._order = _key_sort(self.country, self.year, self.source)[0]
-        return self._order
+        rows = self._order
+        if year is not None or source is not None or country is not None:
+            keep = np.ones(len(self), dtype=bool)
+            if year is not None:
+                keep &= self.year == year
+            if source is not None:
+                keep &= self.source == SOURCES.index(source)
+            if country is not None:
+                keep &= self.country == (self.names.index(country) if country in self.names else -1)
+            rows = np.asarray(rows, dtype=np.intp)[keep[rows]]
+        return rows
+
+    def _sort_in_place(self, year=None, source=None, country=None) -> None:
+        """Keep only the rows :func:`slice_panel` keeps, moved into key order
+        in place, a column at a time: each old column is dropped before the
+        next is gathered.  Only for the sole holder of a panel."""
+        rows, self._order = self._key_order(year, source, country), None
+        for name in _COLUMNS:
+            values = getattr(self, name)[rows]
+            values.flags.writeable = False
+            setattr(self, name, values)
+        self._order = range(len(rows))
 
     def take(self, rows) -> "Panel":
         """The panel of the rows at the indexes ``rows``, in that order."""
@@ -545,9 +567,10 @@ def _cast(cells: np.ndarray, dtype, chars) -> tuple[np.ndarray, np.ndarray]:
     rest = np.flatnonzero(~plain)
     if not rest.size:
         return values, plain
-    odd = cells[rest]
-    length = np.char.str_len(odd)
-    codes = odd[:, None].view(np.uint8)[:, : length.max(initial=0)]
+    codes = cells[rest][:, None].view(np.uint8)
+    # A cell's length is one past its last non-zero byte, as str_len reads it.
+    length = np.max((codes != 0) * np.arange(1, codes.shape[1] + 1), axis=1)
+    codes = codes[:, : length.max(initial=0)]
     rows = rest[chars[codes].all(axis=1) & (length > 0)]
     plain[rows] = True
     try:
@@ -823,18 +846,9 @@ def slice_panel(
 ) -> Panel:
     """Rows matching the filters, in ascending (country, year, source) order:
     the panel's key order, filtered, with no sort of its own.  Only the rows
-    kept are copied."""
-    rows = panel._key_order()
-    if year is not None or source is not None or country is not None:
-        keep = np.ones(len(panel), dtype=bool)
-        if year is not None:
-            keep &= panel.year == year
-        if source is not None:
-            keep &= panel.source == SOURCES.index(source)
-        if country is not None:
-            keep &= panel.country == (panel.names.index(country) if country in panel.names else -1)
-        rows = rows[keep[rows]]
-    return panel.take(rows)
+    kept are copied, and an unfiltered panel in key order is returned itself."""
+    rows = panel._key_order(year, source, country)
+    return panel if isinstance(rows, range) else panel.take(rows)
 
 
 CANONICAL_COLUMNS = ("country", "year", "source", "gini", "top10", "bottom10")

@@ -123,7 +123,7 @@ def rank(panel: Panel, indicator: Indicator, weight: float = DEFAULT_WEIGHT) -> 
     """Rank a single-year, single-source panel under one indicator."""
     if not len(panel):
         raise EmptyInputError("cannot rank an empty panel")
-    if np.unique(panel.year).size > 1 or np.unique(panel.source).size > 1:
+    if (panel.year != panel.year[0]).any() or (panel.source != panel.source[0]).any():
         raise DomainError("rank expects a single-year, single-source panel")
     countries = [panel.names[c] for c in panel.country.tolist()]
     values = indicator_value(panel, indicator, weight).tolist()

@@ -162,5 +162,13 @@ def theil(sample) -> float:
     # Values ascend, so the zero incomes lead.
     positive = v[int(np.searchsorted(v, 0.0, side="right")) :]
     terms = _log_ratios(positive, mean)
-    terms *= positive
-    return max(float(terms.sum()) / mean / v.size, 0.0)
+    with np.errstate(over="ignore"):
+        terms *= positive
+        total = float(terms.sum())
+    if math.isinf(total):
+        # v ln r overflowed; each term times 2**-16 (exact: a power of two) does not.
+        np.log(np.divide(positive, mean, out=terms), out=terms)
+        terms *= 2.0**-16
+        terms *= positive
+        return max(float(terms.sum()) / mean * 2.0**16 / v.size, 0.0)
+    return max(total / mean / v.size, 0.0)

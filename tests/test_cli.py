@@ -4,6 +4,10 @@ import csv
 import gzip
 import io
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import urllib.request
 from unittest import mock
 
@@ -185,6 +189,39 @@ class TestCompute:
         assert np.concatenate([f[4] for f in fields]).tobytes() == alt.tobytes()
         # the two T/B differ in the last bit on some of these rows
         assert not np.array_equal(1.0 / (bottom10 / top10), top10 / bottom10)
+
+    def test_holds_one_panel(self, tmp_path, monkeypatch):
+        """After the parse, `compute` holds the parsed panel and little more:
+        no key-ordered copy of it and no full-length result column."""
+        n = 100_000
+        rng = np.random.default_rng(5)
+        top = rng.uniform(0.25, 0.45, n)
+        bottom = top / rng.uniform(2.0, 30.0, n)
+        gini = rng.uniform(0.2, 0.6, n)
+        path = tmp_path / "panel.csv"
+        with open(path, "w") as fh:
+            fh.write(PANEL_HEADER)
+            for i in rng.permutation(n).tolist():  # file order is not key order
+                fh.write(f"Country {i // 50},{1900 + i % 50},{gini[i]:.4f},{top[i]:.4f},{bottom[i]:.5f}\n")
+        parse_peak = []
+        real = cli.parse_panel
+
+        def parse(*args, **kwargs):
+            result = real(*args, **kwargs)
+            parse_peak.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return result
+
+        monkeypatch.setattr(cli, "parse_panel", parse)
+        tracemalloc.start()
+        try:
+            code = main(["compute", "--input", str(path), "--output", str(tmp_path / "out.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        column_bytes = n * 6 * 8
+        assert code == 0 and len(parse_peak) == 1
+        assert peak - parse_peak[0] < column_bytes / 10
 
     def test_lone_cr_line_ends(self, capsys, tmp_path):
         text = PANEL_HEADER + 'AAA,2015,0.3,0.25,0.03\n"B\nC",2015,x,0.25,0.03\nBBB,2016,0.4,0.3,0.02\n'
@@ -487,7 +524,7 @@ class TestComputeRows:
                 country.tolist(), year.tolist(), *(f.tolist() for f in fields)
             )
         )
-        assert cli._compute_rows(quoted, country, year, fields) == expected
+        assert cli._compute_rows(quoted, country, year, fields, cli._name_table(quoted)) == expected
 
 
 class TestCalibrate:
@@ -706,6 +743,24 @@ class TestWeightFlag:
         code, _, _ = run(capsys, "compute", "--input", str(path), "--weight", "1.5")
         assert code == 2
 
+    @pytest.mark.parametrize("weight", ["0", "2", "nan"])
+    def test_bad_weight_prints_nothing(self, capsys, tmp_path, weight):
+        """`compute` checks the weight before its header: a bad weight
+        prints no row and creates no output file."""
+        path = tmp_path / "panel.csv"
+        path.write_text(PANEL_HEADER + "AAA,2015,0.36,0.262,0.019\n")
+        code, out, err = run(capsys, "compute", "--input", str(path), "--weight", weight)
+        assert (code, out) == (2, "") and err.startswith("error: weight ")
+        output = tmp_path / "out.csv"
+        code, _, _ = run(capsys, "compute", "--input", str(path), "--weight", weight, "--output", str(output))
+        assert code == 2 and not output.exists()
+
+    def test_bad_weight_unused_by_an_empty_slice(self, capsys, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_text(PANEL_HEADER + "AAA,2015,0.36,0.262,0.019\n")
+        code, out, _ = run(capsys, "compute", "--input", str(path), "--year", "1990", "--weight", "2")
+        assert (code, out) == (0, "country,year,gini,t_over_b,h,index_i,alt_index\n")
+
 
 # Lines of a values file: a value with optional padding and a line ending.
 # Beside numbers they hold what ``float()`` takes and numpy's reader may not
@@ -772,3 +827,25 @@ def test_file_and_stdin_reads_agree(tmp_path_factory, bom, lines, final_newline,
     with mock.patch("sys.stdin", stdin):
         by_stdin = _read_outcome("-")
     assert by_file == by_stdin
+
+
+def test_panel_commands_leave_numpy_ma_and_char_unloaded():
+    """`rank`, `compare`, `series`, `calibrate` and `compute` import neither
+    numpy.ma nor numpy.char, each tens of milliseconds of start-up."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = """
+import os, sys
+from ineqkit.cli import main
+panel = ["--input", "tests/data/golden_panel.csv", "--output", os.devnull]
+one = [*panel, "--year", "2015", "--source", "wb"]
+for argv in (["rank", *one], ["compare", *one], ["series", *panel, "--country", "Alpha"],
+             ["calibrate", *panel], ["calibrate", *panel, "--by-sample"], ["compute", *panel]):
+    assert main(argv) == 0, argv
+print(sorted(m for m in ("numpy.ma", "numpy.char") if m in sys.modules))
+"""
+    path = os.pathsep.join(filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"

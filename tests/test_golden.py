@@ -168,6 +168,19 @@ def test_output_is_unchanged(case):
     assert run_case(CASES[case]) == DIGESTS[case]
 
 
+# Rows 3 and 13 of the fixture's key order print by f-string (a negative
+# year and a zero bottom share): chunks of 3, 4 and 13 rows put them first
+# or last in a chunk.
+@pytest.mark.parametrize("chunk_rows", [1, 3, 4, 13])
+def test_compute_is_unchanged_by_its_chunk_size(chunk_rows, monkeypatch):
+    from ineqkit import cli
+
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+    for case, argv in CASES.items():
+        if argv[0] == "compute":
+            assert run_case(argv) == DIGESTS[case], case
+
+
 if __name__ == "__main__":
     for case, argv in CASES.items():
         print(f"    {case!r}: {run_case(argv)!r},")

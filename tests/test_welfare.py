@@ -173,6 +173,19 @@ class TestTheil:
     def test_zero_term_vanishes(self):
         assert theil([0, 2]) == pytest.approx(math.log(2), abs=1e-12)
 
+    def test_product_past_the_float_range(self):
+        """v ln(v / mean) overflows although the sample's total (4.8e307)
+        does not; the index is scale-invariant."""
+        values = np.array([1.0] * 99 + [1000.0])
+        assert theil(values * 2.0**1012) == pytest.approx(3.888506, abs=5e-7)
+        assert theil(values * 2.0**1012) == theil(values)
+
+    def test_product_past_the_float_range_with_zeros(self):
+        rng = np.random.default_rng(11)
+        values = np.append(rng.lognormal(0.0, 1.0, 40_000), [0.0, 0.0, 1e6])
+        scaled = values * (2.0 ** math.floor(math.log2(1e308 / values.sum())))
+        assert theil(scaled) == theil(values)
+
 
 class TestNoBlas:
     """Theil and GE near alpha = 1 sum an in-place product, not np.dot, so no
