@@ -61,7 +61,7 @@ _INDICATORS = {i.value: i for i in Indicator}
 # Percent cuts of the tail-share rows of `ineq micro`.
 _TAIL_CUTS = (10, 20, 30, 40, 50)
 # Rows composited and formatted at a time by `ineq compute`.
-_CHUNK_ROWS = 1 << 13
+_CHUNK_ROWS = 1 << 12
 # Skipped-row diagnostics per write to stderr.
 _DIAGNOSTIC_ROWS = 1 << 10
 # Characters of stdin text split into lines at a time by `ineq micro`.

@@ -291,10 +291,13 @@ class RowDiagnostic:
 # Bytes of CSV input read and tokenized at a time: the cells of one block are
 # held at once.
 _BLOCK_CHARS = 1 << 18
-# Bytes per cell of numpy's reader, by declared column (country, year, gini,
-# top10, bottom10, source).  A cell that fills its width may have been cut
-# short, so its block is read by csv.reader instead.
-_CELL_BYTES = (64, 24, 32, 32, 32, 16)
+# Bytes per cell of numpy's reader at the start of a parse, by declared
+# column (country, year, gini, top10, bottom10, source).  A cell that fills
+# its width may have been cut short: its column's width is doubled, up to
+# _WIDEST_CELL bytes, and its block read again; a cell that fills
+# _WIDEST_CELL sends its block to csv.reader instead.
+_CELL_BYTES = (32, 8, 16, 16, 16, 8)
+_WIDEST_CELL = 256
 _SOURCE_CODES = {s.value: i for i, s in enumerate(SOURCES)}
 # Cells are held as UTF-8 bytes; a lone surrogate of text input is kept, not
 # an error.
@@ -444,42 +447,51 @@ def _plain_quotes(raw: np.ndarray) -> bool:
     return bool(_QUOTE_BORDERS[padded[opens]].all() and _QUOTE_BORDERS[padded[closes + 2]].all())
 
 
-def _byte_cells(block, usecols: list[int], widths) -> list[np.ndarray] | None:
+def _byte_cells(block, usecols: list[int], widths: list[int]) -> list[np.ndarray] | None:
     """The cells of columns ``usecols`` of every row of ``block``, UTF-8
     bytes (or text), one byte column each, read by numpy's C reader; None for
-    a block it may read otherwise than csv.reader, or that has fewer rows
-    than lines, as a blank line or a quoted line end gives it (numpy's reader
-    skips the one and reads the other into its row)."""
+    a block it may read otherwise than csv.reader, that has fewer rows than
+    lines, as a blank line or a quoted line end gives it (numpy's reader
+    skips the one and reads the other into its row), or that has a cell of
+    ``_WIDEST_CELL`` bytes or more.  ``widths`` holds the bytes per cell of
+    each column; a column with a cell that fills it is widened in place, as
+    ``_CELL_BYTES`` says, for this block and those that follow."""
     if isinstance(block, str):
         block = block.encode(errors=_ERRORS)
     if block.isspace():  # numpy's reader warns that blank lines hold no data
         return None
     raw = np.frombuffer(block, dtype=np.uint8)
+    lines = np.count_nonzero(raw == ord("\n"))
     # A bare CR, a NUL or another control character
-    if ((raw < 32) & (raw != ord("\n"))).any() or not _plain_quotes(raw):
+    if np.count_nonzero(raw < 32) != lines or not _plain_quotes(raw):
         return None
-    dtype = np.dtype([(f"c{k}", f"S{width}") for k, width in enumerate(widths)])
-    try:
-        # Each byte read as one Latin-1 character, which a byte column
-        # stores as that byte: the cells hold UTF-8.
-        table = np.loadtxt(
-            io.BytesIO(block),
-            dtype=dtype,
-            delimiter=",",
-            quotechar='"',
-            comments=None,
-            usecols=usecols,
-            ndmin=1,
-            encoding="latin-1",
-        )
-    except ValueError:  # a short row, a whitespace-only line, ...
-        return None
-    if len(table) != block.count(b"\n") + (block[-1] != ord("\n")):
-        return None
-    cells = [table[name] for name in dtype.names]
-    if any(col[:, None].view(np.uint8)[:, -1].any() for col in cells):
-        return None
-    return cells
+    while True:
+        dtype = np.dtype([(f"c{k}", f"S{width}") for k, width in enumerate(widths)])
+        try:
+            # Each byte read as one Latin-1 character, which a byte column
+            # stores as that byte: the cells hold UTF-8.
+            table = np.loadtxt(
+                io.BytesIO(block),
+                dtype=dtype,
+                delimiter=",",
+                quotechar='"',
+                comments=None,
+                usecols=usecols,
+                ndmin=1,
+                encoding="latin-1",
+            )
+        except ValueError:  # a short row, a whitespace-only line, ...
+            return None
+        if len(table) != lines + (block[-1] != ord("\n")):
+            return None
+        cells = [table[name] for name in dtype.names]
+        full = [k for k, col in enumerate(cells) if col[:, None].view(np.uint8)[:, -1].any()]
+        if not full:
+            return cells
+        if any(widths[k] >= _WIDEST_CELL for k in full):
+            return None
+        for k in full:
+            widths[k] = min(2 * widths[k], _WIDEST_CELL)
 
 
 def _lookup(cells: np.ndarray, convert, memo: dict) -> np.ndarray:
@@ -593,9 +605,10 @@ def _blocks(stream: _Input, line: int, usecols: list[int], widths):
     rows, one array per column; the number of cells of each row that has
     fewer than ``max(usecols) + 1``, by row index; and the line number each
     row ends on.  A column holds the UTF-8 bytes of its cells.  Numpy's C
-    reader tokenizes a block where it reads the block as csv.reader would and
-    its rows are its lines; otherwise csv.reader does, and its cells are
-    stripped (and kept as text where one holds a NUL).
+    reader tokenizes a block, at the cell ``widths`` :func:`_byte_cells`
+    widens, where it reads the block as csv.reader would and its rows are its
+    lines; otherwise csv.reader does, and its cells are stripped (and kept as
+    text where one holds a NUL).
     """
     width = max(usecols) + 1
     for block in stream:
@@ -735,9 +748,9 @@ def parse_panel(
         return _share_fault(*shares), (year, *shares)
 
     # Each block's cells become columns, each read by one _cast; only the rows
-    # that a cast skips or a share rule rejects are checked one by one.  The
-    # block's rows are then copied to the ends of the panel's columns, which
-    # grow in place, with the line each row ends on.
+    # that a cast skips are checked one by one.  The block's rows are then
+    # copied to the ends of the panel's columns, which grow in place, with the
+    # line each row ends on.
     columns = {name: np.empty(0, dtype) for name, dtype in _COLUMNS.items()}
     columns["line"] = np.empty(0, np.int64)
     skipped: list[tuple[int, str]] = []
@@ -745,7 +758,7 @@ def parse_panel(
     country_memo: dict = {}
     source_memo: dict = {}
     done = 0
-    widths = _CELL_BYTES[: len(declared)]
+    widths = list(_CELL_BYTES[: len(declared)])
     for cells, short, numbers in _blocks(stream, numbers[-1] + 1, where, widths):
         country = _lookup(cells[0], country_code, country_memo)
         year, good = _cast(cells[1], np.int64, _INT_CHARS)
@@ -762,17 +775,23 @@ def parse_panel(
             good &= values["source"] >= 0
         else:
             values["source"] = SOURCES.index(schema.default_source)
-        # A non-finite share breaks a range rule, so it needs no mask here.
+        # A row whose cells all cast, to finite shares, can break only a share
+        # rule: the reason the one-row check gives is that of its values.
+        cast = good & np.isfinite(shares).all(axis=0)
+        good = cast.copy()
         for rule, _ in _SHARE_RULES:
             good &= rule(*shares)
         for j in np.flatnonzero(~good).tolist():
-            reason, row = check([_text(col[j]) for col in cells], short.get(j, width))
-            if reason is None:
-                for name, value in zip(("year", "gini", "top10", "bottom10"), row):
-                    values[name][j] = value
+            if cast[j]:
+                reason = _share_fault(*(share[j].item() for share in shares))
             else:
-                skipped.append((numbers[j].item(), reason))
-                bad_rows.append(done + j)
+                reason, row = check([_text(col[j]) for col in cells], short.get(j, width))
+                if reason is None:
+                    for name, value in zip(("year", "gini", "top10", "bottom10"), row):
+                        values[name][j] = value
+                    continue
+            skipped.append((numbers[j].item(), reason))
+            bad_rows.append(done + j)
         values["line"] = numbers
         rows = slice(done, done + len(numbers))
         if rows.stop > len(columns["line"]):

@@ -49,6 +49,25 @@ def _log_ratios(v: np.ndarray, mean: float) -> np.ndarray:
     return np.log(terms, out=terms)
 
 
+def _sum_times_values(v: np.ndarray, mean: float, weigh) -> float:
+    """sum(w_i * v_i) / mean of positive values ``v``, where ``weigh`` turns
+    the array ln(v / mean) into the w_i in place.  Where that direct sum
+    overflows, each term is summed times 2**-16 instead: exact, as a power of
+    two, and free of the overflow."""
+    terms = _log_ratios(v, mean)
+    weigh(terms)
+    with np.errstate(over="ignore"):
+        terms *= v
+        total = float(terms.sum())
+    if math.isinf(total):
+        np.log(np.divide(v, mean, out=terms), out=terms)
+        weigh(terms)
+        terms *= 2.0**-16
+        terms *= v
+        return float(terms.sum()) / mean * 2.0**16
+    return total / mean
+
+
 def atkinson(sample, eps: float) -> float:
     """Atkinson index with inequality aversion ``eps`` >= 0.
 
@@ -109,19 +128,18 @@ def ge_index(sample, alpha: float) -> float:
         # divided by a tiny alpha or alpha - 1: sum it as expm1 terms instead.
         # Values ascend, so the zero incomes (alpha in (0, 1) only) lead.
         zeros = int(np.searchsorted(v, 0.0, side="right"))
-        terms = _log_ratios(v[zeros:], mean)
         if alpha < 0.5:
             # r^alpha - 1 = expm1(alpha ln r); each zero income contributes -1
+            terms = _log_ratios(v[zeros:], mean)
             terms *= alpha
             np.expm1(terms, out=terms)
             dev = float(terms.sum()) - zeros
         else:
             # mean(r) = 1, so sum r^alpha - r = r expm1((alpha - 1) ln r)
             # instead; zero incomes contribute nothing
-            terms *= alpha - 1.0
-            np.expm1(terms, out=terms)
-            terms *= v[zeros:]
-            dev = float(terms.sum()) / mean
+            dev = _sum_times_values(
+                v[zeros:], mean, lambda t: np.expm1(np.multiply(t, alpha - 1.0, out=t), out=t)
+            )
     else:
         # The direct sum is the more precise while it is finite.
         with np.errstate(over="ignore", divide="ignore"):
@@ -161,14 +179,4 @@ def theil(sample) -> float:
     mean = v.mean()
     # Values ascend, so the zero incomes lead.
     positive = v[int(np.searchsorted(v, 0.0, side="right")) :]
-    terms = _log_ratios(positive, mean)
-    with np.errstate(over="ignore"):
-        terms *= positive
-        total = float(terms.sum())
-    if math.isinf(total):
-        # v ln r overflowed; each term times 2**-16 (exact: a power of two) does not.
-        np.log(np.divide(positive, mean, out=terms), out=terms)
-        terms *= 2.0**-16
-        terms *= positive
-        return max(float(terms.sum()) / mean * 2.0**16 / v.size, 0.0)
-    return max(total / mean / v.size, 0.0)
+    return max(_sum_times_values(positive, mean, lambda terms: None) / v.size, 0.0)

@@ -459,6 +459,88 @@ def raw_lines(cells):
     )
 
 
+@pytest.fixture
+def csv_reads(monkeypatch):
+    """The rows csv.reader reads while the test runs, in order."""
+    read = []
+    real = csv.reader
+
+    class Reader:
+        def __init__(self, lines):
+            self.rows = real(lines)
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            read.append(next(self.rows))
+            return read[-1]
+
+        line_num = property(lambda self: self.rows.line_num)
+
+    monkeypatch.setattr(panel_module.csv, "reader", Reader)
+    return read
+
+
+BENCH_HEADER = ["country", "year", "source", "gini", "top10", "bottom10"]
+BENCH_NAMES = ("Korea, Rep.", "Greece", "Egypt, Arab Rep.", "Côte d'Ivoire", "United States")
+
+
+def bench_shaped_panel(countries: int, seed: int, long_name: str | None = None) -> str:
+    """CSV text shaped like the benchmark's panel: the rows of ``countries``
+    countries x 10 years x {WB, OECD} in shuffled order, names with a
+    four-digit suffix (some quoted for their commas), shares of four and
+    five decimals, and 1% bad rows: an unparseable gini, a share out of
+    range, misordered shares or a repeated key, in turn.  ``long_name``
+    names the first country."""
+    rng = np.random.default_rng(seed)
+    names = [f"{BENCH_NAMES[i % len(BENCH_NAMES)]} {i:04d}" for i in range(countries)]
+    if long_name is not None:
+        names[0] = long_name
+    rows = []
+    for name in names:
+        for year in range(1990, 2000):
+            for source in ("WB", "OECD"):
+                top = rng.uniform(0.22, 0.45)
+                bottom = top / rng.uniform(1.5, 30.0)
+                gini = rng.uniform(0.15, 0.75)
+                rows.append([name, year, source, f"{gini:.4f}", f"{top:.4f}", f"{bottom:.5f}"])
+    bad = [
+        lambda row: row[:3] + ["n/a"] + row[4:],
+        lambda row: row[:4] + ["1.5000"] + row[5:],
+        lambda row: row[:4] + ["0.0500", "0.06000"],
+        lambda row: row[:3] + ["0.5000", "0.3000", "0.01000"],
+    ]
+    rows += [bad[k % 4](rows[int(rng.integers(len(rows)))]) for k in range(len(rows) // 100)]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(BENCH_HEADER)
+    writer.writerows(rows[i] for i in rng.permutation(len(rows)).tolist())
+    return out.getvalue()
+
+
+def width_rows(size: int) -> list[list[str]]:
+    """Rows (country, year, source, gini, top10, bottom10) in which one
+    column's cell, and then every column's cell, is ``size`` bytes long:
+    at, or one byte past, a width numpy's reader may read it at."""
+    cells = {
+        "country": "Ж" * (size // 2) + "x" * (size % 2),
+        "year": "2" + "0" * (size - 1),
+        "source": "WB".rjust(size),
+        "gini": "0." + "3" * (size - 2),
+        "top10": "0." + "4" * (size - 2),
+        "bottom10": "0." + "0" * (size - 3) + "1",
+    }
+    plain = dict(zip(cells, ["AAA", "2015", "WB", "0.3", "0.45", "0.01"]))
+    rows = [{**plain, "country": f"C{k}", name: cell} for k, (name, cell) in enumerate(cells.items())]
+    return [list(row.values()) for row in rows] + [list(cells.values())]
+
+
+# The other arguments of a scalar-reference example: one LF-ended text with
+# a source column, in decimal units.
+PLAIN_TEXT = dict(line_ends=["\n"], unterminated=False, with_source=True, percent=False)
+
+
 class TestColumnarParse:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -473,6 +555,12 @@ class TestColumnarParse:
         percent=st.booleans(),
         block_chars=st.sampled_from([1, 16, 40, 1 << 20]),
     )
+    @example(rows=width_rows(8), block_chars=1 << 20, **PLAIN_TEXT)
+    @example(rows=width_rows(9), block_chars=40, **PLAIN_TEXT)
+    @example(rows=width_rows(16), block_chars=1 << 20, **PLAIN_TEXT)
+    @example(rows=width_rows(17), block_chars=40, **PLAIN_TEXT)
+    @example(rows=width_rows(32), block_chars=1 << 20, **PLAIN_TEXT)
+    @example(rows=width_rows(33), block_chars=40, **PLAIN_TEXT)
     def test_matches_scalar_reference(
         self, rows, line_ends, unterminated, with_source, percent, block_chars
     ):
@@ -519,31 +607,49 @@ class TestColumnarParse:
             assert [(d.line, d.reason) for d in diags] == expected, block_chars
             assert panel.records == kept, block_chars
 
-    def test_plain_ascii_blocks_take_the_c_reader(self, monkeypatch):
+    def test_plain_ascii_blocks_take_the_c_reader(self, monkeypatch, csv_reads):
         """Rows read by numpy's reader never reach csv.reader, which reads
         only the header."""
         rows = [f'"Name, {i}",{2000 + i % 20},0.3,0.25,0.03' for i in range(200)]
         text = "country,year,gini,top10,bottom10\n" + "\n".join(rows) + "\n"
-        read = []
-        real = csv.reader
-
-        class Reader:
-            def __init__(self, lines):
-                self.rows = real(lines)
-
-            def __iter__(self):
-                return self
-
-            def __next__(self):
-                read.append(next(self.rows))
-                return read[-1]
-
-            line_num = property(lambda self: self.rows.line_num)
-
-        monkeypatch.setattr(panel_module.csv, "reader", Reader)
         monkeypatch.setattr(panel_module, "_BLOCK_CHARS", 1000)
         panel, diags = parse_panel(text)
-        assert (len(panel), diags, read) == (200, [], [["country", "year", "gini", "top10", "bottom10"]])
+        assert (len(panel), diags, csv_reads) == (200, [], [["country", "year", "gini", "top10", "bottom10"]])
+
+    @pytest.mark.parametrize(
+        "long_name",
+        [None, "Ж" * 40, "Ж" * 127 + "x"],
+        ids=["bench names", "80-byte name", "255-byte name"],
+    )
+    def test_bench_shaped_panel_takes_the_c_reader(self, monkeypatch, csv_reads, long_name):
+        """A panel shaped like the benchmark's, bad rows and all, never
+        reaches csv.reader: a name too long for its cell widens the country
+        column, and every block with the name, and each after, is read by
+        numpy's reader again."""
+        text = bench_shaped_panel(150, seed=3, long_name=long_name)
+        kept, expected, names = reference_parse(text, SchemaConfig())
+        csv_reads.clear()
+        monkeypatch.setattr(panel_module, "_BLOCK_CHARS", 4096)
+        panel, diags = parse_panel(text)
+        assert csv_reads == [BENCH_HEADER]
+        assert [(d.line, d.reason) for d in diags] == expected
+        assert len(expected) == 30 and {d.reason for d in diags} >= {"share ordering violated"}
+        assert panel.records == kept
+        assert list(panel.names) == names
+
+    def test_cell_past_the_widest_takes_csv_reader(self, monkeypatch, csv_reads):
+        """A cell of _WIDEST_CELL bytes or more is not read by numpy's
+        reader: its blocks go to csv.reader, with the same results."""
+        long_name = "Ж" * (panel_module._WIDEST_CELL // 2)
+        text = bench_shaped_panel(150, seed=3, long_name=long_name)
+        kept, expected, names = reference_parse(text, SchemaConfig())
+        csv_reads.clear()
+        monkeypatch.setattr(panel_module, "_BLOCK_CHARS", 4096)
+        panel, diags = parse_panel(text)
+        assert any(row[:1] == [long_name] for row in csv_reads)
+        assert [(d.line, d.reason) for d in diags] == expected
+        assert panel.records == kept
+        assert list(panel.names) == names
 
     @pytest.mark.parametrize(
         "block",
@@ -558,7 +664,7 @@ class TestColumnarParse:
     def test_block_with_fewer_rows_than_lines_goes_to_csv_reader(self, block):
         """Numpy's reader skips a blank line and reads a quoted line end into
         its row; the row count turns such a block away, with no warning."""
-        assert panel_module._byte_cells(block, [0, 1, 2, 3, 4], (64, 24, 32, 32, 32)) is None
+        assert panel_module._byte_cells(block, [0, 1, 2, 3, 4], list(panel_module._CELL_BYTES[:5])) is None
         panel, diags = parse_panel("country,year,gini,top10,bottom10\n" + block)
         assert (len(panel), diags) == (block.count(",") // 4, [])
 
@@ -578,8 +684,11 @@ class TestColumnarParse:
         assert [d.line for d in diags] == [702, 1302]
         assert len(panel) == 1998
         assert 1234567890123456789 in panel.year.tolist()
-        # one lookup of the one country, then the five cells of each bad row
-        assert len(read) == 1 + 2 * 5
+        # one lookup of the one country, then the five cells of each row a
+        # cast skips: a gini of 99999999999999999999 casts to 1e20, whose
+        # row breaks only a range rule and is not checked alone
+        checked = 1 if bad == "99999999999999999999" else 2
+        assert len(read) == 1 + checked * 5
 
     @pytest.mark.parametrize(
         "text",

@@ -138,6 +138,13 @@ class TestGeneralizedEntropy:
         scaled = IncomeSample.from_values(s.values * 7.5)
         assert ge_index(scaled, alpha) == pytest.approx(ge_index(s, alpha), abs=1e-12)
 
+    def test_product_past_the_float_range_near_order_one(self):
+        """r expm1((alpha - 1) ln r) times v overflows although the sample's
+        total (4.8e307) does not; the index is scale-invariant."""
+        values = np.array([1.0] * 99 + [1000.0])
+        assert ge_index(values * 2.0**1012, 1.45) == pytest.approx(9.130671, abs=5e-7)
+        assert ge_index(values * 2.0**1012, 1.45) == ge_index(values, 1.45)
+
     @given(positive_samples, st.floats(min_value=0.0, max_value=3.0))
     def test_cross_identity_with_atkinson(self, s, eps):
         # (1 - A(eps))^(1 - eps) = 1 + (1 - eps)(-eps) GE(1 - eps)
