@@ -9,6 +9,7 @@ acceptance failure, 2 input or schema error.
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import csv
 import io
@@ -16,7 +17,6 @@ import math
 import os
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 
@@ -64,8 +64,6 @@ _TAIL_CUTS = (10, 20, 30, 40, 50)
 _CHUNK_ROWS = 1 << 12
 # Skipped-row diagnostics per write to stderr.
 _DIAGNOSTIC_ROWS = 1 << 10
-# Characters of stdin text split into lines at a time by `ineq micro`.
-_BLOCK_CHARS = 1 << 20
 # A field of `ineq compute` below this is printed from its count of
 # millionths, which float64 holds exactly.
 _MILLIONTHS_BELOW = 2.0**52 / 1e6
@@ -78,12 +76,22 @@ def _fmt(value: float, decimals: int = 6) -> str:
     return f"{value:.{decimals}f}"
 
 
-def _read_text(path: str) -> str:
-    """The text of a file, or of stdin for "-", without a leading byte-order
-    mark (spreadsheet exports often start with one)."""
+def _open(path: str):
+    """The input ``path`` as a binary stream: stdin's bytes for "-" (stdin
+    itself where it has no bytes), else the file's."""
     if path == "-":
-        return sys.stdin.read().removeprefix("\ufeff")
-    return Path(path).read_text(encoding="utf-8-sig")
+        return contextlib.nullcontext(getattr(sys.stdin, "buffer", sys.stdin))
+    return open(path, "rb")
+
+
+def _read_bytes(path: str) -> bytes:
+    """All the bytes of the input ``path``, without a leading byte-order mark
+    (spreadsheet exports often start with one)."""
+    with _open(path) as stream:
+        data = stream.read()
+    if isinstance(data, str):  # a text stdin
+        data = data.encode("utf-8", "surrogateescape")
+    return data.removeprefix(codecs.BOM_UTF8)
 
 
 def _emit(chunks, output: str) -> None:
@@ -95,7 +103,7 @@ def _emit(chunks, output: str) -> None:
             fh.writelines(chunks)
 
 
-def _schema_from_args(args) -> SchemaConfig:
+def _schema_from_args(args, source: Source | None) -> SchemaConfig:
     columns = {}
     if args.schema:
         for item in args.schema.split(","):
@@ -109,17 +117,11 @@ def _schema_from_args(args) -> SchemaConfig:
             if not column:
                 raise SchemaError(f"empty column name for --schema key {key!r}")
             columns[key] = column
-    default_source = Source(args.source.upper()) if args.source else Source.OTHER
     return SchemaConfig(
-        country=columns.get("country", "country"),
-        year=columns.get("year", "year"),
-        gini=columns.get("gini", "gini"),
-        top10=columns.get("top10", "top10"),
-        bottom10=columns.get("bottom10", "bottom10"),
-        source=columns.get("source"),
+        **columns,
         gini_unit=args.gini_unit,
         share_unit=args.share_unit,
-        default_source=default_source,
+        default_source=source or Source.OTHER,
     )
 
 
@@ -129,14 +131,10 @@ def _load_panel(args, country: str | None = None) -> Panel:
 
     Raises when a row was skipped under --strict.
     """
-    if args.input == "-":
-        # Bytes where stdin has them; a text stdin is read as text.
-        stream = contextlib.nullcontext(getattr(sys.stdin, "buffer", sys.stdin))
-    else:
-        stream = open(args.input, "rb")
-    with stream as source:
-        schema = _schema_from_args(args)
-        panel, diagnostics = parse_panel(source, schema, label=args.input)
+    source = Source(args.source.upper()) if args.source else None
+    with _open(args.input) as stream:
+        schema = _schema_from_args(args, source)
+        panel, diagnostics = parse_panel(stream, schema, label=args.input)
     # stderr is line-buffered, so a print per row is a write per row; a write
     # per batch also bounds the string built (one string for all of a large
     # panel's rows outlives its use as a hole in the heap).
@@ -145,7 +143,6 @@ def _load_panel(args, country: str | None = None) -> Panel:
         sys.stderr.write("".join(f"{args.input}:{d.line}: skipped row: {d.reason}\n" for d in batch))
     if diagnostics and args.strict:
         raise IneqError(f"{len(diagnostics)} bad row(s) with --strict")
-    source = Source(args.source.upper()) if args.source else None
     # The one panel is put in key order in place; slicing it copies nothing.
     panel._sort_in_place(year=args.year, source=source, country=country)
     return slice_panel(panel)
@@ -269,21 +266,10 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def _lines(text: str):
-    """The lines of ``text``, each with its line end, decoded a block at a
-    time: no list of lines is built, and a StringIO of a block, not of the
-    whole text, holds four bytes per character."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
-        yield from io.StringIO(text[start:end])
-        start = end
-
-
-def _load_values(source) -> np.ndarray | None:
+def _load_values(source, encoding: str) -> np.ndarray | None:
     """The values of a one-column input read by numpy's C reader from
-    ``source``, a path or an iterator of lines; None where that reader
-    rejects the input."""
+    ``source``, a path or a binary stream; None where that reader rejects
+    the input."""
     try:
         with warnings.catch_warnings():
             # "input contained no data": the per-line parse handles that input
@@ -294,7 +280,7 @@ def _load_values(source) -> np.ndarray | None:
                 comments=None,
                 delimiter=",",
                 ndmin=2,
-                encoding="utf-8-sig",
+                encoding=encoding,
             )
     except (OSError, ValueError):
         return None
@@ -323,26 +309,29 @@ def _read_values(path: str) -> np.ndarray:
     """The numbers of a one-value-per-line input, blank lines skipped; a bad
     or non-finite value is reported with its 1-based line number.
 
-    A plain file, and stdin's text as an iterator of lines, are read by
-    numpy's C reader.  Every input that reader does not take as one column
-    of numbers (underscores, Unicode digits, whitespace-only lines,
-    unparseable values, ...) goes through the per-line ``float()`` parse,
-    so both give the same values and errors.
+    A plain file, read by path, and stdin's bytes are read by numpy's C
+    reader.  Every input that reader does not take as one column of numbers
+    (underscores, Unicode digits, whitespace-only lines, unparseable values,
+    bytes that are not UTF-8, ...) goes through the per-line ``float()``
+    parse of the input's text, so both give the same values and errors.
     """
-    text = values = None
+    data = values = text = None
     if path == "-":
-        text = _read_text(path)
-        values = _load_values(_lines(text))
+        data = _read_bytes(path)
+        # The mark is gone: with "utf-8-sig" numpy would strip one from each line.
+        values = _load_values(io.BytesIO(data), "utf-8")
     elif os.path.isfile(path) and not path.endswith(_COMPRESSED_SUFFIXES):
-        # An absolute path is never taken for a URL; joined, not normalized,
-        # so ".." after a symlink resolves as the OS does.
-        values = _load_values(os.path.join(os.getcwd(), path))
+        # numpy reads only a path in chunks, any stream a line at a time.  An
+        # absolute path is never taken for a URL; joined, not normalized, so
+        # ".." after a symlink resolves as the OS does.
+        values = _load_values(os.path.join(os.getcwd(), path), "utf-8-sig")
     if values is None:
-        text = _read_text(path) if text is None else text
+        text = (_read_bytes(path) if data is None else data).decode()
         values = _parse_lines(path, text.splitlines())
     finite = np.isfinite(values)
     if not finite.all():
-        text = _read_text(path) if text is None else text
+        if text is None:
+            text = (_read_bytes(path) if data is None else data).decode()
         numbers = [number for number, line in enumerate(text.splitlines(), 1) if line.strip()]
         raise DomainError(f"{path}:{numbers[np.argmin(finite)]}: sample values must be finite")
     return values
@@ -471,10 +460,10 @@ def cmd_series(args) -> int:
     return 0
 
 
-def _read_table(path: str, needed: tuple[str, ...]) -> dict[str, dict[str, float]]:
-    """Read a reference table keyed by country; checks the needed columns."""
-    text = _read_text(path)
-    reader = csv.DictReader(io.StringIO(text))
+def _read_table(path: str, text: str, needed: tuple[str, ...]) -> dict[str, dict[str, float]]:
+    """The reference table ``text``, read from ``path``, keyed by country;
+    checks the needed columns."""
+    reader = csv.DictReader(io.StringIO(text, newline=None))
     fields = reader.fieldnames or []
     missing = [c for c in ("country",) + needed if c not in fields]
     if missing:
@@ -494,9 +483,12 @@ def _read_table(path: str, needed: tuple[str, ...]) -> dict[str, dict[str, float
 
 
 def cmd_replicate(args) -> int:
-    inputs = _read_table(args.input, ("gini", "t_over_b"))
-    expected_path = args.expected or args.input
-    expected = _read_table(expected_path, ("h", "index_i"))
+    # Each input is read and decoded once: stdin cannot be read twice.
+    text = _read_bytes(args.input).decode()
+    inputs = _read_table(args.input, text, ("gini", "t_over_b"))
+    if args.expected and args.expected != args.input:
+        text = _read_bytes(args.expected).decode()
+    expected = _read_table(args.expected or args.input, text, ("h", "index_i"))
     if set(inputs) != set(expected):
         only_in = sorted(set(inputs) - set(expected))
         only_exp = sorted(set(expected) - set(inputs))
@@ -626,11 +618,11 @@ def build_parser() -> argparse.ArgumentParser:
         "replicate",
         help="recompute H and index from a reference table and diff against expected values",
     )
-    sub.add_argument("--input", required=True, help="CSV with country,gini,t_over_b")
+    sub.add_argument("--input", required=True, help="CSV with country,gini,t_over_b, or - for stdin")
     sub.add_argument(
         "--expected",
         default=None,
-        help="CSV with country,h,index_i (defaults to the input file)",
+        help="CSV with country,h,index_i, or - for stdin (defaults to the input)",
     )
     sub.add_argument("--weight", type=float, default=DEFAULT_WEIGHT)
     sub.add_argument("--tol-h", type=float, default=0.001)

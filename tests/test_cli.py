@@ -91,6 +91,20 @@ class TestCompute:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "schema, message",
+        [
+            ("country", "bad --schema entry 'country', expected key=column"),
+            ("gini=Gini,nation=Country", "unknown --schema key 'nation'"),
+            ("year= ", "empty column name for --schema key 'year'"),
+        ],
+    )
+    def test_bad_schema_flag_exit_2(self, capsys, tmp_path, schema, message):
+        path = tmp_path / "panel.csv"
+        path.write_text(PANEL_HEADER + "GRC,2015,0.360,0.262,0.019\n")
+        code, out, err = run(capsys, "compute", "--input", str(path), "--schema", schema)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_deterministic_output(self, capsys, tmp_path):
         path = tmp_path / "panel.csv"
         path.write_text(
@@ -368,9 +382,9 @@ class TestMicro:
         assert (code, err) == (2, f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
 
     def test_stdin_takes_the_numpy_reader(self, capsys, tmp_path, monkeypatch):
-        """Stdin's text reaches numpy's reader as an iterator of lines, with
-        no list of lines and no per-value floats; "-" is stdin even beside a
-        file of that name."""
+        """Stdin's bytes reach numpy's reader as one stream, with no list of
+        lines and no per-value floats; "-" is stdin even beside a file of
+        that name."""
 
         def refuse(path, lines):
             raise AssertionError("per-line parse used")
@@ -709,6 +723,40 @@ class TestReplicate:
         assert code == 2
         assert "Namibia" in err
 
+    @pytest.mark.parametrize("table", [WB_TABLE, OECD_TABLE])
+    def test_stdin_matches_path(self, capsys, monkeypatch, table):
+        """The table on stdin is read once, for both its column checks, and
+        gives the run by path."""
+        by_path = run(capsys, "replicate", "--input", str(table))
+        stdin = io.TextIOWrapper(io.BytesIO(table.read_bytes()), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert run(capsys, "replicate", "--input", "-") == by_path
+        stdin.seek(0)
+        assert run(capsys, "replicate", "--input", "-", "--expected", "-") == by_path
+        assert by_path[0] == 0
+
+    def test_input_columns_are_checked_first(self, capsys, tmp_path):
+        # a table missing both gini and h reports only the input's column
+        path = tmp_path / "table.csv"
+        path.write_text("country,t_over_b,index_i\nGRC,13.79,0.425\n")
+        code, out, err = run(capsys, "replicate", "--input", str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: missing column(s): gini\n")
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("GRC,0.36,13.79,0.481,0.425\n ,0.3,10,0.4,0.4\n", "row with empty country"),
+            ("GRC,0.36,13.79,0.481,0.425\nGRC,0.3,10,0.4,0.4\n", "duplicate country 'GRC'"),
+            ("GRC,0.36,n/a,0.481,0.425\n", "unparseable numeric for 'GRC'"),
+            ("GRC,0.36\n", "unparseable numeric for 'GRC'"),
+        ],
+    )
+    def test_bad_table_row_exit_2(self, capsys, tmp_path, rows, message):
+        path = tmp_path / "table.csv"
+        path.write_text("country,gini,t_over_b,h,index_i\n" + rows)
+        code, out, err = run(capsys, "replicate", "--input", str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
     def test_two_file_mode(self, capsys, tmp_path):
         inputs = tmp_path / "inputs.csv"
         inputs.write_text("country,gini,t_over_b\nGRC,0.360,13.79\n")
@@ -779,6 +827,8 @@ _ODD_VALUES = st.sampled_from(
     ["", "1_0", "1__0", "\u0661\u0662", "\uff11\uff12", "\u0663.\u0665"]
     + ["banana", "0x10", "1d5", "#1", ",", "1,2", "1,", "1 2", "\ufeff1"]
 )
+# Bytes that are not UTF-8, as the surrogates "surrogateescape" reads them as.
+_UNDECODABLE = st.sampled_from(["\udcff", "\udcc3", "1\udcff", "\udcc32"])
 _PADDING = st.sampled_from(
     ["", "", "", " ", "\t", "\x0b", "\x0c", "\xa0", "\u3000", "\x1c", "\x85", "\u2028"]
 )
@@ -786,7 +836,7 @@ _LINE_ENDINGS = st.sampled_from(
     ["\n", "\n", "\n", "\r\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85"]
 )
 _LINES = st.tuples(
-    _PADDING, st.one_of(_NUMBERS, _NUMBERS, _NUMBERS, _ODD_VALUES), _PADDING, _LINE_ENDINGS
+    _PADDING, st.one_of(_NUMBERS, _NUMBERS, _NUMBERS, _ODD_VALUES, _UNDECODABLE), _PADDING, _LINE_ENDINGS
 ).map("".join)
 
 
@@ -812,27 +862,60 @@ def _read_outcome(name):
 @example(bom=False, lines=["1\n", " \n", "2\n"], final_newline=True, suffix=".txt")
 @example(bom=False, lines=["1\n", "nan\n", "3\n"], final_newline=True, suffix=".txt")
 @example(bom=False, lines=["1,2\n", "3,4\n"], final_newline=True, suffix=".txt")
+@example(bom=False, lines=["1\n", "\udcff\n", "2\n"], final_newline=True, suffix=".txt")
+@example(bom=True, lines=["1\n", "\udcc3"], final_newline=False, suffix=".txt")
 def test_file_and_stdin_reads_agree(tmp_path_factory, bom, lines, final_newline, suffix):
-    """A file, read by numpy's C reader where it can, and the same text on
-    stdin, always read per line, give identical values or an identical error."""
+    """A file, read by numpy's C reader where it can, and the same bytes on
+    stdin give identical values or an identical error, also where the bytes
+    are not UTF-8."""
     text = "\ufeff" * bom + "".join(lines)
     if lines and not final_newline:
         text = text.rstrip("\r\n\x0b\x0c\x1c\x85")
-    raw = text.encode("utf-8")
+    raw = text.encode("utf-8", "surrogateescape")
     path = tmp_path_factory.mktemp("values") / f"values{suffix}"
     path.write_bytes(raw)
     by_file = _read_outcome(str(path))
-    # stdin as the interpreter opens it: UTF-8 with universal newlines
-    stdin = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+    # stdin as the interpreter opens it in UTF-8 mode
+    stdin = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape")
     with mock.patch("sys.stdin", stdin):
         by_stdin = _read_outcome("-")
     assert by_file == by_stdin
 
 
+def _python(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """A run of this interpreter on ``argv`` from the repository's root, with
+    the package's source first on its path."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *argv], cwd=root, env=env, capture_output=True, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["micro"], b"1.5\n" * 3 + b"\xff2\n"),
+        (["replicate"], WB_TABLE.read_bytes()),
+    ],
+    ids=["micro-not-utf8", "replicate"],
+)
+def test_piped_stdin_matches_the_file(tmp_path, argv, data):
+    """Bytes through a real pipe to `--input -` give the stdout, stderr and
+    exit code of the same bytes read from a file."""
+    path = tmp_path / "input.csv"
+    path.write_bytes(data)
+    by_file = _python("-m", "ineqkit", *argv, "--input", str(path))
+    by_pipe = _python("-m", "ineqkit", *argv, "--input", "-", input=data)
+    assert (by_pipe.returncode, by_pipe.stdout, by_pipe.stderr) == (
+        by_file.returncode,
+        by_file.stdout,
+        by_file.stderr,
+    )
+
+
 def test_panel_commands_leave_numpy_ma_and_char_unloaded():
     """`rank`, `compare`, `series`, `calibrate` and `compute` import neither
     numpy.ma nor numpy.char, each tens of milliseconds of start-up."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     script = """
 import os, sys
 from ineqkit.cli import main
@@ -843,9 +926,4 @@ for argv in (["rank", *one], ["compare", *one], ["series", *panel, "--country", 
     assert main(argv) == 0, argv
 print(sorted(m for m in ("numpy.ma", "numpy.char") if m in sys.modules))
 """
-    path = os.pathsep.join(filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run(
-        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True, check=True
-    )
-    assert done.stdout == "[]\n"
+    assert _python("-c", script, text=True, check=True).stdout == "[]\n"

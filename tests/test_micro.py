@@ -98,6 +98,20 @@ class TestIncomeSample:
         with pytest.raises(DomainError):
             IncomeSample(np.array([2.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (np.ones((2, 2)), "sample values must be one-dimensional"),
+            (np.array([1.0, math.nan]), "sample values must be finite"),
+            (np.array([1.0, math.inf]), "sample values must be finite"),
+        ],
+    )
+    def test_shape_and_finiteness_rejected(self, values, message):
+        for build in (IncomeSample, IncomeSample.from_values):
+            with pytest.raises(DomainError) as exc:
+                build(values)
+            assert str(exc.value) == message
+
     def test_values_immutable(self):
         s = IncomeSample.from_values([1, 2])
         with pytest.raises(ValueError):
@@ -216,6 +230,31 @@ class TestLorenzCurve:
         tail = np.exp(10.9) * (1.0 + rng.pareto(2.0, size=n // 10))
         values = np.rint(np.concatenate((bulk, tail)) * 100.0) / 100.0
         assert 0.4 < gini(values) < 0.5
+
+    @pytest.mark.parametrize(
+        "p, L, message",
+        [
+            ([0, 1], [0, 0.5, 1], "curve needs matching 1-d arrays of >= 2 points"),
+            ([0], [0], "curve needs matching 1-d arrays of >= 2 points"),
+            ([[0, 1]], [[0, 1]], "curve needs matching 1-d arrays of >= 2 points"),
+            ([0, 1], [0, 0.9], "curve must run from (0, 0) to (1, 1)"),
+            ([0.1, 1], [0, 1], "curve must run from (0, 0) to (1, 1)"),
+            ([0, 0.5, 0.5, 1], [0, 0.2, 0.2, 1], "population shares must be strictly increasing"),
+            ([0, 0.5, 0.75, 1], [0, 0.3, 0.2, 1], "income shares must be non-decreasing"),
+            ([0, 0.5, 1], [0, 0.6, 1], "curve must lie on or below the diagonal"),
+            ([0, 0.25, 0.5, 1], [0, 0.2, 0.25, 1], "curve must be convex (non-decreasing slopes)"),
+        ],
+    )
+    def test_each_invariant_is_checked(self, p, L, message):
+        with pytest.raises(DomainError) as exc:
+            LorenzCurve(p, L)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("share", [-0.1, 1.5, math.nan, [0.5, 2.0]])
+    def test_value_at_outside_unit_interval(self, share):
+        with pytest.raises(DomainError) as exc:
+            lorenz_curve([1, 2]).value_at(share)
+        assert str(exc.value) == f"population share {share!r} outside [0, 1]"
 
     def test_real_slope_drop_still_rejected(self):
         n = 1_000_000

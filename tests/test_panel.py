@@ -78,6 +78,18 @@ class TestParse:
         with pytest.raises(SchemaError):
             parse_panel("country,year,gini,top10\nAAA,2015,0.3,0.25\n")
 
+    def test_named_source_column_is_required(self):
+        text = "country,year,gini,top10,bottom10,source\nAAA,2015,0.3,0.25,0.03,WB\n"
+        with pytest.raises(SchemaError) as exc:
+            parse_panel(text, SchemaConfig(source="origin"))
+        assert str(exc.value) == "missing declared column(s): origin"
+
+    @pytest.mark.parametrize("field", ["gini_unit", "share_unit"])
+    def test_schema_rejects_an_unknown_unit(self, field):
+        with pytest.raises(SchemaError) as exc:
+            SchemaConfig(**{field: "permille"})
+        assert str(exc.value) == f"{field} must be 'decimal' or 'percent', got 'permille'"
+
     def test_custom_column_names(self):
         schema = SchemaConfig(
             country="Country Name",

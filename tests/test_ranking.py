@@ -105,6 +105,18 @@ class TestRank:
         with pytest.raises(DomainError, match="'a'"):
             rank_values({"a": math.nan, "b": 0.5, "c": 0.2}, Indicator.INDEX_I)
 
+    def test_nothing_to_rank(self):
+        with pytest.raises(EmptyInputError) as exc:
+            rank_values({}, Indicator.GINI)
+        assert str(exc.value) == "nothing to rank"
+
+    def test_rank_of_an_unknown_country(self):
+        table = rank_values({"a": 0.3, "b": 0.2}, Indicator.GINI)
+        assert (table.rank_of("a"), table.rank_of("b")) == (2, 1)
+        with pytest.raises(NotFoundError) as exc:
+            table.rank_of("c")
+        assert exc.value.args == ("c",)
+
     def test_infinite_ranks_last(self):
         table = rank_values({"a": math.inf, "b": 0.5, "c": 0.2}, Indicator.RATIO_TB)
         assert [(e.rank, e.country) for e in table.entries] == [(1, "c"), (2, "b"), (3, "a")]

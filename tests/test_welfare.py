@@ -123,6 +123,12 @@ class TestGeneralizedEntropy:
     def test_zero_income_fractional_order_allowed(self):
         assert math.isfinite(ge_index([0, 1], 0.5))
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_order_must_be_finite(self, alpha):
+        with pytest.raises(DomainError) as exc:
+            ge_index([1, 3], alpha)
+        assert str(exc.value) == "entropy order must be finite"
+
     @given(positive_samples)
     def test_limit_at_zero(self, s):
         assert ge_index(s, 1e-6) == pytest.approx(ge_zero(s), abs=1e-4)
