@@ -15,6 +15,7 @@ freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,15 +58,12 @@ def _checked(values, ordered: bool) -> np.ndarray:
         raise DomainError("sample values must be in non-decreasing order")
     if arr[-1] <= 0:
         raise DegenerateSampleError("sample total must be positive")
-    with np.errstate(over="ignore"):
-        if not np.isfinite(arr.sum()):
-            raise DomainError("sample total overflows")
     return _frozen(arr)
 
 
 @dataclass(frozen=True)
 class IncomeSample:
-    """Non-negative values in ascending order with a positive, finite total.
+    """Finite, non-negative values in ascending order with a positive total.
 
     Use :meth:`from_values` to build one from unsorted data.  Direct
     construction requires the array to already satisfy the invariants.
@@ -99,13 +97,28 @@ class IncomeSample:
     def n(self) -> int:
         return int(self.values.size)
 
+    @cached_property
+    def _scaled(self) -> tuple[np.ndarray, int]:
+        """``(values * 2**-k, k)``, k = 0 (the array itself) unless the largest
+        value nears an end of the float range.  There k keeps n**1.5 * max,
+        which bounds every sum the measures take, below 2**1020, and max at or
+        above 2**-512, so that their products stay normal.  Exact for normal values."""
+        e = math.frexp(self.values[-1])[1]
+        k = max(e + 3 * self.n.bit_length() // 2 + 4 - 1023, min(e + 512, 0))
+        return (self.values * 2.0**-k if k else self.values), k
+
     @property
     def total(self) -> float:
-        return float(self.values.sum())
+        scaled, k = self._scaled
+        try:
+            return math.ldexp(float(scaled.sum()), k)
+        except OverflowError:
+            raise DomainError("sample total overflows") from None
 
     @property
     def mean(self) -> float:
-        return float(self.values.mean())
+        scaled, k = self._scaled
+        return math.ldexp(float(scaled.mean()), k)
 
 
 def _as_sample(sample) -> IncomeSample:
@@ -263,15 +276,10 @@ def lorenz_curve(sample) -> LorenzCurve:
     the total).  It is not checked again: the checked sample's sorted,
     non-negative values make it convex (Gastwirth, Econometrica 39(6), 1971).
     """
-    sample = _as_sample(sample)
-    L = np.empty(sample.n + 1)
+    values = _as_sample(sample)._scaled[0]
+    L = np.empty(values.size + 1)
     L[0] = 0.0
-    with np.errstate(over="ignore"):
-        np.cumsum(sample.values, out=L[1:])
-    if np.isinf(L[-1]):
-        # The sample's total is finite but the running sum overflows: that of
-        # the halves does not, and halving is exact (subnormals aside).
-        np.cumsum(sample.values * 0.5, out=L[1:])
+    np.cumsum(values, out=L[1:])
     L[1:] /= L[-1]
     L[-1] = 1.0
     L.flags.writeable = False

@@ -26,8 +26,8 @@ from .micro import _as_sample
 LIMIT_WINDOW = 1e-9
 
 
-def _log_power_mean(v: np.ndarray, power: float) -> float:
-    """ln mean((v / mean(v))^power) of ascending values, free of overflow;
+def _log_power_mean(v: np.ndarray, mean: float, power: float) -> float:
+    """ln mean((v / mean)^power) of ascending values, free of overflow;
     ``power`` != 0, and no value is zero when ``power`` < 0.
 
     The largest value (``power`` > 0) or the smallest (``power`` < 0) is
@@ -40,32 +40,16 @@ def _log_power_mean(v: np.ndarray, power: float) -> float:
         ext = v[0]
         terms = np.divide(ext, v)
     terms **= abs(power)
-    return power * (math.log(ext) - math.log(v.mean())) + math.log(terms.mean())
+    return power * (math.log(ext) - math.log(mean)) + math.log(terms.mean())
 
 
-def _log_ratios(v: np.ndarray, mean: float) -> np.ndarray:
-    """ln(v / mean) of positive values, as one new array."""
-    terms = v / mean
-    return np.log(terms, out=terms)
-
-
-def _sum_times_values(v: np.ndarray, mean: float, weigh) -> float:
-    """sum(w_i * v_i) / mean of positive values ``v``, where ``weigh`` turns
-    the array ln(v / mean) into the w_i in place.  Where that direct sum
-    overflows, each term is summed times 2**-16 instead: exact, as a power of
-    two, and free of the overflow."""
-    terms = _log_ratios(v, mean)
+def _sum_times_values(v: np.ndarray, ratios: np.ndarray, mean: float, weigh) -> float:
+    """sum(w_i * v_i) / mean of positive ratios v / mean, where ``weigh``
+    turns ln(ratios) into the w_i in place; ``ratios`` is overwritten."""
+    terms = np.log(ratios, out=ratios)
     weigh(terms)
-    with np.errstate(over="ignore"):
-        terms *= v
-        total = float(terms.sum())
-    if math.isinf(total):
-        np.log(np.divide(v, mean, out=terms), out=terms)
-        weigh(terms)
-        terms *= 2.0**-16
-        terms *= v
-        return float(terms.sum()) / mean * 2.0**16
-    return total / mean
+    terms *= v
+    return float(terms.sum() / mean)
 
 
 def atkinson(sample, eps: float) -> float:
@@ -80,13 +64,14 @@ def atkinson(sample, eps: float) -> float:
     eps = float(eps)
     if eps < 0:
         raise DomainError("aversion parameter must be >= 0")
-    v = sample.values
+    v = sample._scaled[0]
     mean = v.mean()
-    has_zero = v[0] == 0.0
+    has_zero = sample.values[0] == 0.0
     if abs(eps - 1.0) <= LIMIT_WINDOW:
         if has_zero:
             return 1.0
-        return max(1.0 - float(np.exp(_log_ratios(v, mean).mean())), 0.0)
+        terms = v / mean
+        return max(1.0 - float(np.exp(np.log(terms, out=terms).mean())), 0.0)
     if eps > 1.0 and has_zero:
         return 1.0
     power = 1.0 - eps
@@ -99,7 +84,7 @@ def atkinson(sample, eps: float) -> float:
     del terms  # the fallback makes its own
     if np.isfinite(moment):
         return max(1.0 - float(moment ** (1.0 / power)), 0.0)
-    return -math.expm1(_log_power_mean(v, power) / power)
+    return -math.expm1(_log_power_mean(sample.values, sample.mean, power) / power)
 
 
 def ge_index(sample, alpha: float) -> float:
@@ -119,38 +104,42 @@ def ge_index(sample, alpha: float) -> float:
         return ge_zero(sample)
     if abs(alpha - 1.0) <= LIMIT_WINDOW:
         return theil(sample)
-    v = sample.values
-    if alpha < 0 and v[0] == 0.0:
+    v = sample._scaled[0]
+    if alpha < 0 and sample.values[0] == 0.0:
         raise ZeroIncomeError("GE with alpha <= 0 is undefined for zero incomes")
     mean = v.mean()
-    if -0.5 < alpha < 1.5:
+    ratios = v / mean
+    # The ratios ascend, so the zeros lead: zero incomes and ratios that
+    # underflow.  For alpha < 0 the latter leave to the log-space sum below.
+    zeros = int(np.searchsorted(ratios, 0.0, side="right"))
+    if -0.5 < alpha < 1.5 and not (alpha < 0 and zeros):
         # Near alpha = 0 or 1, mean(r^alpha) - 1 nearly cancels and is then
         # divided by a tiny alpha or alpha - 1: sum it as expm1 terms instead.
-        # Values ascend, so the zero incomes (alpha in (0, 1) only) lead.
-        zeros = int(np.searchsorted(v, 0.0, side="right"))
         if alpha < 0.5:
-            # r^alpha - 1 = expm1(alpha ln r); each zero income contributes -1
-            terms = _log_ratios(v[zeros:], mean)
+            # r^alpha - 1 = expm1(alpha ln r); each zero ratio contributes -1
+            terms = ratios[zeros:]
+            np.log(terms, out=terms)
             terms *= alpha
             np.expm1(terms, out=terms)
             dev = float(terms.sum()) - zeros
         else:
             # mean(r) = 1, so sum r^alpha - r = r expm1((alpha - 1) ln r)
-            # instead; zero incomes contribute nothing
+            # instead; zero ratios contribute nothing
             dev = _sum_times_values(
-                v[zeros:], mean, lambda t: np.expm1(np.multiply(t, alpha - 1.0, out=t), out=t)
+                v[zeros:], ratios[zeros:], mean,
+                lambda t: np.expm1(np.multiply(t, alpha - 1.0, out=t), out=t),
             )
     else:
         # The direct sum is the more precise while it is finite.
         with np.errstate(over="ignore", divide="ignore"):
-            terms = v / mean
-            terms **= alpha
-            total = float(terms.sum())
-        del terms  # the fallback makes its own
+            ratios **= alpha
+            total = float(ratios.sum())
+        del ratios  # the fallback makes its own
         if math.isinf(total):
             # mean(r^alpha) is then so large that subtracting 1 changes nothing
             try:
-                return math.exp(_log_power_mean(v, alpha) - math.log(alpha * (alpha - 1.0)))
+                log_mean = _log_power_mean(sample.values, sample.mean, alpha)
+                return math.exp(log_mean - math.log(alpha * (alpha - 1.0)))
             except OverflowError:
                 raise DomainError(f"GE({alpha!r}) of this sample exceeds the float range") from None
         dev = total - v.size
@@ -163,9 +152,9 @@ def ge_zero(sample) -> float:
     Requires strictly positive values.
     """
     sample = _as_sample(sample)
-    v = sample.values
-    if v[0] == 0.0:
+    if sample.values[0] == 0.0:
         raise ZeroIncomeError("mean log deviation is undefined for zero incomes")
+    v = sample._scaled[0]
     terms = np.divide(v.mean(), v)
     return max(float(np.log(terms, out=terms).mean()), 0.0)
 
@@ -173,10 +162,11 @@ def ge_zero(sample) -> float:
 def theil(sample) -> float:
     """Theil index, GE(1): mean of (y_i / ybar) * ln(y_i / ybar).
 
-    Zero values contribute nothing (the x ln x -> 0 limit).
+    Zero values, and values whose ratio to the mean underflows to 0,
+    contribute nothing (the r ln r -> 0 limit).
     """
-    v = _as_sample(sample).values
+    v = _as_sample(sample)._scaled[0]
     mean = v.mean()
-    # Values ascend, so the zero incomes lead.
-    positive = v[int(np.searchsorted(v, 0.0, side="right")) :]
-    return max(_sum_times_values(positive, mean, lambda terms: None) / v.size, 0.0)
+    ratios = v / mean
+    zeros = int(np.searchsorted(ratios, 0.0, side="right"))
+    return max(_sum_times_values(v[zeros:], ratios[zeros:], mean, lambda terms: None) / v.size, 0.0)

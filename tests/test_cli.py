@@ -305,6 +305,24 @@ class TestMicro:
         assert metrics["mld"] == "nan"
         assert float(metrics["atkinson"]) == 1.0  # default epsilon 1 with a zero
 
+    @pytest.mark.parametrize(
+        "values, scale",
+        [([1.0, 1.5, 1.0], 2.0**1023), ([1.0] * 99 + [1000.0], 2.0**1012)],
+        ids=["three-times-2**1023", "hundred-times-2**1012"],
+    )
+    def test_total_past_the_float_range(self, capsys, tmp_path, values, scale):
+        """The values are finite, their total is not: every row but the mean
+        is that of the unscaled sample, and no warning is raised."""
+        code, plain, _ = run(capsys, "micro", "--input", self.write(tmp_path, values))
+        assert code == 0
+        code, out, _ = run(capsys, "micro", "--input", self.write(tmp_path, [v * scale for v in values]))
+        assert code == 0
+        plain, scaled = metric_map(plain), metric_map(out)
+        mean = math.fsum(values) / len(values) * scale
+        assert float(scaled.pop("mean")) == pytest.approx(mean, rel=1e-15)
+        plain.pop("mean")
+        assert scaled == plain
+
     def test_all_zero_exit_2(self, capsys, tmp_path):
         path = self.write(tmp_path, [0, 0, 0])
         code, _, err = run(capsys, "micro", "--input", path)

@@ -14,6 +14,7 @@ from ineqkit import (
     DomainError,
     EmptyInputError,
     IncomeSample,
+    IneqError,
     LorenzCurve,
     atkinson,
     bottom_share,
@@ -164,12 +165,76 @@ class TestIncomeSample:
             monkeypatch.undo()
             assert len(checks) == expected
 
-    def test_overflowing_total_rejected(self):
-        # each value is finite, their sum is not
+    def test_overflowing_total_measured(self):
+        # each value is finite, their sum is not: only the total refuses
+        s = IncomeSample.from_values([1e308] * 3)
+        assert gini(s) == 0.0
+        assert s.mean == 1e308
         with pytest.raises(DomainError, match="sample total overflows"):
-            IncomeSample.from_values([1e308] * 3)
-        with pytest.raises(DomainError, match="sample total overflows"):
-            gini([1e308] * 3)
+            s.total
+
+
+def _measures(sample):
+    """Every scale-free measure of a sample, or the type of error it raises."""
+    curve = lorenz_curve(sample)
+
+    def read(measure):
+        try:
+            return measure()
+        except IneqError as exc:
+            return type(exc)
+
+    return {
+        "gini": curve.gini(),
+        "deciles": curve.value_at(np.arange(11) / 10.0).tolist(),
+        "tails": [a.tolist() for a in curve.tail_shares((0.5, 10.0, 40.0, 50.0))],
+        "palma": read(curve.palma),
+        **{f"atkinson({e})": atkinson(sample, e) for e in (0.0, 0.5, 1.0, 3.0)},
+        "mld": read(lambda: ge_zero(sample)),
+        "theil": theil(sample),
+        **{f"ge({a})": read(lambda: ge_index(sample, a)) for a in (-1.0, -0.3, 0.3, 0.7, 1.2, 2.0, 3.0)},
+    }
+
+
+@st.composite
+def power_of_two_scales(draw):
+    """Values and a k that keeps their positive values normal and finite
+    when scaled by 2**k."""
+    values = draw(value_lists)
+    positive = [v for v in values if v > 0]
+    low = -1021 - math.frexp(min(positive))[1]
+    high = 1024 - math.frexp(max(positive))[1]
+    return values, draw(st.integers(low, high))
+
+
+class TestPowerOfTwoScale:
+    """Each measure reads the sample times an exact power of two, so scaling
+    the values by one changes no bit of a scale-free measure: not where the
+    total passes the float range, nor near the smallest normal value."""
+
+    @given(power_of_two_scales())
+    @example(([1.0, 1.5, 1.0], 1023))
+    @example(([1.0] * 99 + [1000.0], 1012))
+    @example(([1.0, 1.0001], -1022))
+    @example(([0.0, 1.0, 1.0, 1.0, 1.5], -1022))
+    def test_measures_keep_their_bits(self, values_and_k):
+        values, k = values_and_k
+        plain = IncomeSample.from_values(values)
+        scaled = IncomeSample.from_values(np.ldexp(values, k))
+        assert _measures(scaled) == _measures(plain)
+        assert scaled.mean == math.ldexp(plain.mean, k)
+        try:
+            total = math.ldexp(plain.total, k)
+        except OverflowError:
+            with pytest.raises(DomainError, match="sample total overflows"):
+                scaled.total
+        else:
+            assert scaled.total == total
+
+    def test_tiny_sample_is_lifted(self):
+        # subnormal values scale up exactly: the measures are those of 1, 2, 3
+        tiny = IncomeSample.from_values(np.ldexp([1.0, 2.0, 3.0], -1070))
+        assert _measures(tiny) == _measures(IncomeSample.from_values([1.0, 2.0, 3.0]))
 
 
 class TestLorenzCurve:

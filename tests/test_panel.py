@@ -208,6 +208,13 @@ class TestSlice:
     def test_absent_year_gives_empty(self):
         assert len(slice_panel(_mixed_panel(), year=1999)) == 0
 
+    def test_countries(self):
+        # a slice keeps the panel's name table; its countries are its own rows'
+        panel = _mixed_panel()
+        assert panel.countries() == ["AAA", "BBB"]
+        assert slice_panel(panel, year=2014).countries() == ["AAA"]
+        assert slice_panel(panel, year=1999).countries() == []
+
     def test_idempotent(self):
         once = slice_panel(_mixed_panel(), year=2015, source=Source.WB)
         twice = slice_panel(once, year=2015, source=Source.WB)

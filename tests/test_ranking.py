@@ -25,6 +25,7 @@ from ineqkit import (
     round_half_away,
     series,
 )
+from ineqkit.ranking import indicator_value
 
 
 def _panel(rows, year=2015, source=Source.WB):
@@ -134,6 +135,13 @@ class TestRank:
         for entry in table.entries:
             strictly_better = sum(1 for e in table.entries if e.value < entry.value)
             assert entry.rank == strictly_better + 1
+
+
+class TestIndicatorValue:
+    def test_unknown_indicator(self):
+        panel = _panel([("AAA", 0.3, 0.25, 0.03)])
+        with pytest.raises(DomainError, match="unknown indicator 'gini'"):
+            indicator_value(panel, "gini")
 
 
 class TestCompare:

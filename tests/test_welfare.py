@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -198,6 +199,37 @@ class TestTheil:
         values = np.append(rng.lognormal(0.0, 1.0, 40_000), [0.0, 0.0, 1e6])
         scaled = values * (2.0 ** math.floor(math.log2(1e308 / values.sum())))
         assert theil(scaled) == theil(values)
+
+
+class TestRatioUnderflow:
+    """A positive income whose ratio to the mean underflows to 0 is read as a
+    zero income: its term takes its limit, and no warning is raised."""
+
+    TINY = [1e-310, 1e308]
+    ZERO = [0.0, 1e308]
+
+    def test_theil(self):
+        assert theil(self.TINY) == theil(self.ZERO) == pytest.approx(math.log(2), rel=1e-15)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.2])
+    def test_ge_where_zeros_are_defined(self, alpha):
+        # the ratios are 0 and 2: GE = (2^(alpha - 1) - 1) / (alpha (alpha - 1))
+        exact = (2.0 ** (alpha - 1.0) - 1.0) / (alpha * (alpha - 1.0))
+        assert ge_index(self.TINY, alpha) == ge_index(self.ZERO, alpha)
+        assert ge_index(self.TINY, alpha) == pytest.approx(exact, rel=1e-14)
+
+    def test_ge_negative_order(self):
+        # the ratio 2e-618 to the power -0.3 is 2e185: the log-space sum reads it
+        ctx = Context(prec=40)
+        tiny, big = (Decimal(v) for v in self.TINY)
+        mean, alpha = (tiny + big) / 2, Decimal(-0.3)
+        moment = (ctx.power(tiny / mean, alpha) + ctx.power(big / mean, alpha)) / 2
+        exact = (moment - 1) / (alpha * (alpha - 1))
+        assert ge_index(self.TINY, -0.3) == pytest.approx(float(exact), rel=1e-12)
+
+    def test_results_are_floats(self):
+        for value in (theil([1, 3]), ge_index([1, 3], 0.7), ge_index([1, 3], 1.2)):
+            assert type(value) is float
 
 
 class TestNoBlas:
