@@ -359,7 +359,8 @@ def cmd_micro(args) -> int:
     rows += [(f"bottom_share_{x}", _fmt(b)) for x, b in zip(_TAIL_CUTS, bottom)]
     rows += [(f"top_share_{x}", _fmt(t)) for x, t in zip(_TAIL_CUTS, top)]
     for x, ratio in zip(_TAIL_CUTS, b_over_t):
-        t_over_b = math.inf if ratio == 0.0 else 1.0 / ratio
+        # A float quotient past the range is inf, with no numpy warning.
+        t_over_b = math.inf if ratio == 0.0 else 1.0 / float(ratio)
         rows.append((f"t_over_b_{x}", _fmt(t_over_b)))
     try:
         palma = curve.palma()

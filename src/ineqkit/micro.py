@@ -266,7 +266,8 @@ class LorenzCurve:
         bottom, top, _ = self.tail_shares((40.0, 10.0))
         if bottom[0] == 0.0:
             raise DivisionByZeroShareError("bottom 40% share is zero")
-        return float(top[1] / bottom[0])
+        # A float quotient past the range is inf, with no numpy warning.
+        return float(top[1]) / float(bottom[0])
 
 
 def lorenz_curve(sample) -> LorenzCurve:

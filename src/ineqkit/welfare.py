@@ -13,6 +13,7 @@ No index calls BLAS: a weighted sum is an in-place product and ``sum``, not
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -43,6 +44,14 @@ def _log_power_mean(v: np.ndarray, mean: float, power: float) -> float:
     return power * (math.log(ext) - math.log(mean)) + math.log(terms.mean())
 
 
+def _log_quotients(a, b) -> np.ndarray:
+    """ln(a / b) of positive values, read from their mantissas and exponents:
+    no quotient is formed whole, so none overflows or underflows, and the
+    result keeps its bits when a and b are scaled by one power of two."""
+    (ma, ea), (mb, eb) = np.frexp(a), np.frexp(b)
+    return np.log(ma / mb) + (ea - eb) * math.log(2.0)
+
+
 def _sum_times_values(v: np.ndarray, ratios: np.ndarray, mean: float, weigh) -> float:
     """sum(w_i * v_i) / mean of positive ratios v / mean, where ``weigh``
     turns ln(ratios) into the w_i in place; ``ratios`` is overwritten."""
@@ -71,7 +80,11 @@ def atkinson(sample, eps: float) -> float:
         if has_zero:
             return 1.0
         terms = v / mean
-        return max(1.0 - float(np.exp(np.log(terms, out=terms).mean())), 0.0)
+        # The ratios ascend, so those that underflow to 0 lead.
+        zeros = int(np.searchsorted(terms, 0.0, side="right"))
+        np.log(terms[zeros:], out=terms[zeros:])
+        terms[:zeros] = _log_quotients(v[:zeros], mean)
+        return max(1.0 - float(np.exp(terms.mean())), 0.0)
     if eps > 1.0 and has_zero:
         return 1.0
     power = 1.0 - eps
@@ -155,8 +168,15 @@ def ge_zero(sample) -> float:
     if sample.values[0] == 0.0:
         raise ZeroIncomeError("mean log deviation is undefined for zero incomes")
     v = sample._scaled[0]
-    terms = np.divide(v.mean(), v)
-    return max(float(np.log(terms, out=terms).mean()), 0.0)
+    mean = float(v.mean())
+    # The ratios descend, so those that overflow lead; a float quotient past
+    # the range is inf, with no numpy warning.
+    big = bisect.bisect_left(v, True, key=lambda x: mean / float(x) < math.inf)
+    terms = np.empty_like(v)
+    np.divide(mean, v[big:], out=terms[big:])
+    np.log(terms[big:], out=terms[big:])
+    terms[:big] = _log_quotients(mean, v[:big])
+    return max(float(terms.mean()), 0.0)
 
 
 def theil(sample) -> float:

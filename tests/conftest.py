@@ -1,6 +1,7 @@
 """Shared fixtures: bundled reference tables and panels built from them."""
 
 import csv
+import os
 from pathlib import Path
 
 import pytest
@@ -75,3 +76,16 @@ def oecd_panel(oecd_rows):
 @pytest.fixture(scope="session")
 def dynamics_text():
     return DYNAMICS_PANEL.read_text(encoding="utf-8")
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process unreaped, running or not (a
+    split panel parse forks one per part), as a leaked ResourceWarning fails
+    the test that leaks a file."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"child process {pid} left unreaped" if pid else "a child process left running")

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import urllib.request
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -322,6 +323,21 @@ class TestMicro:
         assert float(scaled.pop("mean")) == pytest.approx(mean, rel=1e-15)
         plain.pop("mean")
         assert scaled == plain
+
+    def test_ratios_past_the_float_range(self, capsys, tmp_path):
+        """A value 1e-320 beside 1: T/B and Palma are past the float range and
+        read inf; the mean log deviation is a number, not inf.  No numpy
+        warning leaks."""
+        path = tmp_path / "values.txt"
+        path.write_text("1e-320\n1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run(capsys, "micro", "--input", str(path))
+        assert (code, [str(w.message) for w in caught]) == (0, [])
+        metrics = metric_map(out)
+        # ln(0.5 / 1e-320) and ln(0.5), averaged
+        assert metrics["mld"] == "367.720473"
+        assert (metrics["t_over_b_10"], metrics["palma"], metrics["atkinson"]) == ("inf", "inf", "1.000000")
 
     def test_all_zero_exit_2(self, capsys, tmp_path):
         path = self.write(tmp_path, [0, 0, 0])

@@ -3,12 +3,17 @@
 import csv
 import io
 import math
+import os
+import pickle
 import re
+import signal
+import threading
+import time
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import ineqkit.panel as panel_module
@@ -966,3 +971,318 @@ class TestStreamedInput:
             with pytest.raises(ValueError) as streamed:
                 parsed(io.BytesIO(data), block_chars)
             assert str(streamed.value) == str(whole.value)
+
+
+def split_parse(path, cpus, part_bytes=1 << 20, block_chars=1 << 18, scan_bytes=1 << 20, skip_line=False):
+    """parse_panel of the file ``path`` on ``cpus`` usable CPUs, cut into
+    parts of at least ``part_bytes`` bytes (one CPU: read whole, by this
+    process alone) by a scan of ``scan_bytes`` at a time, after its first
+    line where ``skip_line`` says so.
+
+    Returns the panel's names, columns and key order, the diagnostics and
+    the file's position after the parse, or the type and message of the
+    error; and the number of parts read, one more than the processes
+    forked."""
+    forked = []
+    real_fork = panel_module._fork_part
+
+    def fork(*args):
+        forked.append(args[2])
+        return real_fork(*args)
+
+    with (
+        mock.patch.object(panel_module, "_usable_cpus", lambda: cpus),
+        mock.patch.object(panel_module, "_PART_BYTES", part_bytes),
+        mock.patch.object(panel_module, "_BLOCK_CHARS", block_chars),
+        mock.patch.object(panel_module, "_SCAN_BYTES", scan_bytes),
+        mock.patch.object(panel_module, "_fork_part", fork),
+        open(path, "rb") as stream,
+    ):
+        if skip_line:
+            stream.readline()
+        try:
+            panel, diags = parse_panel(stream)
+        except (ValueError, SchemaError) as exc:
+            return (type(exc), str(exc)), len(forked) + 1
+        columns = [getattr(panel, name).tolist() for name in panel_module._COLUMNS]
+        order = np.asarray(panel._key_order()).tolist()
+        parsed = (list(panel.names), columns, order, [(d.line, d.reason) for d in diags], stream.tell())
+        return parsed, len(forked) + 1
+
+
+def good_rows(count, name="C{}"):
+    """``count`` valid rows (country, year, gini, top10, bottom10), each
+    country named by ``name`` and its index, 20 years apiece."""
+    return [f"{name.format(i // 20)},{1990 + i % 20},0.3,0.25,0.03" for i in range(count)]
+
+
+HEADER = "country,year,gini,top10,bottom10"
+
+
+class TestSplitParse:
+    """A file of at least 2 * _PART_BYTES bytes, on more than one usable
+    CPU, is parsed in parts, one per CPU, each by a process of its own.  It
+    parses as the same file read whole by one process: the same panel,
+    diagnostics, errors and stream position.  Here the parts are made small
+    by patching _PART_BYTES and the usable-CPU count."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.one_of(
+            st.lists(raw_lines(row_cells), min_size=4, max_size=40),
+            st.lists(raw_lines(odd_row_cells), min_size=4, max_size=40),
+        ),
+        line_ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1),
+        unterminated=st.booleans(),
+        with_source=st.booleans(),
+        bom=st.booleans(),
+        cpus=st.integers(2, 4),
+        block_chars=st.sampled_from([7, 64, 1 << 18]),
+        scan_bytes=st.sampled_from([1, 2, 5, 1 << 20]),
+    )
+    def test_matches_one_process(
+        self, tmp_path_factory, rows, line_ends, unterminated, with_source, bom, cpus, block_chars, scan_bytes
+    ):
+        text = panel_text(rows, line_ends, unterminated, with_source)
+        path = tmp_path_factory.mktemp("split") / "panel.csv"
+        path.write_bytes(("﻿" if bom else "").encode() + text.encode())
+        part_bytes = max(path.stat().st_size // (cpus + 1), 1)
+        whole, parts = split_parse(path, 1)
+        assert parts == 1
+        split, parts = split_parse(path, cpus, part_bytes, block_chars, scan_bytes)
+        event(f"read in {parts} part(s)")
+        assert split == whole
+
+    def cases(self, tmp_path, text, cpus=2, part_bytes=None, **options):
+        """The parse of ``text`` in parts, checked against the parse of the
+        same file by one process; the number of parts read."""
+        path = tmp_path / "panel.csv"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        part_bytes = part_bytes or path.stat().st_size // (cpus + 1)
+        whole, _ = split_parse(path, 1, **options)
+        split, parts = split_parse(path, cpus, part_bytes, **options)
+        assert split == whole
+        return whole, parts
+
+    def test_parts_per_cpu(self, tmp_path):
+        rows = good_rows(400)
+        rows[350] = "C17,1991,x,0.25,0.03"
+        text = HEADER + "\n" + "\n".join(rows) + "\n"
+        for cpus in (2, 3, 4):
+            (_, columns, _, diags, position), parts = self.cases(tmp_path, text, cpus)
+            assert parts == cpus
+            assert (len(columns[0]), diags) == (399, [(352, "unparseable numeric in column 'gini': 'x'")])
+            assert position == len(text)
+
+    def test_blank_lines_at_a_cut(self, tmp_path):
+        """The line numbers of a later part count the blank lines before it,
+        not the line of the last row."""
+        rows = good_rows(30) + [""] * 1000 + good_rows(30, "D{}")
+        rows[-1] = "D1,2009,0.3,0.25,0.5"
+        (_, _, _, diags, _), parts = self.cases(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n")
+        assert (parts, diags) == (2, [(1061, "share ordering violated")])
+
+    def test_quoted_commas_on_both_sides_of_a_cut(self, tmp_path):
+        rows = good_rows(300, '"Korea, Rep. {}"')
+        whole, parts = self.cases(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n")
+        assert parts == 2 and whole[0][0] == "Korea, Rep. 0" and len(whole[0]) == 15
+
+    def test_quoted_line_end_before_a_cut(self, tmp_path):
+        rows = good_rows(300)
+        rows[5] = '"Multi\nLine",2015,0.3,0.25,0.03'
+        whole, parts = self.cases(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n")
+        assert parts == 2 and "Multi\nLine" in whole[0]
+
+    def test_quoted_line_end_at_a_cut_gives_no_split(self, tmp_path):
+        """The first line end past the cut's target is inside a quoted
+        field: no row starts there, and the file is read whole."""
+        rows = good_rows(10) + ['"Multi' + "\n" * 2000 + 'Line",2015,0.3,0.25,0.03'] + good_rows(10, "D{}")
+        whole, parts = self.cases(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n")
+        assert parts == 1 and len(whole[1][0]) == 21
+
+    @pytest.mark.parametrize("scan_bytes", [1, 1 << 20])
+    def test_stray_quote_gives_no_later_cut(self, tmp_path, scan_bytes):
+        """A quote that ends an unquoted cell makes the quotes before the
+        cut's target even, though the line end there is inside a quoted
+        field, whose opening quote could close one."""
+        multi = ",Multi" + "\n" * 2000 + "Line"
+        rows = good_rows(10) + ['A",2015,0.3,0.25,0.03', f'"{multi}",2015,0.3,0.25,0.03']
+        rows += good_rows(10, "D{}")
+        text = HEADER + "\n" + "\n".join(rows) + "\n"
+        whole, parts = self.cases(tmp_path, text, cpus=4, scan_bytes=scan_bytes)
+        assert parts == 1 and {'A"', multi} < set(whole[0])
+
+    @pytest.mark.parametrize("scan_bytes", [1, 2, 7, 1 << 20])
+    @pytest.mark.parametrize("line_end", ["\r\n", "\r"])
+    def test_crlf_and_lone_cr(self, tmp_path, line_end, scan_bytes):
+        rows = good_rows(300)
+        rows[250] = "C12,1990,0.3,0.25,0.03"  # repeats row 240
+        text = line_end.join([HEADER, *rows]) + line_end
+        (_, _, _, diags, _), parts = self.cases(tmp_path, text, cpus=3, scan_bytes=scan_bytes)
+        assert (parts, diags) == (3, [(252, "duplicate record ('C12', 1990, 'OTHER')")])
+
+    def test_byte_order_mark(self, tmp_path):
+        text = '﻿"country",year,gini,top10,bottom10\n' + "\n".join(good_rows(300)) + "\n"
+        (names, _, _, _, position), parts = self.cases(tmp_path, text)
+        assert (parts, names[0], position) == (2, "C0", len(text.encode()))
+
+    def test_duplicate_key_in_another_part(self, tmp_path):
+        rows = good_rows(300)
+        rows.append(rows[0])
+        (_, columns, _, diags, _), parts = self.cases(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n", cpus=3)
+        assert (parts, len(columns[0])) == (3, 300)
+        assert diags == [(302, "duplicate record ('C0', 1990, 'OTHER')")]
+
+    def test_bad_row_first_in_a_part(self, tmp_path):
+        rows = good_rows(300)
+        text = HEADER + "\n" + "\n".join(rows) + "\n"
+        path = tmp_path / "panel.csv"
+        path.write_text(text)
+        with (
+            mock.patch.object(panel_module, "_usable_cpus", lambda: 2),
+            mock.patch.object(panel_module, "_PART_BYTES", len(text) // 3),
+            open(path, "rb") as stream,
+        ):
+            (_, (cut, _, line)) = panel_module._split_plan(stream).parts
+        # The same bytes, the row that starts part 1 made bad.
+        at = text.index("\n", cut) + 1
+        text = text[:cut] + text[cut:at].replace("0.3,", "x.x,") + text[at:]
+        (_, _, _, diags, _), parts = self.cases(tmp_path, text, part_bytes=len(text) // 3)
+        assert parts == 2 and diags == [(line, "unparseable numeric in column 'gini': 'x.x'")]
+
+    @pytest.mark.parametrize("where", [0.1, 0.9])
+    def test_invalid_utf8(self, tmp_path, where):
+        """A byte that is not UTF-8, in part 0 or in a later part, raises the
+        error a read of the whole file raises."""
+        rows = good_rows(300)
+        rows[int(300 * where)] = "C\xff,2015,0.3,0.25,0.03"
+        data = (HEADER + "\n" + "\n".join(rows) + "\n").encode("latin-1")
+        # Small blocks: the header's block does not hold the byte.
+        (error, message), parts = self.cases(tmp_path, data, block_chars=64)
+        assert (parts, error) == (2, ValueError) and "can't decode byte 0xff" in message
+
+    def test_missing_column(self, tmp_path):
+        text = "country,year,gini,top10\n" + "\n".join(good_rows(300)) + "\n"
+        whole, parts = self.cases(tmp_path, text)
+        assert (parts, whole) == (1, (SchemaError, "missing declared column(s): bottom10"))
+
+    def test_stream_not_at_the_start(self, tmp_path):
+        text = "# a preamble\n" + HEADER + "\n" + "\n".join(good_rows(300)) + "\n"
+        (_, columns, _, _, position), parts = self.cases(tmp_path, text, skip_line=True)
+        assert (parts, len(columns[0]), position) == (2, 300, len(text))
+
+    def test_text_stream_and_pipe_read_whole(self, tmp_path):
+        text = HEADER + "\n" + "\n".join(good_rows(300)) + "\n"
+        path = tmp_path / "panel.csv"
+        path.write_text(text)
+        read, write = os.pipe()
+        os.write(write, text.encode())  # less than a pipe holds
+        os.close(write)
+        with (
+            mock.patch.object(panel_module, "_usable_cpus", lambda: 4),
+            mock.patch.object(panel_module, "_PART_BYTES", 16),
+            mock.patch.object(panel_module, "_fork_part", side_effect=AssertionError("forked")),
+            open(path, encoding="utf-8", newline="") as text_stream,
+            open(read, "rb") as pipe,
+        ):
+            for stream in (text_stream, pipe, text):
+                panel, diags = parse_panel(stream)
+                assert (len(panel), diags) == (300, [])
+
+    def test_one_cpu_reads_whole(self, tmp_path):
+        text = HEADER + "\n" + "\n".join(good_rows(300)) + "\n"
+        path = tmp_path / "panel.csv"
+        path.write_text(text)
+        assert split_parse(path, 1, 16)[1] == 1
+
+    def test_threads_or_ignored_children_read_whole(self, tmp_path):
+        """A process that runs another thread, which a forked child would
+        lack, or that lets the system reap its children, forks none."""
+        text = HEADER + "\n" + "\n".join(good_rows(300)) + "\n"
+        path = tmp_path / "panel.csv"
+        path.write_text(text)
+        whole, _ = split_parse(path, 1)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            assert split_parse(path, 2, 16) == (whole, 1)
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            assert split_parse(path, 2, 16) == (whole, 1)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+
+
+class TestSplitParseFailures:
+    """Whatever a child process does, no process outlives the parse: a child
+    that fails makes the parent parse the whole input itself, and a parent
+    that raises kills and reaps every child first."""
+
+    TEXT = HEADER + "\n" + "\n".join(good_rows(300)) + "\n"
+
+    def parse(self, tmp_path, cpus=3):
+        path = tmp_path / "panel.csv"
+        path.write_text(self.TEXT)
+        with (
+            mock.patch.object(panel_module, "_usable_cpus", lambda: cpus),
+            mock.patch.object(panel_module, "_PART_BYTES", len(self.TEXT) // (cpus + 1)),
+            open(path, "rb") as stream,
+        ):
+            panel, diags = parse_panel(stream)
+            return len(panel), diags, stream.tell()
+
+    def test_parent_raising_kills_its_children(self, tmp_path):
+        parent, real = os.getpid(), panel_module._read_part
+
+        def read_part(*args):
+            if os.getpid() == parent:
+                raise RuntimeError("part 0 failed")
+            time.sleep(60)  # a child still running
+            return real(*args)
+
+        start = time.monotonic()
+        with mock.patch.object(panel_module, "_read_part", read_part):
+            with pytest.raises(RuntimeError, match="part 0 failed"):
+                self.parse(tmp_path)
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("fault", ["raise", "exit 7", "no pickle", "short"])
+    def test_failed_child_falls_back(self, tmp_path, fault):
+        """A child that raises, exits non-zero after sending its rows, sends
+        no pickle or stops short: the parent parses the input again."""
+        parent, real_read, real_dump, real_exit = os.getpid(), panel_module._read_part, pickle.dump, os._exit
+        calls = []
+
+        def read_part(*args):
+            calls.append(os.getpid() == parent)
+            if os.getpid() != parent and fault == "raise":
+                raise RuntimeError("a child failed")
+            return real_read(*args)
+
+        def dump(obj, pipe):
+            if fault == "no pickle":
+                pipe.write(b"not a pickle")
+                return
+            real_dump(obj, pipe)
+            if fault == "short":
+                pipe.flush()
+                real_exit(0)
+
+        def exit(status):
+            real_exit(7 if fault == "exit 7" else status)
+
+        with (
+            mock.patch.object(panel_module, "_read_part", read_part),
+            mock.patch.object(panel_module.pickle, "dump", dump),
+            mock.patch.object(os, "_exit", exit),
+        ):
+            assert self.parse(tmp_path) == (300, [], len(self.TEXT))
+        # Part 0, then the whole input, in this process.
+        assert calls == [True, True]

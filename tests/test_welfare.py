@@ -227,6 +227,24 @@ class TestRatioUnderflow:
         exact = (moment - 1) / (alpha * (alpha - 1))
         assert ge_index(self.TINY, -0.3) == pytest.approx(float(exact), rel=1e-12)
 
+    def test_atkinson_of_order_one(self):
+        # ln(1e-320 / mean) is -748.35, not -inf: the index is about 0.526
+        values = [1e-320] + [1e5] * 1000
+        ctx = Context(prec=40)
+        exact = [Decimal(v) for v in values]
+        mean = sum(exact) / len(exact)
+        log_mean = sum(ctx.ln(v / mean) for v in exact) / len(exact)
+        assert atkinson(values, 1.0) == pytest.approx(float(1 - ctx.exp(log_mean)), rel=1e-14)
+
+    def test_mld_of_an_overflowing_ratio(self):
+        # ln(mean / 1e-320) is read as ln(mean) - ln(1e-320), not ln(inf)
+        values = [1e-320, 1.0]
+        ctx = Context(prec=40)
+        exact = [Decimal(v) for v in values]
+        mean = sum(exact) / len(exact)
+        mld = sum(ctx.ln(mean / v) for v in exact) / len(exact)
+        assert ge_zero(values) == pytest.approx(float(mld), rel=1e-14)
+
     def test_results_are_floats(self):
         for value in (theil([1, 3]), ge_index([1, 3], 0.7), ge_index([1, 3], 1.2)):
             assert type(value) is float
