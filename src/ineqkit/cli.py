@@ -465,21 +465,24 @@ def _read_table(path: str, text: str, needed: tuple[str, ...]) -> dict[str, dict
     """The reference table ``text``, read from ``path``, keyed by country;
     checks the needed columns."""
     reader = csv.DictReader(io.StringIO(text, newline=None))
-    fields = reader.fieldnames or []
-    missing = [c for c in ("country",) + needed if c not in fields]
-    if missing:
-        raise SchemaError(f"{path}: missing column(s): {', '.join(missing)}")
     table: dict[str, dict[str, float]] = {}
-    for row in reader:
-        country = (row["country"] or "").strip()
-        if not country:
-            raise SchemaError(f"{path}: row with empty country")
-        if country in table:
-            raise SchemaError(f"{path}: duplicate country {country!r}")
-        try:
-            table[country] = {c: float(row[c]) for c in needed}
-        except (TypeError, ValueError):
-            raise SchemaError(f"{path}: unparseable numeric for {country!r}")
+    try:
+        fields = reader.fieldnames or []
+        missing = [c for c in ("country",) + needed if c not in fields]
+        if missing:
+            raise SchemaError(f"{path}: missing column(s): {', '.join(missing)}")
+        for row in reader:
+            country = (row["country"] or "").strip()
+            if not country:
+                raise SchemaError(f"{path}: row with empty country")
+            if country in table:
+                raise SchemaError(f"{path}: duplicate country {country!r}")
+            try:
+                table[country] = {c: float(row[c]) for c in needed}
+            except (TypeError, ValueError):
+                raise SchemaError(f"{path}: unparseable numeric for {country!r}")
+    except csv.Error as exc:
+        raise SchemaError(f"{path}:{reader.reader.line_num}: {exc}") from None
     return table
 
 

@@ -315,8 +315,8 @@ _ERRORS = "surrogatepass"
 # read it as int() and float() do; 0 pads a fixed-width cell.
 _INT_CHARS = np.array([c in b"\0+-0123456789" for c in range(256)])
 _FLOAT_CHARS = np.array([c in b"\0+-.0123456789Ee" for c in range(256)])
-# Mask, by byte, of the bytes that may border a quote.
-_QUOTE_BORDERS = np.array([c in b'\n",' for c in range(256)])
+# Mask, by byte, of the bytes that may border a plain quote.
+_QUOTE_BORDERS = np.array([c in b'\n\r",' for c in range(256)])
 # The powers of ten a fraction of at most 15 digits divides by, all exact.
 _POWERS_OF_TEN = 10.0 ** np.arange(16)
 
@@ -358,9 +358,100 @@ def _file_chunks(fd: int, start: int, stop: int):
         yield part
 
 
+class _Rows:
+    """Where csv.reader ends its rows, by its own quote rule, in bytes read a
+    chunk at a time.  A quote opens a quoted field where it is not inside
+    one and the byte before it is a delimiter, a line end or the start of
+    the input.  Inside a quoted field a doubled quote is a quote, and any
+    other quote closes the field.  A line end ("\\n", "\\r\\n" or a lone
+    "\\r") ends a row unless it lies inside a quoted field, and the end of
+    the input ends the last row.  A "\\r" that ends a chunk, not the input,
+    is counted with the next (ending at offset 0 if no "\\n" follows).
+
+    A quote is plain where it opens a field, closes one just before a
+    delimiter or line end, or is one of a doubled pair; numpy's reader reads
+    such quotes alike.  Where every quote is plain, the quoted line ends are
+    those after an odd number of quotes; only a chunk with another quote is
+    read a quote at a time.
+    """
+
+    quoted = False  # inside a quoted field
+    before = ord("\n")  # the last byte read, or a line end
+    toggled = False  # that byte is a quote that opened or closed a field
+
+    def _read(self, data: bytes, last: bool):
+        """The bytes ``data`` as an array, the offsets of its lone "\\r"s
+        that end lines, its quotes that open or close a field, whether it
+        starts inside one, and whether its quotes are plain; the state moves
+        on to its end."""
+        raw = np.frombuffer(data, dtype=np.uint8)
+        n = len(raw)
+        held, lone = not last and data[-1:] == b"\r", np.empty(0, np.intp)
+        if b"\r" in data:
+            cr = np.flatnonzero(raw[: n - held] == ord("\r"))
+            lone = cr[raw[np.minimum(cr + 1, n - 1)] != ord("\n")]
+        if self.before == ord("\r") and data[:1] != b"\n":
+            lone = np.concatenate(([-1], lone))
+        quotes = np.flatnonzero(raw == ord('"'))
+        # The byte before an opening quote and after a closing one; the end
+        # of the data borders a quote as a line end does.
+        opens = self.before in b",\n\r" or self.toggled
+        opening = np.arange(self.quoted, self.quoted + len(quotes)) % 2 == 0
+        border = _QUOTE_BORDERS[raw[np.where(opening, quotes - 1, np.minimum(quotes + 1, n - 1))]]
+        if len(quotes) and quotes[0] == 0 and opening[0]:
+            border[0] = opens
+        plain = bool(border.all())
+        if self.toggled and not self.quoted and n:  # a quote closed the chunk before
+            plain &= bool(_QUOTE_BORDERS[raw[0]])
+        if plain:
+            toggles = quotes
+        else:
+            # A quote toggles where it is inside a quoted field, or opens one
+            # after a delimiter, a line end or the quote that closed a field.
+            marks, quoted = [], self.quoted
+            for q in quotes.tolist():
+                if quoted or (data[q - 1] in b",\n\r" or marks[-1:] == [q - 1] if q else opens):
+                    marks.append(q)
+                    quoted = not quoted
+            toggles = np.array(marks, dtype=np.intp)
+        quoted = self.quoted
+        self.quoted ^= len(toggles) % 2 == 1
+        if n:
+            self.before, self.toggled = data[-1], len(toggles) > 0 and toggles[-1] == n - 1
+        return raw, lone, toggles, quoted, plain
+
+    def lines(self, data: bytes, last: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """The offset in ``data`` after each of its lines, and the mask of
+        the lines that end a row.  Where ``last`` says that ``data`` ends the
+        input, its last line ends at its end and ends a row."""
+        raw, lone, toggles, quoted, _ = self._read(data, last)
+        at = np.sort(np.concatenate((np.flatnonzero(raw == ord("\n")), lone)))  # by last byte
+        if last and data[-1:] not in (b"", b"\n", b"\r"):
+            at = np.append(at, len(data) - 1)
+        rows = (np.searchsorted(toggles, at) + quoted) % 2 == 0
+        rows[-1:] |= last
+        return at + 1, rows
+
+    def scan(self, data: bytes) -> tuple[int, int, bool]:
+        """At less cost than :meth:`lines`, for ``data`` that does not end the
+        input: the offset after its last row end (0 for none), its number of
+        lines, and whether its quotes are plain."""
+        raw, lone, toggles, quoted, plain = self._read(data, False)
+        lines = int(np.count_nonzero(raw == ord("\n"))) + len(lone)
+        stop = len(data) - (data[-1:] == b"\r")
+        while (end := max(data.rfind(b"\n", 0, stop), data.rfind(b"\r", 0, stop))) >= 0:
+            k = int(np.searchsorted(toggles, end))
+            if (k + quoted) % 2 == 0:
+                return end + 1, lines, plain
+            stop = int(toggles[k - 1]) if k else 0  # before the quote that opened the field
+        return 0, lines, plain
+
+
 def _byte_blocks(parts, head: bool = True):
     """The bytes of ``parts``, pieces of CSV text or of its bytes, in blocks
-    each ending at a line end or at the end of the input.
+    of whole rows, each cut at the last row end :class:`_Rows` finds or at
+    the end of the input, and whether its quotes are plain (False may also
+    mean a quote of the next block is not).
 
     A leading byte-order mark is dropped where ``head`` says the pieces start
     the input, and "\\r\\n" and a lone "\\r" are read as "\\n", as with
@@ -381,8 +472,8 @@ def _byte_blocks(parts, head: bool = True):
             raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         return raw
 
-    pending: list[bytes] = []  # read, and no line end since the last block
-    offset, check = 0, True
+    pending: list[bytes] = []  # read, and no row end since the last block
+    offset, check, plain, rows = 0, True, True, _Rows()
     for part in parts:
         if isinstance(part, str):
             part, check = part.encode("utf-8", _ERRORS), False
@@ -392,97 +483,42 @@ def _byte_blocks(parts, head: bool = True):
                 pending = [part]
                 continue
             part, pending, head = part.removeprefix(codecs.BOM_UTF8), [], False
-        # After the last line end; a "\r" that ends the part may start "\r\n".
-        cut = max(part.rfind(b"\n"), part.rfind(b"\r", 0, len(part) - 1)) + 1
+        cut, _, plain_part = rows.scan(part)
+        plain &= plain_part
         if cut:
-            yield block(b"".join([*pending, part[:cut]]))
-            pending = [part[cut:]]
-        else:
-            pending.append(part)
+            yield block(b"".join([*pending, part[:cut]])), plain
+            pending, plain = [], plain_part
+        pending.append(part[cut:])
     data = b"".join(pending)
     if head:
         data = data.removeprefix(codecs.BOM_UTF8)
     if data:
-        yield block(data)
+        yield block(data), plain and not rows.quoted
 
 
-class _Input:
-    """The blocks of :func:`_byte_blocks`, from which a row that runs past
-    the end of its block reads on, a line at a time."""
-
-    def __init__(self, parts, head: bool = True):
-        self._blocks = _byte_blocks(parts, head)
-        self._block, self._at = b"", 0
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> bytes:
-        """The lines of the last block that no row read, else the next block."""
-        block = self._block[self._at :] or next(self._blocks)
-        self._block, self._at = b"", 0
-        return block
-
-    def lines(self):
-        """The lines that follow, as text, each taken when it is read."""
-        while True:
-            if self._at == len(self._block):
-                self._block, self._at = next(self._blocks, b""), 0
-                if not self._block:
-                    return
-            end = self._block.find(b"\n", self._at) + 1 or len(self._block)
-            line = self._block[self._at : end]
-            self._at = end
-            yield line.decode("utf-8", _ERRORS)
+def _csv_rows(text: str, line: int) -> list[list[str]]:
+    """The rows csv.reader reads from ``text``, which starts on line
+    ``line``; a cell past csv's field limit raises a ValueError that names
+    its line."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise ValueError(f"line {line - 1 + reader.line_num}: {exc}") from None
 
 
-def _csv_rows(text: str, more):
-    """The rows csv.reader reads from ``text`` up to the first row that ends
-    at or after its end; a row that runs past the end reads on from the lines
-    ``more``.  Returns the rows and the number of lines read up to the end of
-    each."""
-    lines = text.count("\n") + (text[-1:] not in ("", "\n"))
-    reader = csv.reader(itertools.chain(io.StringIO(text), more))
-    rows, numbers = [], []
-    for row in reader:
-        rows.append(row)
-        numbers.append(reader.line_num)
-        if reader.line_num >= lines:
-            break
-    return rows, numbers
-
-
-def _plain_quotes(raw: np.ndarray) -> bool:
-    """Whether each quote of the bytes ``raw`` opens a field, closes one just
-    before a delimiter or line end, or is one of a doubled pair inside one,
-    and no field is left open: numpy's reader and csv.reader read such
-    quoting alike.  A field that holds a line end is left to the row count."""
-    at = np.flatnonzero(raw == ord('"'))
-    if at.size % 2:
-        return False
-    line_end = np.full(1, ord("\n"), dtype=np.uint8)
-    padded = np.concatenate((line_end, raw, line_end))
-    opens, closes = at[0::2], at[1::2]
-    return bool(_QUOTE_BORDERS[padded[opens]].all() and _QUOTE_BORDERS[padded[closes + 2]].all())
-
-
-def _byte_cells(block, usecols: list[int], widths: list[int]) -> list[np.ndarray] | None:
-    """The cells of columns ``usecols`` of every row of ``block``, UTF-8
-    bytes (or text), one byte column each, read by numpy's C reader; None for
-    a block it may read otherwise than csv.reader, that has fewer rows than
-    lines, as a blank line or a quoted line end gives it (numpy's reader
-    skips the one and reads the other into its row), or that has a cell of
-    ``_WIDEST_CELL`` bytes or more.  ``widths`` holds the bytes per cell of
-    each column; a column with a cell that fills it is widened in place, as
-    ``_CELL_BYTES`` says, for this block and those that follow."""
-    if isinstance(block, str):
-        block = block.encode(errors=_ERRORS)
-    if block.isspace():  # numpy's reader warns that blank lines hold no data
-        return None
+def _byte_cells(block, lines: int, usecols: list[int], widths: list[int]) -> list[np.ndarray] | None:
+    """The cells of columns ``usecols`` of the non-empty rows of ``block``,
+    ``lines`` lines of whole rows with plain quotes and line ends read as
+    "\\n", a byte column each, read by numpy's C reader.  None for a block
+    that reader may read otherwise than csv.reader: with a control
+    character, a short row, a whitespace-only line, a cell of
+    ``_WIDEST_CELL`` bytes or more, or no row.  A column of ``widths``
+    (bytes per cell) with a cell that fills it is widened in place, as
+    ``_CELL_BYTES`` says, for the blocks to come."""
     raw = np.frombuffer(block, dtype=np.uint8)
-    lines = np.count_nonzero(raw == ord("\n"))
     # A bare CR, a NUL or another control character
-    if np.count_nonzero(raw < 32) != lines or not _plain_quotes(raw):
+    if np.count_nonzero(raw < 32) != lines - (block[-1] != ord("\n")) or block.isspace():
         return None
     while True:
         dtype = np.dtype([(f"c{k}", f"S{width}") for k, width in enumerate(widths)])
@@ -500,8 +536,6 @@ def _byte_cells(block, usecols: list[int], widths: list[int]) -> list[np.ndarray
                 encoding="latin-1",
             )
         except ValueError:  # a short row, a whitespace-only line, ...
-            return None
-        if len(table) != lines + (block[-1] != ord("\n")):
             return None
         cells = [table[name] for name in dtype.names]
         full = [k for k, col in enumerate(cells) if col[:, None].view(np.uint8)[:, -1].any()]
@@ -616,40 +650,43 @@ def _cast(cells: np.ndarray, dtype, chars) -> tuple[np.ndarray, np.ndarray]:
     return values, plain
 
 
-def _blocks(stream: _Input, line: int, usecols: list[int], widths):
-    """Tokenize the blocks of ``stream`` that follow, the first row starting
-    on line ``line``.
+def _blocks(blocks, line: int, usecols: list[int], widths):
+    """Tokenize ``blocks``, as :func:`_byte_blocks` yields them, the first
+    row starting on line ``line``.
 
     Yields, for each block, the cells of columns ``usecols`` of its non-empty
     rows, one array per column; the number of cells of each row that has
     fewer than ``max(usecols) + 1``, by row index; and the line number each
     row ends on.  A column holds the UTF-8 bytes of its cells.  Numpy's C
-    reader tokenizes a block, at the cell ``widths`` :func:`_byte_cells`
-    widens, where it reads the block as csv.reader would and its rows are its
-    lines; otherwise csv.reader does, and its cells are stripped (and kept as
-    text where one holds a NUL).
+    reader tokenizes a block with plain quotes, at the cell ``widths``
+    :func:`_byte_cells` widens, where it reads as many rows as the row rule
+    of :class:`_Rows` gives; otherwise csv.reader does, and its cells are
+    stripped (and kept as text where one holds a NUL).
     """
     width = max(usecols) + 1
-    for block in stream:
-        cells = _byte_cells(block, usecols, widths)
-        if cells is not None:
-            # Its rows are its lines; only the last block may lack a line end.
-            yield cells, {}, line + np.arange(len(cells[0]))
-            line += len(cells[0])
-            continue
-        rows, numbers = _csv_rows(block.decode("utf-8", _ERRORS), stream.lines())
-        ends = [line - 1 + n for row, n in zip(rows, numbers) if row]
-        rows = [row for row in rows if row]
-        short = {j: len(row) for j, row in enumerate(rows) if len(row) < width}
-        for j, length in short.items():
-            rows[j] += [""] * (width - length)
-        texts = [[row[i].strip() for row in rows] for i in usecols]
-        if any("\0" in "".join(col) for col in texts):  # a byte column would drop a trailing NUL
-            cells = [np.array(col, dtype=object) for col in texts]
+    for block, plain in blocks:
+        raw = np.frombuffer(block, dtype=np.uint8)
+        lines = np.count_nonzero(raw == ord("\n")) + (block[-1] != ord("\n"))
+        cells, short = _byte_cells(block, lines, usecols, widths) if plain else None, {}
+        if cells is not None and len(cells[0]) == lines:  # each line is a row
+            ends = np.arange(line, line + lines)
         else:
-            cells = [np.array([t.encode("utf-8", _ERRORS) for t in col], dtype=bytes) for col in texts]
-        yield cells, short, np.array(ends, dtype=np.int64)
-        line += numbers[-1]
+            # The line each row ends on, but blank lines, which both readers skip
+            ends, rows = _Rows().lines(block, last=True)
+            filled = raw[np.concatenate(([0], ends[rows][:-1]))] != ord("\n")
+            ends = line + np.flatnonzero(rows)[filled]
+        if cells is None or len(cells[0]) != len(ends):
+            rows = [row for row in _csv_rows(block.decode("utf-8", _ERRORS), line) if row]
+            short = {j: len(row) for j, row in enumerate(rows) if len(row) < width}
+            for j, length in short.items():
+                rows[j] += [""] * (width - length)
+            texts = [[row[i].strip() for row in rows] for i in usecols]
+            if any("\0" in "".join(col) for col in texts):  # a byte column would drop a trailing NUL
+                cells = [np.array(col, dtype=object) for col in texts]
+            else:
+                cells = [np.array([t.encode("utf-8", _ERRORS) for t in col], "S") for col in texts]
+        yield cells, short, ends
+        line += lines
 
 
 def _slices(values: np.ndarray):
@@ -749,9 +786,10 @@ class _Part:
     codes: dict[str, int]
 
 
-def _read_part(stream: _Input, line: int, layout: _Layout, reserve: int = 0) -> _Part:
-    """The rows of the blocks of ``stream`` that follow, the first starting
-    on line ``line``, in columns that first hold room for ``reserve`` rows.
+def _read_part(blocks, line: int, layout: _Layout, reserve: int = 0) -> _Part:
+    """The rows of ``blocks``, as :func:`_byte_blocks` yields them, the
+    first starting on line ``line``, in columns that first hold room for
+    ``reserve`` rows.
 
     Each block's cells become columns, each read by one _cast; only the rows
     that a cast skips are checked one by one.  The block's rows are then
@@ -771,7 +809,7 @@ def _read_part(stream: _Input, line: int, layout: _Layout, reserve: int = 0) -> 
     done = 0
     width = max(layout.where) + 1
     widths = list(_CELL_BYTES[: len(layout.declared)])
-    for cells, short, numbers in _blocks(stream, line, list(layout.where), widths):
+    for cells, short, numbers in _blocks(blocks, line, list(layout.where), widths):
         country = _lookup(cells[0], country_code, country_memo)
         year, good = _cast(cells[1], np.int64, _INT_CHARS)
         good &= country >= 0
@@ -828,9 +866,6 @@ _SCAN_BYTES = _PIPE_BYTES = 1 << 20
 _FIRST_PART_SHARE = 0.9
 # The fewest bytes per row that the columns are first sized for.
 _ROW_BYTES = 16
-# Mask, by byte, of the bytes that may border a quote before line ends are
-# read as "\n".
-_RAW_QUOTE_BORDERS = _QUOTE_BORDERS | (np.arange(256) == ord("\r"))
 
 
 def _usable_cpus() -> int:
@@ -841,81 +876,34 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _line_end(data: bytes, at: int, stop: int) -> int:
-    """The offset after the first line end of ``data`` at or past ``at`` and
-    before ``stop``, or 0 for none; a "\\r" at ``stop`` - 1 reads the byte
-    after it."""
-    n = data.find(b"\n", at, stop)
-    r = data.find(b"\r", at, n if n >= 0 else stop)
-    while r >= 0 and data[r + 1 : r + 2] == b"\n":  # "\r\n" ends at its "\n"
-        r = data.find(b"\r", r + 1, n if n >= 0 else stop)
-    return (r if r >= 0 else n) + 1
-
-
-def _line_ends(data: bytes, stop: int) -> int:
-    """The line ends of data[:stop], as universal newlines count them; a
-    "\\r" at ``stop`` - 1 reads the byte after it.  numpy counts a byte as
-    frequent as "\\n" several times faster than bytes.count."""
-    count = int(np.count_nonzero(np.frombuffer(data, dtype=np.uint8, count=stop) == ord("\n")))
-    if b"\r" in data:
-        count += data.count(b"\r", 0, stop) - data.count(b"\r\n", 0, stop + 1)
-    return count
-
-
 def _row_cuts(fd: int, start: int, end: int, targets: list[int]) -> list[tuple[int, int]]:
     """Where the bytes ``start`` to ``end`` of the file ``fd`` are cut, at
-    most once for each ascending byte offset of ``targets``: each cut as the
-    offset after the first line end at or past its target, and the number of
-    line ends before it, counted from ``start`` as universal newlines count
-    them.
-
-    A cut is made only where the bytes before it, after a byte-order mark,
-    hold an even number of quotes, each of which opens a field, closes one
-    just before a delimiter or line end, or is one of a doubled pair, as
-    :func:`_plain_quotes` reads them: a row starts there.  A target whose
-    first line end is not such a place is dropped, and so is every target
-    after a quote that is not plain.  The bytes are read ``_SCAN_BYTES`` at
-    a time, and not past the last cut.
-    """
+    most once for each ascending byte offset of ``targets``: each cut at the
+    first row end past its target, as :class:`_Rows` reads the bytes after a
+    byte-order mark ``_SCAN_BYTES`` at a time (not past the last cut), with
+    the number of line ends before it, counted from ``start``."""
     cuts: list[tuple[int, int]] = []
     todo = iter(targets)
     target = next(todo, end)
     pos = start + len(codecs.BOM_UTF8) * (os.pread(fd, 3, start) == codecs.BOM_UTF8)
-    quotes = lines = 0
-    before = ord("\n")  # the byte before pos, as it borders a quote
+    rows, lines = _Rows(), 0
     while target < end and pos < end:
         size = min(_SCAN_BYTES, end - pos)
-        data = os.pread(fd, size + 1, pos)  # and the byte after, where there is one
+        data = os.pread(fd, size, pos)
         if len(data) < size:  # the file has shrunk
             break
-        raw = np.frombuffer(data, dtype=np.uint8)
-        at = np.flatnonzero(raw[:size] == ord('"'))
-        # The byte before each quote and the one after; the end of the input
-        # borders a quote as a line end does.
-        prior, after = raw[at - 1], raw[np.minimum(at + 1, len(raw) - 1)]
-        if at.size and at[0] == 0:
-            prior[0] = before
-        if at.size and at[-1] + 1 == len(raw):
-            after[-1] = ord("\n")
-        # A quote opens a field where it is the (quotes + 1)-th, an odd one.
-        opens = np.arange(quotes, quotes + at.size) % 2 == 0
-        plain = np.where(opens, _RAW_QUOTE_BORDERS[prior], _RAW_QUOTE_BORDERS[after])
-        first_bad = size if plain.all() else int(at[np.argmin(plain)])
-        while target < pos + size:
-            cut = _line_end(data, max(target - pos, 0), size)
-            if not cut:  # the line end is in a later chunk
-                break
-            if cut > first_bad:
-                return cuts
-            if (quotes + int(np.searchsorted(at, cut))) % 2 == 0 and pos + cut < end:
-                cuts.append((pos + cut, lines + _line_ends(data, cut)))
-            while target < pos + cut:
+        if target >= pos + size:
+            lines, pos = lines + rows.scan(data)[1], pos + size
+            continue
+        ends, ended = rows.lines(data)
+        row_ends, at = ends[ended], np.flatnonzero(ended)
+        while target < pos + size and (k := row_ends.searchsorted(target - pos, "right")) < len(at):
+            cut = pos + int(row_ends[k])
+            if cut < end:
+                cuts.append((cut, lines + int(at[k]) + 1))
+            while target < cut:
                 target = next(todo, end)
-        if first_bad < size:
-            break
-        quotes += at.size
-        lines += _line_ends(data, size)
-        before = data[size - 1]
+        lines += len(ends)
         pos += size
     return cuts
 
@@ -944,7 +932,7 @@ def _split_plan(source) -> _Plan | None:
     a binary stream of a regular file, fewer than 2 * ``_PART_BYTES`` bytes
     are left to read, one CPU is usable, the process runs other threads
     (which a forked process does not have) or does not reap its own
-    children, or no row boundary falls near a cut.  Part 0 holds
+    children, or no row ends past a cut's target.  Part 0 holds
     ``_FIRST_PART_SHARE`` times the bytes of each other part.  The rows are
     estimated from the line ends before the last cut, a sixteenth more, but
     at most one per ``_ROW_BYTES`` bytes."""
@@ -1007,8 +995,8 @@ def _fork_part(layout: _Layout, plan: _Plan, k: int, close: list[int]):
         for fd in (read, *close):
             os.close(fd)
         lo, hi, line = plan.parts[k]
-        stream = _Input(_file_chunks(plan.fd, lo, hi), head=False)
-        part = _read_part(stream, line, layout, plan.reserve(k))
+        blocks = _byte_blocks(_file_chunks(plan.fd, lo, hi), head=False)
+        part = _read_part(blocks, line, layout, plan.reserve(k))
         with open(write, "wb") as pipe:
             pickle.dump((part.rows, part.skipped, part.bad_rows, list(part.codes)), pipe)
             for column in part.columns.values():
@@ -1042,9 +1030,9 @@ def _receive(pipe, part: _Part) -> None:
     part.rows += rows
 
 
-def _read_split(stream: _Input, line: int, layout: _Layout, plan: _Plan) -> _Part | None:
+def _read_split(blocks, line: int, layout: _Layout, plan: _Plan) -> _Part | None:
     """The rows of every part of ``plan`` in file order: part 0 read from
-    ``stream`` here, the first row on line ``line``, and each other part in
+    ``blocks`` here, the first row on line ``line``, and each other part in
     a child process forked for it.  None where a child failed.  No child
     outlives the call: one that is not needed, or that is still running
     when this process raises, is killed, and every child is reaped."""
@@ -1056,7 +1044,7 @@ def _read_split(stream: _Input, line: int, layout: _Layout, plan: _Plan) -> _Par
             except OSError:  # no process to be had
                 return None
             children[pid] = pipe
-        part = _read_part(stream, line, layout, plan.reserve(0))
+        part = _read_part(blocks, line, layout, plan.reserve(0))
         for pid in list(children):
             try:
                 _receive(children[pid], part)
@@ -1073,14 +1061,19 @@ def _read_split(stream: _Input, line: int, layout: _Layout, plan: _Plan) -> _Par
             os.waitpid(pid, 0)
 
 
-def _parse(stream: _Input, schema: SchemaConfig, label: str, plan: _Plan | None = None):
-    """:func:`parse_panel` of the blocks of ``stream``: of all the input,
-    or of part 0 of ``plan``, whose other parts child processes parse.  None
-    where a child failed."""
-    rows, numbers = _csv_rows("", stream.lines())
-    if not rows:
+def _parse(blocks, schema: SchemaConfig, label: str, plan: _Plan | None = None):
+    """:func:`parse_panel` of ``blocks``, as :func:`_byte_blocks` yields
+    them: of all the input, or of part 0 of ``plan``, whose other parts
+    child processes parse.  The header is the first row of the first block.
+    None where a child failed."""
+    first, plain = next(blocks, (b"", True))
+    ends, rows = _Rows().lines(first, last=True)
+    if not rows.any():
         raise SchemaError("input has no header row")
-    header = [h.strip() for h in rows[0]]
+    row = int(np.argmax(rows))  # the header ends on line row + 1
+    header = [h.strip() for h in _csv_rows(first[: ends[row]].decode("utf-8", _ERRORS), 1)[0]]
+    blocks = itertools.chain([(first[ends[row] :], plain)] if ends[row] < len(first) else [], blocks)
+    del first, ends, rows  # the rest of the first block is held only by ``blocks``
     positions = {name: i for i, name in enumerate(header)}
 
     declared = [schema.country, schema.year, schema.gini, schema.top10, schema.bottom10]
@@ -1102,8 +1095,8 @@ def _parse(stream: _Input, schema: SchemaConfig, label: str, plan: _Plan | None 
         schema.default_source,
     )
     if plan is None:
-        part = _read_part(stream, numbers[-1] + 1, layout)
-    elif (part := _read_split(stream, numbers[-1] + 1, layout, plan)) is None:
+        part = _read_part(blocks, row + 2, layout)
+    elif (part := _read_split(blocks, row + 2, layout, plan)) is None:
         return None
 
     columns, skipped, codes, done = part.columns, part.skipped, part.codes, part.rows
@@ -1154,7 +1147,8 @@ def parse_panel(
     block at a time: the whole input is never held, and the panel's columns
     grow in place as the blocks are read.  A leading byte-order mark is
     dropped, and lines end at "\\n", "\\r\\n" or a lone "\\r", as with
-    universal newlines.  Bytes that are not UTF-8 raise ValueError.
+    universal newlines.  Bytes that are not UTF-8, or a cell past csv's
+    field limit, raise ValueError.
 
     A binary file of at least 2 * ``_PART_BYTES`` bytes, on a machine with
     more than one usable CPU, is read in parts, one per CPU, cut where a row
@@ -1175,11 +1169,11 @@ def parse_panel(
     plan = _split_plan(source)
     if plan is not None:
         lo, hi, _ = plan.parts[0]
-        parsed = _parse(_Input(_file_chunks(plan.fd, lo, hi)), schema, label, plan)
+        parsed = _parse(_byte_blocks(_file_chunks(plan.fd, lo, hi)), schema, label, plan)
         if parsed is not None:
             source.seek(plan.end)
             return parsed
-    return _parse(_Input(_chunks(source)), schema, label)
+    return _parse(_byte_blocks(_chunks(source)), schema, label)
 
 
 def _share_ratio(rows, numerator, denominator, zero_bottom: float):

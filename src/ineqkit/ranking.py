@@ -37,8 +37,9 @@ RANK_DECIMALS = 3
 
 
 def round_half_away(value: float, ndigits: int = RANK_DECIMALS) -> float:
-    """Round to ``ndigits`` decimals with ties going away from zero."""
-    if not math.isfinite(value):
+    """Round to ``ndigits`` decimals with ties going away from zero.  A
+    float of magnitude 2**52 or more is an integer already, and is kept."""
+    if not math.isfinite(value) or abs(value) >= 2**52:
         return value
     quantum = Decimal(1).scaleb(-ndigits)
     return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
@@ -197,7 +198,8 @@ class Replication:
 
     def alpha(self) -> float:
         """The tail exponent calibrated from the Gini and B/T averages."""
-        n = len(self.rows)
+        if not (n := len(self.rows)):
+            raise EmptyInputError("no rows to calibrate on")
         return calibrate_alpha(
             sum(r.gini for r in self.rows) / n, sum(r.ratio for r in self.rows) / n
         )

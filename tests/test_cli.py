@@ -85,6 +85,13 @@ class TestCompute:
             "error: 1 bad row(s) with --strict\n"
         )
 
+    def test_cell_past_the_csv_field_limit_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_text(PANEL_HEADER + "AAA,2015,0.3,0.25,0.03\n" + "X" * 140_000 + ",2015,0.3,0.25,0.03\n")
+        code, out, err = run(capsys, "compute", "--input", str(path))
+        message = f"line 3: field larger than field limit ({csv.field_size_limit()})"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_schema_error_exit_2(self, capsys, tmp_path):
         path = tmp_path / "panel.csv"
         path.write_text("country,year\nAAA,2015\n")
@@ -627,6 +634,19 @@ class TestRankCompareSeries:
         assert [r["country"] for r in rows] == ["BBB", "AAA", "CCC"]
         assert [r["rank"] for r in rows] == ["1", "2", "3"]
 
+    @pytest.mark.parametrize("indicator", ["ratio", "alt"])
+    def test_rank_of_a_ratio_past_decimal_precision(self, capsys, tmp_path, indicator):
+        """A bottom share of 1e-300 gives a T/B of 3e299, an integer too
+        long for a decimal quantize: it is ranked, unrounded, and last."""
+        path = tmp_path / "panel.csv"
+        path.write_text(
+            "country,year,source,gini,top10,bottom10\n"
+            "A,2015,WB,0.3,0.3,1e-300\nB,2015,WB,0.3,0.3,0.03\n"
+        )
+        code, out, err = run(capsys, "rank", "--input", str(path), "--indicator", indicator)
+        assert (code, err) == (0, "")
+        assert [(r["rank"], r["country"]) for r in parse_csv(out)] == [("1", "B"), ("2", "A")]
+
     def test_compare_summary(self, capsys, tmp_path):
         path = tmp_path / "panel.csv"
         path.write_text(
@@ -790,6 +810,15 @@ class TestReplicate:
         path.write_text("country,gini,t_over_b,h,index_i\n" + rows)
         code, out, err = run(capsys, "replicate", "--input", str(path))
         assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+    def test_cell_past_the_csv_field_limit_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text(
+            "country,gini,t_over_b,h,index_i\nGRC,0.36,13.79,0.481,0.425\n" + "X" * 140_000 + ",0.3,10,0.4,0.4\n"
+        )
+        code, out, err = run(capsys, "replicate", "--input", str(path))
+        message = f"{path}:3: field larger than field limit ({csv.field_size_limit()})"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_two_file_mode(self, capsys, tmp_path):
         inputs = tmp_path / "inputs.csv"

@@ -181,6 +181,18 @@ def test_compute_is_unchanged_by_its_chunk_size(chunk_rows, monkeypatch):
             assert run_case(argv) == DIGESTS[case], case
 
 
+# Blocks of 1 and 7 bytes cut inside quoted names, CRLF pairs and the
+# byte-order mark; 64 bytes holds a few rows.
+@pytest.mark.parametrize("block_chars", [1, 7, 64])
+def test_output_is_unchanged_by_its_block_size(block_chars, monkeypatch):
+    from ineqkit import panel
+
+    monkeypatch.setattr(panel, "_BLOCK_CHARS", block_chars)
+    for case, argv in CASES.items():
+        if argv[0] != "micro":
+            assert run_case(argv) == DIGESTS[case], case
+
+
 if __name__ == "__main__":
     for case, argv in CASES.items():
         print(f"    {case!r}: {run_case(argv)!r},")

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import math
 import os
 import pickle
@@ -151,6 +152,23 @@ class TestParse:
         assert a.gini == pytest.approx(b.gini, abs=1e-12)
         assert a.top10 == pytest.approx(b.top10, abs=1e-12)
         assert a.bottom10 == pytest.approx(b.bottom10, abs=1e-12)
+
+    @pytest.mark.parametrize("block_chars", [64, 1 << 18])
+    def test_cell_past_the_csv_field_limit(self, block_chars):
+        """csv.reader's field limit, which is left as it is, raises a
+        ValueError that names the line, in the header or in a quoted cell
+        that runs over many lines."""
+        limit = csv.field_size_limit()
+        # The quoted cell starts on line 3 and passes the limit on the line
+        # that takes it past ``limit`` characters, two to a line.
+        long = '"' + "x\n" * (limit // 2 + 1) + '"'
+        for text, line in [
+            ("X" * (limit + 1) + ",year,gini,top10,bottom10\n", 1),
+            (HEADER + "\nAAA,2015,0.3,0.25,0.03\n" + long + ",2015,0.3,0.25,0.03\n", 3 + limit // 2),
+        ]:
+            with pytest.raises(ValueError, match=f"^line {line}: field larger than field limit"):
+                parsed(text, block_chars)
+        assert csv.field_size_limit() == limit
 
     def test_no_header(self):
         with pytest.raises(SchemaError):
@@ -565,6 +583,49 @@ def width_rows(size: int) -> list[list[str]]:
 PLAIN_TEXT = dict(line_ends=["\n"], unterminated=False, with_source=True, percent=False)
 
 
+class TestRowRule:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        text=st.text(alphabet='a,"\n\r', max_size=40),
+        cuts=st.lists(st.integers(1, 39), max_size=6),
+    )
+    @example(text='a"\n"b\n', cuts=[2])
+    @example(text='"a""\n"\r\n', cuts=[4, 7])
+    @example(text='"a"\r\n"b"', cuts=[4])
+    @example(text='"a"b,\n', cuts=[3])
+    @example(text='a"b,"x""\ny"\n', cuts=[])
+    @example(text='a""b\nc\n', cuts=[2])
+    def test_rows_end_where_csv_reader_ends_them(self, text, cuts):
+        """Read in chunks cut anywhere, the lines and row ends of _Rows are
+        the lines universal newlines give and the rows csv.reader reads;
+        scan finds the last row end and counts the lines of a chunk as
+        lines does, and the quotes of the chunks are plain where those of
+        the whole text are."""
+        data = text.encode()
+        bounds = [0, *sorted({c for c in cuts if c < len(data)}), len(data)]
+        chunks = [data[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+        rows, scanned = panel_module._Rows(), panel_module._Rows()
+        ends, ended, plain = [], [], True
+        for k, chunk in enumerate(chunks):
+            last = k == len(chunks) - 1
+            at, mask = rows.lines(chunk, last)
+            if not last:
+                cut = max([0, *at[mask].tolist()])
+                *found, plain_chunk = scanned.scan(chunk)
+                assert found == [cut, len(at)]
+                plain &= plain_chunk
+            ends += (at + bounds[k]).tolist()
+            ended += mask.tolist()
+        if len(chunks) > 1:
+            plain &= scanned._read(chunks[-1], True)[-1]
+            assert plain == panel_module._Rows()._read(data, True)[-1]
+        lines = itertools.accumulate(map(len, text.splitlines(keepends=True)))
+        assert ends == list(lines)
+        reader = csv.reader(io.StringIO(text, newline=None))
+        numbers = [reader.line_num for _ in reader]
+        assert [i + 1 for i, end in enumerate(ended) if end] == numbers
+
+
 class TestColumnarParse:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -640,18 +701,37 @@ class TestColumnarParse:
         panel, diags = parse_panel(text)
         assert (len(panel), diags, csv_reads) == (200, [], [["country", "year", "gini", "top10", "bottom10"]])
 
+    def test_a_quote_that_is_not_plain_sends_its_block_to_csv_reader(self, monkeypatch, csv_reads):
+        """A stray quote (one inside an unquoted cell) sends the block that
+        holds it, and at most the next, to csv.reader; the other blocks take
+        numpy's reader, as the quote rule carries on past it."""
+        rows = [f"C{i},{1990 + i % 20},0.3,0.25,0.03" for i in range(400)]
+        rows[200] = 'Name"x,1990,0.3,0.25,0.03'
+        text = "country,year,gini,top10,bottom10\n" + "\n".join(rows) + "\n"
+        kept, expected, _ = reference_parse(text, SchemaConfig())
+        csv_reads.clear()
+        monkeypatch.setattr(panel_module, "_BLOCK_CHARS", 1000)
+        panel, diags = parse_panel(text)
+        assert (panel.records, [(d.line, d.reason) for d in diags]) == (kept, expected)
+        assert ['Name"x', "1990", "0.3", "0.25", "0.03"] in csv_reads
+        assert 1 < len(csv_reads) < 100  # of 400 rows, some 42 to a block
+
     @pytest.mark.parametrize(
-        "long_name",
-        [None, "Ж" * 40, "Ж" * 127 + "x", "Ж" * 128],
-        ids=["bench names", "80-byte name", "255-byte name", "256-byte name"],
+        "long_name, blank",
+        [(None, False), ("Ж" * 40, False), ("Ж" * 127 + "x", False), ("Ж" * 128, False),
+         ("Multi\nLine", False), (None, True)],
+        ids=["bench names", "80-byte name", "255-byte name", "256-byte name", "quoted line end", "blank lines"],
     )
-    def test_bench_shaped_panel_takes_the_c_reader(self, monkeypatch, csv_reads, long_name):
+    def test_bench_shaped_panel_takes_the_c_reader(self, monkeypatch, csv_reads, long_name, blank):
         """A panel shaped like the benchmark's, bad rows and all, never
         reaches csv.reader: a name too long for its cell widens the country
         column, and every block with the name, and each after, is read by
-        numpy's reader again.  Only a cell of _WIDEST_CELL bytes or more
-        sends its blocks to csv.reader, with the same results."""
+        numpy's reader again; names with a quoted line end and blank lines
+        are read there too.  Only a cell of _WIDEST_CELL bytes or more sends
+        its blocks to csv.reader, with the same results."""
         text = bench_shaped_panel(150, seed=3, long_name=long_name)
+        if blank:  # after the header and after each of the first 300 rows
+            text = text.replace("\n", "\n\n", 300)
         kept, expected, names = reference_parse(text, SchemaConfig())
         csv_reads.clear()
         monkeypatch.setattr(panel_module, "_BLOCK_CHARS", 4096)
@@ -666,19 +746,21 @@ class TestColumnarParse:
         assert list(panel.names) == names
 
     @pytest.mark.parametrize(
-        "block",
+        "block, rows",
         [
-            "AAA,2015,0.3,0.25,0.03\n\nBBB,2015,0.3,0.25,0.03\n",
-            "\nAAA,2015,0.3,0.25,0.03\n",
-            '"Multi\nLine",2015,0.3,0.25,0.03\n',
-            "\n\n",
+            ("AAA,2015,0.3,0.25,0.03\n\nBBB,2015,0.3,0.25,0.03\n", 2),
+            ("\nAAA,2015,0.3,0.25,0.03\n", 1),
+            ('"Multi\nLine",2015,0.3,0.25,0.03\n', 1),
+            ("\n\n", None),
         ],
         ids=["blank line", "leading blank line", "quoted line end", "blank lines only"],
     )
-    def test_block_with_fewer_rows_than_lines_goes_to_csv_reader(self, block):
+    def test_blank_lines_and_quoted_line_ends_take_the_c_reader(self, block, rows):
         """Numpy's reader skips a blank line and reads a quoted line end into
-        its row; the row count turns such a block away, with no warning."""
-        assert panel_module._byte_cells(block, [0, 1, 2, 3, 4], list(panel_module._CELL_BYTES[:5])) is None
+        its row, as csv.reader does.  A block of blank lines alone has no row
+        for numpy's reader, and goes to csv.reader, with no warning."""
+        cells = panel_module._byte_cells(block.encode(), block.count("\n"), [0, 1, 2, 3, 4], [32, 8, 16, 16, 16])
+        assert (None if cells is None else len(cells[0])) == rows
         panel, diags = parse_panel("country,year,gini,top10,bottom10\n" + block)
         assert (len(panel), diags) == (block.count(",") // 4, [])
 
@@ -1093,24 +1175,25 @@ class TestSplitParse:
         whole, parts = self.cases(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n")
         assert parts == 2 and "Multi\nLine" in whole[0]
 
-    def test_quoted_line_end_at_a_cut_gives_no_split(self, tmp_path):
-        """The first line end past the cut's target is inside a quoted
-        field: no row starts there, and the file is read whole."""
+    def test_quoted_line_end_at_a_target_cuts_after_its_row(self, tmp_path):
+        """The line ends past the cut's target are inside a quoted field: no
+        row starts there, and the cut is made where that row ends."""
         rows = good_rows(10) + ['"Multi' + "\n" * 2000 + 'Line",2015,0.3,0.25,0.03'] + good_rows(10, "D{}")
         whole, parts = self.cases(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n")
-        assert parts == 1 and len(whole[1][0]) == 21
+        assert parts == 2 and len(whole[1][0]) == 21
 
     @pytest.mark.parametrize("scan_bytes", [1, 1 << 20])
-    def test_stray_quote_gives_no_later_cut(self, tmp_path, scan_bytes):
-        """A quote that ends an unquoted cell makes the quotes before the
-        cut's target even, though the line end there is inside a quoted
-        field, whose opening quote could close one."""
+    def test_stray_quote_leaves_later_cuts(self, tmp_path, scan_bytes):
+        """A quote that ends an unquoted cell is a quote of that cell: it
+        makes the quotes before the cut's targets even, though the line ends
+        there are inside a quoted field, and the cut is made where that
+        field's row ends."""
         multi = ",Multi" + "\n" * 2000 + "Line"
         rows = good_rows(10) + ['A",2015,0.3,0.25,0.03', f'"{multi}",2015,0.3,0.25,0.03']
         rows += good_rows(10, "D{}")
         text = HEADER + "\n" + "\n".join(rows) + "\n"
         whole, parts = self.cases(tmp_path, text, cpus=4, scan_bytes=scan_bytes)
-        assert parts == 1 and {'A"', multi} < set(whole[0])
+        assert parts == 2 and {'A"', multi} < set(whole[0])
 
     @pytest.mark.parametrize("scan_bytes", [1, 2, 7, 1 << 20])
     @pytest.mark.parametrize("line_end", ["\r\n", "\r"])

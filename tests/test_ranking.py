@@ -48,6 +48,13 @@ class TestRoundHalfAway:
     def test_infinite_passthrough(self):
         assert round_half_away(float("inf")) == float("inf")
 
+    @pytest.mark.parametrize("value", [2.0**52, -(2.0**52), 1e26, 3e299, -1.7976931348623157e308])
+    def test_integral_floats_are_kept(self, value):
+        """A float of magnitude 2**52 or more is an integer: it rounds to
+        itself, past the digits a decimal quantize holds."""
+        assert round_half_away(value) == value
+        assert round_half_away(2.0**52 - 0.5) == 2.0**52 - 0.5
+
 
 class TestRank:
     def test_tie_pattern(self):
@@ -250,6 +257,10 @@ class TestReplicateTable:
 
     def test_empty_table(self):
         assert replicate_table([]).rows == ()
+
+    def test_empty_table_has_no_alpha(self):
+        with pytest.raises(EmptyInputError, match="no rows to calibrate on"):
+            replicate_table([]).alpha()
 
     def test_first_row_with_the_worst_deviation(self):
         table = replicate_table([("B", 0.3, 10.0, 0.0, 0.0), ("A", 0.3, 10.0, 0.0, 0.0)])
