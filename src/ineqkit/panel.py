@@ -378,12 +378,13 @@ class _Rows:
     quoted = False  # inside a quoted field
     before = ord("\n")  # the last byte read, or a line end
     toggled = False  # that byte is a quote that opened or closed a field
+    seen = opened = 0  # the bytes read, and the offset of the quote that opened the field
 
-    def _read(self, data: bytes, last: bool):
-        """The bytes ``data`` as an array, the offsets of its lone "\\r"s
-        that end lines, its quotes that open or close a field, whether it
-        starts inside one, and whether its quotes are plain; the state moves
-        on to its end."""
+    def lines(self, data: bytes, last: bool = False) -> tuple[np.ndarray, np.ndarray, bool]:
+        """The offset in ``data`` after each of its lines, the mask of the
+        lines that end a row, and whether its quotes are plain; the state
+        moves on to its end.  Where ``last`` says that ``data`` ends the
+        input, its last line ends at its end and ends a row."""
         raw = np.frombuffer(data, dtype=np.uint8)
         n = len(raw)
         held, lone = not last and data[-1:] == b"\r", np.empty(0, np.intp)
@@ -414,44 +415,35 @@ class _Rows:
                     marks.append(q)
                     quoted = not quoted
             toggles = np.array(marks, dtype=np.intp)
+        # The last quote that opens a field, not one that follows the quote
+        # that closed a field: that pair is a quote.
+        k = np.arange(self.quoted, len(toggles), 2)
+        after = np.where(k > 0, toggles[k - 1], -1 if self.toggled else -2) == toggles[k] - 1
+        if not after.all():
+            self.opened = self.seen + int(toggles[k[~after][-1]])
         quoted = self.quoted
         self.quoted ^= len(toggles) % 2 == 1
         if n:
             self.before, self.toggled = data[-1], len(toggles) > 0 and toggles[-1] == n - 1
-        return raw, lone, toggles, quoted, plain
-
-    def lines(self, data: bytes, last: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """The offset in ``data`` after each of its lines, and the mask of
-        the lines that end a row.  Where ``last`` says that ``data`` ends the
-        input, its last line ends at its end and ends a row."""
-        raw, lone, toggles, quoted, _ = self._read(data, last)
-        at = np.sort(np.concatenate((np.flatnonzero(raw == ord("\n")), lone)))  # by last byte
+        self.seen += n
+        at = np.flatnonzero(raw == ord("\n"))  # the lines, by last byte
+        if len(lone):
+            at = np.sort(np.concatenate((at, lone)))
         if last and data[-1:] not in (b"", b"\n", b"\r"):
-            at = np.append(at, len(data) - 1)
-        rows = (np.searchsorted(toggles, at) + quoted) % 2 == 0
+            at = np.append(at, n - 1)
+        rows = np.searchsorted(toggles, at) % 2 == quoted
         rows[-1:] |= last
-        return at + 1, rows
-
-    def scan(self, data: bytes) -> tuple[int, int, bool]:
-        """At less cost than :meth:`lines`, for ``data`` that does not end the
-        input: the offset after its last row end (0 for none), its number of
-        lines, and whether its quotes are plain."""
-        raw, lone, toggles, quoted, plain = self._read(data, False)
-        lines = int(np.count_nonzero(raw == ord("\n"))) + len(lone)
-        stop = len(data) - (data[-1:] == b"\r")
-        while (end := max(data.rfind(b"\n", 0, stop), data.rfind(b"\r", 0, stop))) >= 0:
-            k = int(np.searchsorted(toggles, end))
-            if (k + quoted) % 2 == 0:
-                return end + 1, lines, plain
-            stop = int(toggles[k - 1]) if k else 0  # before the quote that opened the field
-        return 0, lines, plain
+        return at + 1, rows, plain
 
 
 def _byte_blocks(parts, head: bool = True):
     """The bytes of ``parts``, pieces of CSV text or of its bytes, in blocks
     of whole rows, each cut at the last row end :class:`_Rows` finds or at
     the end of the input, and whether its quotes are plain (False may also
-    mean a quote of the next block is not).
+    mean a quote of the next block is not).  A row whose open quoted field
+    passes 4 bytes for each character of csv's field limit is yielded as
+    far as it is read, for csv.reader to refuse: an unclosed quote is not
+    read on to the end of the input.
 
     A leading byte-order mark is dropped where ``head`` says the pieces start
     the input, and "\\r\\n" and a lone "\\r" are read as "\\n", as with
@@ -483,12 +475,16 @@ def _byte_blocks(parts, head: bool = True):
                 pending = [part]
                 continue
             part, pending, head = part.removeprefix(codecs.BOM_UTF8), [], False
-        cut, _, plain_part = rows.scan(part)
+        ends, ended, plain_part = rows.lines(part)
         plain &= plain_part
-        if cut:
+        if cut := int(ends[ended].max(initial=0)):
             yield block(b"".join([*pending, part[:cut]])), plain
             pending, plain = [], plain_part
         pending.append(part[cut:])
+        if rows.quoted and rows.seen - rows.opened > 4 * (csv.field_size_limit() + 1):
+            # The open field holds more characters than csv.reader takes, at
+            # most 4 bytes each: csv.reader reads the row so far and raises.
+            yield block(b"".join(pending)), False
     data = b"".join(pending)
     if head:
         data = data.removeprefix(codecs.BOM_UTF8)
@@ -672,7 +668,7 @@ def _blocks(blocks, line: int, usecols: list[int], widths):
             ends = np.arange(line, line + lines)
         else:
             # The line each row ends on, but blank lines, which both readers skip
-            ends, rows = _Rows().lines(block, last=True)
+            ends, rows, _ = _Rows().lines(block, last=True)
             filled = raw[np.concatenate(([0], ends[rows][:-1]))] != ord("\n")
             ends = line + np.flatnonzero(rows)[filled]
         if cells is None or len(cells[0]) != len(ends):
@@ -892,10 +888,7 @@ def _row_cuts(fd: int, start: int, end: int, targets: list[int]) -> list[tuple[i
         data = os.pread(fd, size, pos)
         if len(data) < size:  # the file has shrunk
             break
-        if target >= pos + size:
-            lines, pos = lines + rows.scan(data)[1], pos + size
-            continue
-        ends, ended = rows.lines(data)
+        ends, ended, _ = rows.lines(data)
         row_ends, at = ends[ended], np.flatnonzero(ended)
         while target < pos + size and (k := row_ends.searchsorted(target - pos, "right")) < len(at):
             cut = pos + int(row_ends[k])
@@ -1067,7 +1060,7 @@ def _parse(blocks, schema: SchemaConfig, label: str, plan: _Plan | None = None):
     child processes parse.  The header is the first row of the first block.
     None where a child failed."""
     first, plain = next(blocks, (b"", True))
-    ends, rows = _Rows().lines(first, last=True)
+    ends, rows, _ = _Rows().lines(first, last=True)
     if not rows.any():
         raise SchemaError("input has no header row")
     row = int(np.argmax(rows))  # the header ends on line row + 1
@@ -1144,8 +1137,9 @@ def parse_panel(
     """Parse CSV into a panel plus per-row diagnostics.
 
     ``source`` is the CSV text, or a binary or text stream of it, read a
-    block at a time: the whole input is never held, and the panel's columns
-    grow in place as the blocks are read.  A leading byte-order mark is
+    block of whole rows at a time: the whole input is never held (a quoted
+    field is refused once it passes csv's field limit), and the panel's
+    columns grow in place as the blocks are read.  A leading byte-order mark is
     dropped, and lines end at "\\n", "\\r\\n" or a lone "\\r", as with
     universal newlines.  Bytes that are not UTF-8, or a cell past csv's
     field limit, raise ValueError.

@@ -10,6 +10,7 @@ import re
 import signal
 import threading
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -173,6 +174,26 @@ class TestParse:
     def test_no_header(self):
         with pytest.raises(SchemaError):
             parse_panel("")
+
+    @pytest.mark.parametrize("mode", ["rb", "r"])
+    def test_unclosed_quote_is_refused_in_bounded_memory(self, tmp_path, mode):
+        """A quote that opens a field no later quote closes raises the field
+        limit's error on the line csv.reader names, without reading the
+        rest of the input into memory."""
+        text = HEADER + '\n"Korea, Rep.,2015,0.3,0.25,0.03\n' + "AAA,2015,0.3,0.25,0.03\n" * 1_000_000
+        reader = csv.reader(io.StringIO(text[: 1 << 20]))  # it stops well before
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            list(reader)
+        path = tmp_path / "panel.csv"
+        path.write_text(text)
+        tracemalloc.start()
+        try:
+            with open(path, mode) as stream, pytest.raises(ValueError, match=f"^line {reader.line_num}: field larger"):
+                parse_panel(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(text) / 3
 
 
 class TestRecordInvariants:
@@ -595,30 +616,28 @@ class TestRowRule:
     @example(text='"a"b,\n', cuts=[3])
     @example(text='a"b,"x""\ny"\n', cuts=[])
     @example(text='a""b\nc\n', cuts=[2])
+    @example(text='"a""b\n', cuts=[3])
+    @example(text='a\n"b""c', cuts=[5, 6])
     def test_rows_end_where_csv_reader_ends_them(self, text, cuts):
         """Read in chunks cut anywhere, the lines and row ends of _Rows are
-        the lines universal newlines give and the rows csv.reader reads;
-        scan finds the last row end and counts the lines of a chunk as
-        lines does, and the quotes of the chunks are plain where those of
-        the whole text are."""
+        the lines universal newlines give and the rows csv.reader reads, the
+        quotes of the chunks are plain where those of the whole text are,
+        and a field still open after a chunk is what csv.reader reads after
+        the quote _Rows says opened it."""
         data = text.encode()
         bounds = [0, *sorted({c for c in cuts if c < len(data)}), len(data)]
         chunks = [data[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-        rows, scanned = panel_module._Rows(), panel_module._Rows()
-        ends, ended, plain = [], [], True
+        rows, ends, ended, plain = panel_module._Rows(), [], [], True
         for k, chunk in enumerate(chunks):
-            last = k == len(chunks) - 1
-            at, mask = rows.lines(chunk, last)
-            if not last:
-                cut = max([0, *at[mask].tolist()])
-                *found, plain_chunk = scanned.scan(chunk)
-                assert found == [cut, len(at)]
-                plain &= plain_chunk
+            at, mask, plain_chunk = rows.lines(chunk, k == len(chunks) - 1)
+            plain &= plain_chunk
             ends += (at + bounds[k]).tolist()
             ended += mask.tolist()
-        if len(chunks) > 1:
-            plain &= scanned._read(chunks[-1], True)[-1]
-            assert plain == panel_module._Rows()._read(data, True)[-1]
+            if rows.quoted:
+                so_far = text[: bounds[k + 1]]
+                field = so_far[rows.opened + 1 :].replace('""', '"').replace("\r\n", "\n").replace("\r", "\n")
+                assert list(csv.reader(io.StringIO(so_far, newline=None)))[-1][-1] == field
+        assert plain == panel_module._Rows().lines(data, True)[2]
         lines = itertools.accumulate(map(len, text.splitlines(keepends=True)))
         assert ends == list(lines)
         reader = csv.reader(io.StringIO(text, newline=None))
