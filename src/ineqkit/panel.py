@@ -1139,10 +1139,10 @@ def parse_panel(
     ``source`` is the CSV text, or a binary or text stream of it, read a
     block of whole rows at a time: the whole input is never held (a quoted
     field is refused once it passes csv's field limit), and the panel's
-    columns grow in place as the blocks are read.  A leading byte-order mark is
-    dropped, and lines end at "\\n", "\\r\\n" or a lone "\\r", as with
-    universal newlines.  Bytes that are not UTF-8, or a cell past csv's
-    field limit, raise ValueError.
+    columns grow in place as the blocks are read.  A leading byte-order
+    mark is dropped, and lines end at "\\n", "\\r\\n" or a lone "\\r", as
+    with universal newlines.  Bytes that are not UTF-8, or a cell past
+    csv's field limit, raise ValueError.
 
     A binary file of at least 2 * ``_PART_BYTES`` bytes, on a machine with
     more than one usable CPU, is read in parts, one per CPU, cut where a row
