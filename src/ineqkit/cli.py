@@ -15,12 +15,14 @@ import csv
 import io
 import math
 import os
+import pickle
 import sys
 import warnings
 
 import numpy as np
 
 from . import micro
+from ._fork import Children, _may_fork, _usable_cpus
 from .composite import (
     DEFAULT_WEIGHT,
     _alt_index,
@@ -62,6 +64,10 @@ _INDICATORS = {i.value: i for i in Indicator}
 _TAIL_CUTS = (10, 20, 30, 40, 50)
 # Rows composited and formatted at a time by `ineq compute`.
 _CHUNK_ROWS = 1 << 12
+# `ineq compute` deals its chunks out to at most a process per usable CPU, each making at least
+# this many.  On 2 CPUs, in process, medians of 21 (one process, dealt out): 6 chunks 79.0 and
+# 76.9 ms, 8 chunks 107.1 and 102.5 ms, 12 chunks 145.2 and 136.3 ms.
+_FORK_CHUNKS = 4
 # Skipped-row diagnostics per write to stderr.
 _DIAGNOSTIC_ROWS = 1 << 10
 # A field of `ineq compute` below this is printed from its count of
@@ -134,7 +140,12 @@ def _load_panel(args, country: str | None = None) -> Panel:
     source = Source(args.source.upper()) if args.source else None
     with _open(args.input) as stream:
         schema = _schema_from_args(args, source)
-        panel, diagnostics = parse_panel(stream, schema, label=args.input)
+        try:
+            panel, diagnostics = parse_panel(stream, schema, label=args.input)
+        except ValueError as exc:  # "line N: ...": a cell past csv's field limit
+            if not str(exc).startswith("line "):
+                raise
+            raise ValueError(f"{args.input}:{str(exc).removeprefix('line ')}") from None
     # stderr is line-buffered, so a print per row is a write per row; a write
     # per batch also bounds the string built (one string for all of a large
     # panel's rows outlives its use as a hole in the heap).
@@ -252,17 +263,35 @@ def cmd_compute(args) -> int:
     names = [_csv_field(name) for name in panel.names]
     table = _name_table(names)
 
+    def make(i: int) -> str:
+        rows = panel.take(slice(i * _CHUNK_ROWS, (i + 1) * _CHUNK_ROWS))
+        t_over_b = t_over_b_of(rows)
+        res = composite(rows.gini, ratio_of(rows), args.weight)
+        # `rank --indicator alt`'s value, from the printed T/B the parse checked.
+        fields = [rows.gini, t_over_b, res.h, res.index_i, _alt_index(rows.gini, t_over_b)]
+        return _compute_rows(names, rows.country, rows.year, fields, table)
+
+    # Chunk i is made by worker i % workers: worker 0 is this process, and
+    # each other a child that sends its chunks, each pickled as one record.
+    count = -(-len(panel) // _CHUNK_ROWS)
+    workers = max(1, min(_usable_cpus(), count // _FORK_CHUNKS)) if _may_fork() else 1
+
+    def send(pipe, worker: int) -> None:
+        for i in range(worker, count, workers):
+            pickle.dump(make(i), pipe)
+
     def chunks():
         yield "country,year,gini,t_over_b,h,index_i,alt_index\n"
-        for start in range(0, len(panel), _CHUNK_ROWS):
-            rows = panel.take(slice(start, start + _CHUNK_ROWS))
-            t_over_b = t_over_b_of(rows)
-            res = composite(rows.gini, ratio_of(rows), args.weight)
-            # `rank --indicator alt`'s value, from the printed T/B the parse checked.
-            fields = [rows.gini, t_over_b, res.h, res.index_i, _alt_index(rows.gini, t_over_b)]
-            yield _compute_rows(names, rows.country, rows.year, fields, table)
+        for i in range(count):
+            try:
+                text = pickle.load(pipes[i % workers]) if pipes[i % workers] else None
+            except (EOFError, pickle.UnpicklingError):  # a child that failed leaves the rest here
+                text = pipes[i % workers] = None
+            yield make(i) if text is None else text
 
-    _emit(chunks(), args.output)
+    with Children() as children:
+        pipes = [None, *(children.start(lambda pipe, w=w: send(pipe, w)) for w in range(1, workers))]
+        _emit(chunks(), args.output)
     return 0
 
 

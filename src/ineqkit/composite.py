@@ -7,6 +7,9 @@ The index itself is the normalized Euclidean length sqrt(Gini^2 + H^2) /
 sqrt(2), bounded in [0, 1].  A multi-percentile form extends the same
 construction to several tail ratios at once, and a simpler unbounded variant
 skips the tail transform entirely.
+
+A scalar and a column both go through numpy's SIMD loops for ``pow`` and ``hypot``: they
+agree bit for bit, but may differ from the C library, and between CPUs, in the last bit.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ from .errors import (
 # Fixed default exponent for the tail term; close to the panel-calibrated
 # mean and trivial to evaluate (two square roots).
 DEFAULT_WEIGHT = 0.25
-# Elements per slice of a per-element kernel (see ``_each``).
-_EACH_ROWS = 1 << 14
 
 
 def _check_unit(name: str, value) -> np.ndarray:
@@ -58,21 +59,6 @@ def _scalar_or_array(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
-def _each(fn, *arrays) -> np.ndarray:
-    """``fn`` applied to Python floats, element by element: numpy's vector
-    loops for ``pow`` and ``hypot`` differ from the C library's in the last
-    bit on a few percent of inputs, and a scalar and a column must agree.
-    The floats are made a slice of ``_EACH_ROWS`` at a time, so that a
-    column never becomes one Python float per row at once."""
-    arrays = np.broadcast_arrays(*arrays)
-    flat = [a.reshape(-1) for a in arrays]
-    out = np.empty(flat[0].size)
-    for start in range(0, out.size, _EACH_ROWS):
-        rows = slice(start, start + _EACH_ROWS)
-        out[rows] = list(map(fn, *(a[rows].tolist() for a in flat)))
-    return out.reshape(arrays[0].shape)
-
-
 def h_transform(b_over_t, weight: float = DEFAULT_WEIGHT):
     """Bounded tail term 1 - (B/T)^weight of one ratio or an array of them.
 
@@ -81,7 +67,7 @@ def h_transform(b_over_t, weight: float = DEFAULT_WEIGHT):
     """
     b_over_t = _check_unit("share ratio", b_over_t)
     weight = _check_weight(weight)
-    return _scalar_or_array(1.0 - _each(pow, b_over_t, weight))
+    return _scalar_or_array(1.0 - np.power(b_over_t, weight))
 
 
 def calibrate_alpha(avg_gini: float, avg_ratio: float) -> float:
@@ -132,11 +118,8 @@ class CompositeResult:
         """The unbounded variant of the same inputs, with T/B = 1 / (B/T);
         computed when read.  A caller that holds the printed T/B passes it
         to :func:`alternative_index` instead."""
-        b_over_t = np.asarray(self.b_over_t)
-        with np.errstate(over="ignore"):  # a subnormal ratio's T/B is +inf
-            t_over_b = np.divide(
-                1.0, b_over_t, out=np.full(b_over_t.shape, math.inf), where=b_over_t != 0.0
-            )
+        with np.errstate(divide="ignore", over="ignore"):  # T/B is inf where B/T is 0 or subnormal
+            t_over_b = 1.0 / np.asarray(self.b_over_t)
         return _alt_index(np.asarray(self.gini), t_over_b)
 
 
@@ -149,7 +132,7 @@ def composite(gini, b_over_t, weight: float = DEFAULT_WEIGHT) -> CompositeResult
     """
     gini = _check_unit("gini", gini)
     b_over_t = _check_unit("share ratio", b_over_t)
-    h = 1.0 - _each(pow, b_over_t, _check_weight(weight))
+    h = 1.0 - np.power(b_over_t, _check_weight(weight))
     index_i = np.sqrt(gini * gini + h * h) / np.sqrt(2.0)
     return CompositeResult(
         gini=_scalar_or_array(gini),
@@ -202,4 +185,4 @@ def alternative_index(gini, t_over_b):
 def _alt_index(gini: np.ndarray, t_over_b: np.ndarray):
     """:func:`alternative_index` of inputs already checked."""
     # hypot avoids overflow for ratios near the float ceiling
-    return _scalar_or_array(_each(math.hypot, gini * 100.0, t_over_b) / 100.0)
+    return _scalar_or_array(np.hypot(gini * 100.0, t_over_b) / 100.0)

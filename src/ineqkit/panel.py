@@ -11,7 +11,6 @@ diagnostics, while a missing declared column rejects the whole file.
 from __future__ import annotations
 
 import codecs
-import contextlib
 import csv
 import enum
 import io
@@ -19,15 +18,13 @@ import itertools
 import math
 import os
 import pickle
-import signal
 import stat
-import threading
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._fork import Children, _may_fork, _usable_cpus
 from .errors import DomainError, SchemaError
 
 
@@ -380,11 +377,12 @@ class _Rows:
     toggled = False  # that byte is a quote that opened or closed a field
     seen = opened = 0  # the bytes read, and the offset of the quote that opened the field
 
-    def lines(self, data: bytes, last: bool = False) -> tuple[np.ndarray, np.ndarray, bool]:
+    def lines(self, data: bytes, last: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The offset in ``data`` after each of its lines, the mask of the
-        lines that end a row, and whether its quotes are plain; the state
-        moves on to its end.  Where ``last`` says that ``data`` ends the
-        input, its last line ends at its end and ends a row."""
+        lines that end a row, and the offsets of its quotes that are not
+        plain, in order; the state moves on to its end.  Where ``last`` says
+        that ``data`` ends the input, its last line ends at its end and ends
+        a row."""
         raw = np.frombuffer(data, dtype=np.uint8)
         n = len(raw)
         held, lone = not last and data[-1:] == b"\r", np.empty(0, np.intp)
@@ -401,20 +399,23 @@ class _Rows:
         border = _QUOTE_BORDERS[raw[np.where(opening, quotes - 1, np.minimum(quotes + 1, n - 1))]]
         if len(quotes) and quotes[0] == 0 and opening[0]:
             border[0] = opens
-        plain = bool(border.all())
-        if self.toggled and not self.quoted and n:  # a quote closed the chunk before
-            plain &= bool(_QUOTE_BORDERS[raw[0]])
-        if plain:
-            toggles = quotes
+        # A quote that closed the chunk before, not before a border, counts at offset 0.
+        closed = bool(self.toggled and not self.quoted and n and not _QUOTE_BORDERS[raw[0]])
+        if not closed and border.all():
+            toggles, stray = quotes, quotes[:0]
         else:
             # A quote toggles where it is inside a quoted field, or opens one
-            # after a delimiter, a line end or the quote that closed a field.
-            marks, quoted = [], self.quoted
+            # after a delimiter, a line end or the quote that closed a field;
+            # that read also tells which quotes are not plain.
+            marks, stray, quoted = [], [0] * closed, self.quoted
             for q in quotes.tolist():
                 if quoted or (data[q - 1] in b",\n\r" or marks[-1:] == [q - 1] if q else opens):
                     marks.append(q)
                     quoted = not quoted
-            toggles = np.array(marks, dtype=np.intp)
+                    if quoted or q + 1 == n or data[q + 1] in b',\n\r"':
+                        continue
+                stray.append(q)
+            toggles, stray = np.array(marks, dtype=np.intp), np.array(stray, dtype=np.intp)
         # The last quote that opens a field, not one that follows the quote
         # that closed a field: that pair is a quote.
         k = np.arange(self.quoted, len(toggles), 2)
@@ -433,17 +434,16 @@ class _Rows:
             at = np.append(at, n - 1)
         rows = np.searchsorted(toggles, at) % 2 == quoted
         rows[-1:] |= last
-        return at + 1, rows, plain
+        return at + 1, rows, stray
 
 
 def _byte_blocks(parts, head: bool = True):
     """The bytes of ``parts``, pieces of CSV text or of its bytes, in blocks
     of whole rows, each cut at the last row end :class:`_Rows` finds or at
-    the end of the input, and whether its quotes are plain (False may also
-    mean a quote of the next block is not).  A row whose open quoted field
-    passes 4 bytes for each character of csv's field limit is yielded as
-    far as it is read, for csv.reader to refuse: an unclosed quote is not
-    read on to the end of the input.
+    the end of the input, and whether its quotes are plain.  A row whose
+    open quoted field passes 4 bytes for each character of csv's field limit
+    is yielded as far as it is read, for csv.reader to refuse: an unclosed
+    quote is not read on to the end of the input.
 
     A leading byte-order mark is dropped where ``head`` says the pieces start
     the input, and "\\r\\n" and a lone "\\r" are read as "\\n", as with
@@ -475,11 +475,11 @@ def _byte_blocks(parts, head: bool = True):
                 pending = [part]
                 continue
             part, pending, head = part.removeprefix(codecs.BOM_UTF8), [], False
-        ends, ended, plain_part = rows.lines(part)
-        plain &= plain_part
+        ends, ended, stray = rows.lines(part)
         if cut := int(ends[ended].max(initial=0)):
-            yield block(b"".join([*pending, part[:cut]])), plain
-            pending, plain = [], plain_part
+            yield block(b"".join([*pending, part[:cut]])), plain and not (stray < cut).any()
+            pending, plain = [], True
+        plain &= not (stray >= cut).any()
         pending.append(part[cut:])
         if rows.quoted and rows.seen - rows.opened > 4 * (csv.field_size_limit() + 1):
             # The open field holds more characters than csv.reader takes, at
@@ -853,23 +853,13 @@ def _read_part(blocks, line: int, layout: _Layout, reserve: int = 0) -> _Part:
 # part holds at least this many bytes.  On 2 CPUs a bench-shaped panel of
 # 1.1 MB parsed as fast in two parts as in one, and one of 2.3 MB 19% faster.
 _PART_BYTES = 1 << 20
-# Bytes the row-boundary scan reads at a time, and the bytes a child
-# process's pipe holds: with room for that much, a child writes its rows
-# while its parent is still busy.
-_SCAN_BYTES = _PIPE_BYTES = 1 << 20
+# Bytes the row-boundary scan reads at a time.
+_SCAN_BYTES = 1 << 20
 # The bytes of part 0 over those of each other part: the parent process
 # parses part 0 and then joins the others.
 _FIRST_PART_SHARE = 0.9
 # The fewest bytes per row that the columns are first sized for.
 _ROW_BYTES = 16
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where it cannot fork or the
-    system does not say."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
 
 
 def _row_cuts(fd: int, start: int, end: int, targets: list[int]) -> list[tuple[int, int]]:
@@ -923,13 +913,12 @@ def _split_plan(source) -> _Plan | None:
     """The parts ``source`` is parsed in, up to one per usable CPU, or None
     where one process parses it whole, as it parses stdin or text: it is not
     a binary stream of a regular file, fewer than 2 * ``_PART_BYTES`` bytes
-    are left to read, one CPU is usable, the process runs other threads
-    (which a forked process does not have) or does not reap its own
-    children, or no row ends past a cut's target.  Part 0 holds
+    are left to read, one CPU is usable, the process may not fork (see
+    :func:`_may_fork`), or no row ends past a cut's target.  Part 0 holds
     ``_FIRST_PART_SHARE`` times the bytes of each other part.  The rows are
     estimated from the line ends before the last cut, a sixteenth more, but
     at most one per ``_ROW_BYTES`` bytes."""
-    if type(source) not in (io.BufferedReader, io.FileIO) or threading.active_count() > 1:
+    if type(source) not in (io.BufferedReader, io.FileIO) or not _may_fork():
         return None
     try:
         fd = source.fileno()
@@ -941,7 +930,7 @@ def _split_plan(source) -> _Plan | None:
         return None
     end = info.st_size
     count = min((end - start) // _PART_BYTES, _usable_cpus())
-    if count < 2 or signal.getsignal(signal.SIGCHLD) != signal.SIG_DFL:
+    if count < 2:
         return None
     weight = _FIRST_PART_SHARE + count - 1
     targets = [start + int((end - start) * (_FIRST_PART_SHARE + k) / weight) for k in range(count - 1)]
@@ -955,48 +944,21 @@ def _split_plan(source) -> _Plan | None:
     return _Plan(fd, [(lo, hi, line) for (lo, line), hi in zip(firsts, ends)], end, rows)
 
 
-def _fork_part(layout: _Layout, plan: _Plan, k: int, close: list[int]):
-    """Start a child process that parses part ``k`` of ``plan`` and sends its
-    rows down a pipe; the child's process id and the pipe, to read.  The
-    child closes the descriptors ``close`` of earlier children's pipes.
+def _fork_part(layout: _Layout, plan: _Plan, k: int, children: Children):
+    """The pipe of a child process, one of ``children``, that parses part
+    ``k`` of ``plan`` (None where no process is to be had).  It sends its
+    row count, diagnostics, skipped-row indexes and country names, pickled,
+    then the bytes of each column, in ``_PART_COLUMNS`` order."""
 
-    The child sends its row count, diagnostics, skipped-row indexes and
-    country names, pickled, then the bytes of each column, in
-    ``_PART_COLUMNS`` order.  It exits 0 once all is sent and 1 on any
-    error, writing nothing else: the parent then parses the input again."""
-    import fcntl  # a system that forks has it
-
-    read, write = os.pipe()
-    # Linux only, and at most the system's limit
-    with contextlib.suppress(AttributeError, OSError):
-        fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12 warns at a fork while any thread runs, BLAS's idle
-            # workers included; the child runs only the block loop.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid:
-        os.close(write)
-        return pid, open(read, "rb")
-    status = 1
-    try:
-        for fd in (read, *close):
-            os.close(fd)
+    def send(pipe) -> None:
         lo, hi, line = plan.parts[k]
         blocks = _byte_blocks(_file_chunks(plan.fd, lo, hi), head=False)
         part = _read_part(blocks, line, layout, plan.reserve(k))
-        with open(write, "wb") as pipe:
-            pickle.dump((part.rows, part.skipped, part.bad_rows, list(part.codes)), pipe)
-            for column in part.columns.values():
-                pipe.write(column[: part.rows])
-        status = 0
-    finally:
-        os._exit(status)
+        pickle.dump((part.rows, part.skipped, part.bad_rows, list(part.codes)), pipe)
+        for column in part.columns.values():
+            pipe.write(column[: part.rows])
+
+    return children.start(send)
 
 
 def _receive(pipe, part: _Part) -> None:
@@ -1027,31 +989,20 @@ def _read_split(blocks, line: int, layout: _Layout, plan: _Plan) -> _Part | None
     """The rows of every part of ``plan`` in file order: part 0 read from
     ``blocks`` here, the first row on line ``line``, and each other part in
     a child process forked for it.  None where a child failed.  No child
-    outlives the call: one that is not needed, or that is still running
-    when this process raises, is killed, and every child is reaped."""
-    children: dict[int, io.BufferedReader] = {}
-    try:
-        for k in range(1, len(plan.parts)):
-            try:
-                pid, pipe = _fork_part(layout, plan, k, [pipe.fileno() for pipe in children.values()])
-            except OSError:  # no process to be had
-                return None
-            children[pid] = pipe
+    outlives the call (see :class:`Children`)."""
+    with Children() as children:
+        pipes = [_fork_part(layout, plan, k, children) for k in range(1, len(plan.parts))]
+        if None in pipes:
+            return None
         part = _read_part(blocks, line, layout, plan.reserve(0))
-        for pid in list(children):
+        for pipe in pipes:
             try:
-                _receive(children[pid], part)
+                _receive(pipe, part)
             except Exception:  # a short read or a bad pickle
                 return None
-            children.pop(pid).close()
-            if os.waitpid(pid, 0)[1]:
+            if not children.reap(pipe):
                 return None
         return part
-    finally:
-        for pid, pipe in children.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def _parse(blocks, schema: SchemaConfig, label: str, plan: _Plan | None = None):

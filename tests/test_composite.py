@@ -2,7 +2,6 @@
 
 import importlib
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -197,19 +196,17 @@ class TestArraysMatchScalars:
         st.integers(1, 7),
     )
     def test_slices_of_the_kernel(self, pairs, weight, rows):
-        """Applied a slice of ``rows`` elements at a time, the per-element
-        kernels give the bits of one pass."""
+        """Applied a slice of ``rows`` elements at a time, concatenated, the
+        composite and its tail term give the bits of one pass over all."""
         gini = np.array([g for g, _ in pairs])
         ratio = np.array([r for _, r in pairs])
         whole = composite(gini, ratio, weight)
-        with mock.patch.object(importlib.import_module("ineqkit.composite"), "_EACH_ROWS", rows):
-            sliced = composite(gini, ratio, weight)
-            # computed when read: read while the slices are small
-            sliced_alt = sliced.alt_index
-            h = h_transform(ratio, weight)
-        assert sliced.h.tobytes() == whole.h.tobytes()
-        assert sliced.index_i.tobytes() == whole.index_i.tobytes()
-        assert sliced_alt.tobytes() == whole.alt_index.tobytes()
+        slices = [slice(start, start + rows) for start in range(0, len(pairs), rows)]
+        sliced = [composite(gini[s], ratio[s], weight) for s in slices]
+        for name in ("h", "index_i", "alt_index"):
+            joined = np.concatenate([getattr(res, name) for res in sliced])
+            assert joined.tobytes() == getattr(whole, name).tobytes()
+        h = np.concatenate([h_transform(ratio[s], weight) for s in slices])
         assert h.tobytes() == whole.h.tobytes()
 
 

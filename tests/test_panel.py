@@ -629,15 +629,15 @@ class TestRowRule:
         chunks = [data[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
         rows, ends, ended, plain = panel_module._Rows(), [], [], True
         for k, chunk in enumerate(chunks):
-            at, mask, plain_chunk = rows.lines(chunk, k == len(chunks) - 1)
-            plain &= plain_chunk
+            at, mask, stray = rows.lines(chunk, k == len(chunks) - 1)
+            plain &= not len(stray)
             ends += (at + bounds[k]).tolist()
             ended += mask.tolist()
             if rows.quoted:
                 so_far = text[: bounds[k + 1]]
                 field = so_far[rows.opened + 1 :].replace('""', '"').replace("\r\n", "\n").replace("\r", "\n")
                 assert list(csv.reader(io.StringIO(so_far, newline=None)))[-1][-1] == field
-        assert plain == panel_module._Rows().lines(data, True)[2]
+        assert plain == (not len(panel_module._Rows().lines(data, True)[2]))
         lines = itertools.accumulate(map(len, text.splitlines(keepends=True)))
         assert ends == list(lines)
         reader = csv.reader(io.StringIO(text, newline=None))
@@ -722,8 +722,8 @@ class TestColumnarParse:
 
     def test_a_quote_that_is_not_plain_sends_its_block_to_csv_reader(self, monkeypatch, csv_reads):
         """A stray quote (one inside an unquoted cell) sends the block that
-        holds it, and at most the next, to csv.reader; the other blocks take
-        numpy's reader, as the quote rule carries on past it."""
+        holds it, and no other, to csv.reader; the other blocks take numpy's
+        reader, as the quote rule carries on past it."""
         rows = [f"C{i},{1990 + i % 20},0.3,0.25,0.03" for i in range(400)]
         rows[200] = 'Name"x,1990,0.3,0.25,0.03'
         text = "country,year,gini,top10,bottom10\n" + "\n".join(rows) + "\n"
@@ -733,7 +733,9 @@ class TestColumnarParse:
         panel, diags = parse_panel(text)
         assert (panel.records, [(d.line, d.reason) for d in diags]) == (kept, expected)
         assert ['Name"x', "1990", "0.3", "0.25", "0.03"] in csv_reads
-        assert 1 < len(csv_reads) < 100  # of 400 rows, some 42 to a block
+        # the header, then the rows of the one block, of some 42, that holds the quote
+        held = [block for block, _ in panel_module._byte_blocks(panel_module._chunks(text)) if b'"' in block]
+        assert len(held) == 1 and len(csv_reads) == 1 + held[0].count(b"\n") < 50
 
     @pytest.mark.parametrize(
         "long_name, blank",
