@@ -368,10 +368,10 @@ def _read_values(path: str) -> np.ndarray:
 
 def cmd_micro(args) -> int:
     values = _read_values(args.input)
-    # Sorted here and handed over read-only: the sample keeps this array.
+    # Sorted here and handed over read-only, not checked again: the sample keeps this array.
     values.sort()
     values.flags.writeable = False
-    sample = micro.IncomeSample(values)
+    sample = micro.IncomeSample._of_sorted(values)
     # Every Lorenz-based row reads this one curve.  It is looked up on the
     # module so that code patching ``ineqkit.micro.lorenz_curve`` sees it.
     curve = micro.lorenz_curve(sample)

@@ -18,6 +18,7 @@ import itertools
 import math
 import os
 import pickle
+import re
 import stat
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -437,13 +438,15 @@ class _Rows:
         return at + 1, rows, stray
 
 
-def _byte_blocks(parts, head: bool = True):
+def _byte_blocks(parts, head: bool = True, at_cut: bool = False):
     """The bytes of ``parts``, pieces of CSV text or of its bytes, in blocks
     of whole rows, each cut at the last row end :class:`_Rows` finds or at
     the end of the input, and whether its quotes are plain.  A row whose
     open quoted field passes 4 bytes for each character of csv's field limit
     is yielded as far as it is read, for csv.reader to refuse: an unclosed
-    quote is not read on to the end of the input.
+    quote is not read on to the end of the input.  Pieces that ``at_cut``
+    says a cut of a file ends raise :class:`_SplitFailed`, after the last
+    row end, where they end inside a quoted field.
 
     A leading byte-order mark is dropped where ``head`` says the pieces start
     the input, and "\\r\\n" and a lone "\\r" are read as "\\n", as with
@@ -485,6 +488,8 @@ def _byte_blocks(parts, head: bool = True):
             # The open field holds more characters than csv.reader takes, at
             # most 4 bytes each: csv.reader reads the row so far and raises.
             yield block(b"".join(pending)), False
+    if at_cut and rows.quoted:
+        raise _SplitFailed("a cut inside a quoted field")
     data = b"".join(pending)
     if head:
         data = data.removeprefix(codecs.BOM_UTF8)
@@ -652,12 +657,12 @@ def _blocks(blocks, line: int, usecols: list[int], widths):
 
     Yields, for each block, the cells of columns ``usecols`` of its non-empty
     rows, one array per column; the number of cells of each row that has
-    fewer than ``max(usecols) + 1``, by row index; and the line number each
-    row ends on.  A column holds the UTF-8 bytes of its cells.  Numpy's C
-    reader tokenizes a block with plain quotes, at the cell ``widths``
-    :func:`_byte_cells` widens, where it reads as many rows as the row rule
-    of :class:`_Rows` gives; otherwise csv.reader does, and its cells are
-    stripped (and kept as text where one holds a NUL).
+    fewer than ``max(usecols) + 1``, by row index; the line number each row
+    ends on; and the line after the block.  A column holds the UTF-8 bytes
+    of its cells.  Numpy's C reader tokenizes a block with plain quotes, at
+    the cell ``widths`` :func:`_byte_cells` widens, where it reads as many
+    rows as the row rule of :class:`_Rows` gives; otherwise csv.reader does,
+    and its cells are stripped (and kept as text where one holds a NUL).
     """
     width = max(usecols) + 1
     for block, plain in blocks:
@@ -681,8 +686,8 @@ def _blocks(blocks, line: int, usecols: list[int], widths):
                 cells = [np.array(col, dtype=object) for col in texts]
             else:
                 cells = [np.array([t.encode("utf-8", _ERRORS) for t in col], "S") for col in texts]
-        yield cells, short, ends
         line += lines
+        yield cells, short, ends, line
 
 
 def _slices(values: np.ndarray):
@@ -772,20 +777,20 @@ _PART_COLUMNS = {**_COLUMNS, "line": np.int64}
 class _Part:
     """``rows`` parsed rows in file order: their columns, which may hold room
     for more, the line number and reason of each skipped row and its index,
-    and the codes of the country names, in the order the names were first
-    read."""
+    the codes of the country names, in the order the names were first read,
+    and the line after the last line read."""
 
     columns: dict[str, np.ndarray]
     rows: int
     skipped: list[tuple[int, str]]
     bad_rows: list[int]
     codes: dict[str, int]
+    line: int
 
 
-def _read_part(blocks, line: int, layout: _Layout, reserve: int = 0) -> _Part:
+def _read_part(blocks, line: int, layout: _Layout) -> _Part:
     """The rows of ``blocks``, as :func:`_byte_blocks` yields them, the
-    first starting on line ``line``, in columns that first hold room for
-    ``reserve`` rows.
+    first starting on line ``line``.
 
     Each block's cells become columns, each read by one _cast; only the rows
     that a cast skips are checked one by one.  The block's rows are then
@@ -797,7 +802,7 @@ def _read_part(blocks, line: int, layout: _Layout, reserve: int = 0) -> _Part:
     def country_code(text: str) -> int:
         return codes.setdefault(text, len(codes)) if text else -1
 
-    columns = {name: np.empty(reserve, dtype) for name, dtype in _PART_COLUMNS.items()}
+    columns = {name: np.empty(0, dtype) for name, dtype in _PART_COLUMNS.items()}
     skipped: list[tuple[int, str]] = []
     bad_rows: list[int] = []
     country_memo: dict = {}
@@ -805,7 +810,7 @@ def _read_part(blocks, line: int, layout: _Layout, reserve: int = 0) -> _Part:
     done = 0
     width = max(layout.where) + 1
     widths = list(_CELL_BYTES[: len(layout.declared)])
-    for cells, short, numbers in _blocks(blocks, line, list(layout.where), widths):
+    for cells, short, numbers, line in _blocks(blocks, line, list(layout.where), widths):
         country = _lookup(cells[0], country_code, country_memo)
         year, good = _cast(cells[1], np.int64, _INT_CHARS)
         good &= country >= 0
@@ -846,78 +851,50 @@ def _read_part(blocks, line: int, layout: _Layout, reserve: int = 0) -> _Part:
         for name, column in columns.items():
             column[rows] = values[name]
         done = rows.stop
-    return _Part(columns, done, skipped, bad_rows, codes)
+    return _Part(columns, done, skipped, bad_rows, codes, line)
 
 
 # A file is parsed in parts, each by a process of its own, only where each
 # part holds at least this many bytes.  On 2 CPUs a bench-shaped panel of
 # 1.1 MB parsed as fast in two parts as in one, and one of 2.3 MB 19% faster.
 _PART_BYTES = 1 << 20
-# Bytes the row-boundary scan reads at a time.
-_SCAN_BYTES = 1 << 20
 # The bytes of part 0 over those of each other part: the parent process
 # parses part 0 and then joins the others.
 _FIRST_PART_SHARE = 0.9
-# The fewest bytes per row that the columns are first sized for.
-_ROW_BYTES = 16
+# A line end, as universal newlines reads one.
+_LINE_END = re.compile(rb"\r\n?|\n")
 
 
-def _row_cuts(fd: int, start: int, end: int, targets: list[int]) -> list[tuple[int, int]]:
-    """Where the bytes ``start`` to ``end`` of the file ``fd`` are cut, at
-    most once for each ascending byte offset of ``targets``: each cut at the
-    first row end past its target, as :class:`_Rows` reads the bytes after a
-    byte-order mark ``_SCAN_BYTES`` at a time (not past the last cut), with
-    the number of line ends before it, counted from ``start``."""
-    cuts: list[tuple[int, int]] = []
-    todo = iter(targets)
-    target = next(todo, end)
-    pos = start + len(codecs.BOM_UTF8) * (os.pread(fd, 3, start) == codecs.BOM_UTF8)
-    rows, lines = _Rows(), 0
-    while target < end and pos < end:
-        size = min(_SCAN_BYTES, end - pos)
-        data = os.pread(fd, size, pos)
-        if len(data) < size:  # the file has shrunk
-            break
-        ends, ended, _ = rows.lines(data)
-        row_ends, at = ends[ended], np.flatnonzero(ended)
-        while target < pos + size and (k := row_ends.searchsorted(target - pos, "right")) < len(at):
-            cut = pos + int(row_ends[k])
-            if cut < end:
-                cuts.append((cut, lines + int(at[k]) + 1))
-            while target < cut:
-                target = next(todo, end)
-        lines += len(ends)
-        pos += size
-    return cuts
+class _SplitFailed(Exception):
+    """A parse in parts that cannot stand: a child process failed, or a part
+    ended inside a quoted field, so the next one started inside it."""
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """How a file is parsed in parts: its descriptor, the byte range of each
-    part and the line its first row starts on, the file's end, and the rows
-    its columns are sized for at first."""
-
-    fd: int
-    parts: list[tuple[int, int, int]]
-    end: int
-    rows: int
-
-    def reserve(self, k: int) -> int:
-        """The rows part ``k``'s columns are first sized for, by its share of
-        the bytes; part 0 takes the rows of the others when they are joined."""
-        lo, hi, _ = self.parts[k]
-        return self.rows * ((self.end if k == 0 else hi) - lo) // (self.end - self.parts[0][0])
+def _line_cut(fd: int, target: int, end: int) -> int:
+    """The offset just after the first line end ("\\n", "\\r\\n" or a lone
+    "\\r") at or past the byte offset ``target`` of the file ``fd``, read by
+    ``os.pread`` a block at a time, or ``end`` where no line ends before it."""
+    for data in _file_chunks(fd, target, end):
+        if found := _LINE_END.search(data):
+            cut = target + found.end()
+            # A "\r" that ends the read may be the first byte of a "\r\n".
+            if found.group() == b"\r" and found.end() == len(data):
+                cut += os.pread(fd, 1, cut) == b"\n"
+            return min(cut, end)
+        target += len(data)
+    return end
 
 
-def _split_plan(source) -> _Plan | None:
-    """The parts ``source`` is parsed in, up to one per usable CPU, or None
-    where one process parses it whole, as it parses stdin or text: it is not
-    a binary stream of a regular file, fewer than 2 * ``_PART_BYTES`` bytes
-    are left to read, one CPU is usable, the process may not fork (see
-    :func:`_may_fork`), or no row ends past a cut's target.  Part 0 holds
-    ``_FIRST_PART_SHARE`` times the bytes of each other part.  The rows are
-    estimated from the line ends before the last cut, a sixteenth more, but
-    at most one per ``_ROW_BYTES`` bytes."""
+def _split_plan(source) -> list[tuple[int, int]] | None:
+    """The byte range of each part ``source`` is parsed in, up to one per
+    usable CPU, or None where one process parses it whole, as it parses
+    stdin or text: it is not a binary stream of a regular file, fewer than
+    2 * ``_PART_BYTES`` bytes are left to read, one CPU is usable, the
+    process may not fork (see :func:`_may_fork`), or no line ends past the
+    first cut's target.  Part 0 holds ``_FIRST_PART_SHARE`` times the bytes
+    of each other part.  Each part is cut just after the first line end at
+    or past its target, quotes unread; a target an earlier cut has passed
+    makes no cut."""
     if type(source) not in (io.BufferedReader, io.FileIO) or not _may_fork():
         return None
     try:
@@ -933,28 +910,27 @@ def _split_plan(source) -> _Plan | None:
     if count < 2:
         return None
     weight = _FIRST_PART_SHARE + count - 1
-    targets = [start + int((end - start) * (_FIRST_PART_SHARE + k) / weight) for k in range(count - 1)]
-    cuts = _row_cuts(fd, start, end, targets)
-    if not cuts:
+    cuts = [start]
+    for k in range(count - 1):
+        target = start + int((end - start) * (_FIRST_PART_SHARE + k) / weight)
+        if target >= cuts[-1] and (cut := _line_cut(fd, target, end)) < end:
+            cuts.append(cut)
+    if len(cuts) < 2:
         return None
-    firsts = [(start, 1), *((cut, lines + 1) for cut, lines in cuts)]
-    ends = [cut for cut, _ in cuts] + [end]
-    last, lines = cuts[-1]
-    rows = min(lines * (end - start) // (last - start) * 17 // 16, (end - start) // _ROW_BYTES)
-    return _Plan(fd, [(lo, hi, line) for (lo, line), hi in zip(firsts, ends)], end, rows)
+    return list(zip(cuts, [*cuts[1:], end]))
 
 
-def _fork_part(layout: _Layout, plan: _Plan, k: int, children: Children):
-    """The pipe of a child process, one of ``children``, that parses part
-    ``k`` of ``plan`` (None where no process is to be had).  It sends its
-    row count, diagnostics, skipped-row indexes and country names, pickled,
-    then the bytes of each column, in ``_PART_COLUMNS`` order."""
+def _fork_part(layout: _Layout, pieces, at_cut: bool, children: Children):
+    """The pipe of a child process, one of ``children``, that parses the part
+    ``pieces`` of a file, its first line numbered 1, as :func:`_byte_blocks`
+    reads it with ``at_cut`` (None where no process is to be had).  It sends
+    its row count, diagnostics, skipped-row indexes, country names and the
+    line after its last, pickled, then the bytes of each column, in
+    ``_PART_COLUMNS`` order."""
 
     def send(pipe) -> None:
-        lo, hi, line = plan.parts[k]
-        blocks = _byte_blocks(_file_chunks(plan.fd, lo, hi), head=False)
-        part = _read_part(blocks, line, layout, plan.reserve(k))
-        pickle.dump((part.rows, part.skipped, part.bad_rows, list(part.codes)), pipe)
+        part = _read_part(_byte_blocks(pieces, head=False, at_cut=at_cut), 1, layout)
+        pickle.dump((part.rows, part.skipped, part.bad_rows, list(part.codes), part.line), pipe)
         for column in part.columns.values():
             pipe.write(column[: part.rows])
 
@@ -964,52 +940,55 @@ def _fork_part(layout: _Layout, plan: _Plan, k: int, children: Children):
 def _receive(pipe, part: _Part) -> None:
     """Append the rows a child process sends down ``pipe`` (see
     :func:`_fork_part`) to ``part``: its columns grow in place and take the
-    bytes as they are read.  The child's country codes become the part's
-    and its row indexes follow the part's rows; its line numbers are those
-    of the file already.  Raises where the pipe ends early or holds no
-    pickle."""
-    rows, skipped, bad_rows, names = pickle.load(pipe)
-    done = part.rows
+    bytes as they are read.  The child's country codes become the part's,
+    its row indexes follow the part's rows, and its line numbers, counted
+    from 1, follow the part's lines.  Raises where the pipe ends early or
+    holds no pickle."""
+    rows, skipped, bad_rows, names, line = pickle.load(pipe)
+    done, shift = part.rows, part.line - 1
     for column in part.columns.values():
-        if len(column) < done + rows:
-            column.resize(done + rows, refcheck=False)
+        column.resize(done + rows, refcheck=False)
         # A buffered pipe fills the view but at the pipe's end.
         if pipe.readinto(memoryview(column[done : done + rows]).cast("B")) < rows * column.itemsize:
             raise EOFError("a part's rows end early")
+    part.columns["line"][done : done + rows] += shift
     codes = part.codes
     # One spare slot: a row whose country was rejected reads code -1.
     table = np.array([*(codes.setdefault(name, len(codes)) for name in names), -1], dtype=np.intp)
     _remap(part.columns["country"][done : done + rows], table)
-    part.skipped += skipped
+    part.skipped += [(at + shift, reason) for at, reason in skipped]
     part.bad_rows += [done + j for j in bad_rows]
     part.rows += rows
+    part.line += line - 1
 
 
-def _read_split(blocks, line: int, layout: _Layout, plan: _Plan) -> _Part | None:
-    """The rows of every part of ``plan`` in file order: part 0 read from
-    ``blocks`` here, the first row on line ``line``, and each other part in
-    a child process forked for it.  None where a child failed.  No child
-    outlives the call (see :class:`Children`)."""
+def _read_parts(blocks, line: int, layout: _Layout, later=()) -> _Part:
+    """The rows of every part of the input in order: part 0 read from
+    ``blocks`` here, the first row on line ``line``, and each part of
+    ``later``, pieces as :func:`_file_chunks` reads them, in a child process
+    forked for it.  Raises :class:`_SplitFailed` where a child failed or a
+    part ended inside a quoted field.  No child outlives the call (see
+    :class:`Children`)."""
     with Children() as children:
-        pipes = [_fork_part(layout, plan, k, children) for k in range(1, len(plan.parts))]
+        pipes = [_fork_part(layout, pieces, pieces is not later[-1], children) for pieces in later]
         if None in pipes:
-            return None
-        part = _read_part(blocks, line, layout, plan.reserve(0))
+            raise _SplitFailed("no process to be had")
+        part = _read_part(blocks, line, layout)
         for pipe in pipes:
             try:
                 _receive(pipe, part)
-            except Exception:  # a short read or a bad pickle
-                return None
+            except Exception as exc:  # a short read or a bad pickle
+                raise _SplitFailed("a part failed") from exc
             if not children.reap(pipe):
-                return None
+                raise _SplitFailed("a part failed")
         return part
 
 
-def _parse(blocks, schema: SchemaConfig, label: str, plan: _Plan | None = None):
+def _parse(blocks, schema: SchemaConfig, label: str, later=()):
     """:func:`parse_panel` of ``blocks``, as :func:`_byte_blocks` yields
-    them: of all the input, or of part 0 of ``plan``, whose other parts
-    child processes parse.  The header is the first row of the first block.
-    None where a child failed."""
+    them: of all the input, or of part 0 of a file whose ``later`` parts
+    child processes parse (see :func:`_read_parts`).  The header is the
+    first row of the first block."""
     first, plain = next(blocks, (b"", True))
     ends, rows, _ = _Rows().lines(first, last=True)
     if not rows.any():
@@ -1038,10 +1017,7 @@ def _parse(blocks, schema: SchemaConfig, label: str, plan: _Plan | None = None):
         tuple(100.0 if unit == "percent" else 1.0 for unit in units),
         schema.default_source,
     )
-    if plan is None:
-        part = _read_part(blocks, row + 2, layout)
-    elif (part := _read_split(blocks, row + 2, layout, plan)) is None:
-        return None
+    part = _read_parts(blocks, row + 2, layout, later)
 
     columns, skipped, codes, done = part.columns, part.skipped, part.codes, part.rows
     for column in columns.values():
@@ -1096,11 +1072,12 @@ def parse_panel(
     csv's field limit, raise ValueError.
 
     A binary file of at least 2 * ``_PART_BYTES`` bytes, on a machine with
-    more than one usable CPU, is read in parts, one per CPU, cut where a row
-    starts: this process parses the first and a forked child process each
-    other, and the rows are joined in file order.  Where a child fails, the
-    whole input is parsed again by this process, so an error reads as it
-    always does.  The stream is left at the end of the file either way.
+    more than one usable CPU, is read in parts, one per CPU, each cut just
+    after a line end: this process parses the first and a forked child
+    process each other, and the rows are joined in file order.  Where a
+    child fails, or a part but the last ends inside a quoted field, this
+    process parses the whole input again, so every result and error reads
+    as it always does.  The stream is left at the end of the file.
 
     Every non-empty data row either becomes a row of the panel, in file
     order, or produces exactly one diagnostic; there is no silent coercion.
@@ -1113,11 +1090,13 @@ def parse_panel(
     """
     plan = _split_plan(source)
     if plan is not None:
-        lo, hi, _ = plan.parts[0]
-        parsed = _parse(_byte_blocks(_file_chunks(plan.fd, lo, hi)), schema, label, plan)
-        if parsed is not None:
-            source.seek(plan.end)
+        parts = [_file_chunks(source.fileno(), lo, hi) for lo, hi in plan]
+        try:
+            parsed = _parse(_byte_blocks(parts[0], at_cut=True), schema, label, parts[1:])
+            source.seek(0, io.SEEK_END)
             return parsed
+        except _SplitFailed:  # parsed whole below
+            pass
     return _parse(_byte_blocks(_chunks(source)), schema, label)
 
 

@@ -473,6 +473,19 @@ class TestMicro:
         assert metrics["mld"] == "367.720473"
         assert (metrics["t_over_b_10"], metrics["palma"], metrics["atkinson"]) == ("inf", "inf", "1.000000")
 
+    def test_values_checked_once(self, capsys, tmp_path):
+        """The sample's invariants are checked once, and the order that
+        micro's own sort made is not checked again."""
+        real, calls = cli.micro._checked, []
+
+        def checked(values, ordered):
+            calls.append(ordered)
+            return real(values, ordered)
+
+        with mock.patch.object(cli.micro, "_checked", checked):
+            code, out, _ = run(capsys, "micro", "--input", self.write(tmp_path, [3, 1, 2]))
+        assert (code, calls, metric_map(out)["n"]) == (0, [True], "3")
+
     def test_all_zero_exit_2(self, capsys, tmp_path):
         path = self.write(tmp_path, [0, 0, 0])
         code, _, err = run(capsys, "micro", "--input", path)

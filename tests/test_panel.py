@@ -1076,29 +1076,34 @@ class TestStreamedInput:
             assert str(streamed.value) == str(whole.value)
 
 
-def split_parse(path, cpus, part_bytes=1 << 20, block_chars=1 << 18, scan_bytes=1 << 20, skip_line=False):
+def split_parse(path, cpus, part_bytes=1 << 20, block_chars=1 << 18, skip_line=False):
     """parse_panel of the file ``path`` on ``cpus`` usable CPUs, cut into
     parts of at least ``part_bytes`` bytes (one CPU: read whole, by this
-    process alone) by a scan of ``scan_bytes`` at a time, after its first
+    process alone), read ``block_chars`` bytes at a time, after its first
     line where ``skip_line`` says so.
 
     Returns the panel's names, columns and key order, the diagnostics and
     the file's position after the parse, or the type and message of the
-    error; and the number of parts read, one more than the processes
-    forked."""
-    forked = []
-    real_fork = panel_module._fork_part
+    error; the number of parts read, one more than the processes forked;
+    and the parts this process read: 1, or 2 where it read part 0 and then,
+    the split having failed, the whole input."""
+    forked, reads = [], []
+    real_fork, real_read = panel_module._fork_part, panel_module._read_part
 
     def fork(*args):
-        forked.append(args[2])
+        forked.append(args[1])
         return real_fork(*args)
+
+    def read_part(*args):
+        reads.append(1)  # in a child, to the child's own copy
+        return real_read(*args)
 
     with (
         mock.patch.object(panel_module, "_usable_cpus", lambda: cpus),
         mock.patch.object(panel_module, "_PART_BYTES", part_bytes),
         mock.patch.object(panel_module, "_BLOCK_CHARS", block_chars),
-        mock.patch.object(panel_module, "_SCAN_BYTES", scan_bytes),
         mock.patch.object(panel_module, "_fork_part", fork),
+        mock.patch.object(panel_module, "_read_part", read_part),
         open(path, "rb") as stream,
     ):
         if skip_line:
@@ -1106,11 +1111,11 @@ def split_parse(path, cpus, part_bytes=1 << 20, block_chars=1 << 18, scan_bytes=
         try:
             panel, diags = parse_panel(stream)
         except (ValueError, SchemaError) as exc:
-            return (type(exc), str(exc)), len(forked) + 1
+            return (type(exc), str(exc)), len(forked) + 1, len(reads)
         columns = [getattr(panel, name).tolist() for name in panel_module._COLUMNS]
         order = np.asarray(panel._key_order()).tolist()
         parsed = (list(panel.names), columns, order, [(d.line, d.reason) for d in diags], stream.tell())
-        return parsed, len(forked) + 1
+        return parsed, len(forked) + 1, len(reads)
 
 
 def good_rows(count, name="C{}"):
@@ -1140,31 +1145,32 @@ class TestSplitParse:
         with_source=st.booleans(),
         bom=st.booleans(),
         cpus=st.integers(2, 4),
-        block_chars=st.sampled_from([7, 64, 1 << 18]),
-        scan_bytes=st.sampled_from([1, 2, 5, 1 << 20]),
+        block_chars=st.sampled_from([1, 2, 7, 64, 1 << 18]),
     )
     def test_matches_one_process(
-        self, tmp_path_factory, rows, line_ends, unterminated, with_source, bom, cpus, block_chars, scan_bytes
+        self, tmp_path_factory, rows, line_ends, unterminated, with_source, bom, cpus, block_chars
     ):
         text = panel_text(rows, line_ends, unterminated, with_source)
         path = tmp_path_factory.mktemp("split") / "panel.csv"
         path.write_bytes(("﻿" if bom else "").encode() + text.encode())
         part_bytes = max(path.stat().st_size // (cpus + 1), 1)
-        whole, parts = split_parse(path, 1)
+        whole, parts, _ = split_parse(path, 1)
         assert parts == 1
-        split, parts = split_parse(path, cpus, part_bytes, block_chars, scan_bytes)
-        event(f"read in {parts} part(s)")
+        split, parts, reads = split_parse(path, cpus, part_bytes, block_chars)
+        event(f"read in {parts} part(s)" + " then whole" * (reads - 1))
         assert split == whole
 
-    def cases(self, tmp_path, text, cpus=2, part_bytes=None, **options):
+    def cases(self, tmp_path, text, cpus=2, part_bytes=None, reads=1, **options):
         """The parse of ``text`` in parts, checked against the parse of the
-        same file by one process; the number of parts read."""
+        same file by one process, and the parts this process read (see
+        :func:`split_parse`) checked against ``reads``; the number of parts
+        read."""
         path = tmp_path / "panel.csv"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
         part_bytes = part_bytes or path.stat().st_size // (cpus + 1)
-        whole, _ = split_parse(path, 1, **options)
-        split, parts = split_parse(path, cpus, part_bytes, **options)
-        assert split == whole
+        whole, _, _ = split_parse(path, 1, **options)
+        split, parts, read = split_parse(path, cpus, part_bytes, **options)
+        assert (split, read) == (whole, reads)
         return whole, parts
 
     def test_parts_per_cpu(self, tmp_path):
@@ -1196,34 +1202,99 @@ class TestSplitParse:
         whole, parts = self.cases(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n")
         assert parts == 2 and "Multi\nLine" in whole[0]
 
-    def test_quoted_line_end_at_a_target_cuts_after_its_row(self, tmp_path):
-        """The line ends past the cut's target are inside a quoted field: no
-        row starts there, and the cut is made where that row ends."""
+    def test_quoted_line_end_at_a_target_falls_back(self, tmp_path):
+        """The line end past the cut's target is inside a quoted field, so
+        part 0 ends inside it: this process reads part 0, then the whole
+        input."""
         rows = good_rows(10) + ['"Multi' + "\n" * 2000 + 'Line",2015,0.3,0.25,0.03'] + good_rows(10, "D{}")
-        whole, parts = self.cases(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n")
+        whole, parts = self.cases(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n", reads=2)
         assert parts == 2 and len(whole[1][0]) == 21
 
-    @pytest.mark.parametrize("scan_bytes", [1, 1 << 20])
-    def test_stray_quote_leaves_later_cuts(self, tmp_path, scan_bytes):
-        """A quote that ends an unquoted cell is a quote of that cell: it
-        makes the quotes before the cut's targets even, though the line ends
-        there are inside a quoted field, and the cut is made where that
-        field's row ends."""
+    @pytest.mark.parametrize("block_chars", [7, 1 << 18])
+    def test_stray_quote_then_a_cut_in_a_quoted_field(self, tmp_path, block_chars):
+        """A quote that ends an unquoted cell is a quote of that cell, so the
+        quoted field of the next row is open at every cut: the cuts take no
+        notice of quotes, part 0 ends inside that field, and this process
+        reads the whole input."""
         multi = ",Multi" + "\n" * 2000 + "Line"
         rows = good_rows(10) + ['A",2015,0.3,0.25,0.03', f'"{multi}",2015,0.3,0.25,0.03']
         rows += good_rows(10, "D{}")
         text = HEADER + "\n" + "\n".join(rows) + "\n"
-        whole, parts = self.cases(tmp_path, text, cpus=4, scan_bytes=scan_bytes)
-        assert parts == 2 and {'A"', multi} < set(whole[0])
+        whole, parts = self.cases(tmp_path, text, cpus=4, reads=2, block_chars=block_chars)
+        assert parts == 4 and {'A"', multi} < set(whole[0])
 
-    @pytest.mark.parametrize("scan_bytes", [1, 2, 7, 1 << 20])
+    @pytest.mark.parametrize("block_chars", [1, 2, 7, 1 << 18])
     @pytest.mark.parametrize("line_end", ["\r\n", "\r"])
-    def test_crlf_and_lone_cr(self, tmp_path, line_end, scan_bytes):
+    def test_crlf_and_lone_cr(self, tmp_path, line_end, block_chars):
         rows = good_rows(300)
         rows[250] = "C12,1990,0.3,0.25,0.03"  # repeats row 240
         text = line_end.join([HEADER, *rows]) + line_end
-        (_, _, _, diags, _), parts = self.cases(tmp_path, text, cpus=3, scan_bytes=scan_bytes)
+        (_, _, _, diags, _), parts = self.cases(tmp_path, text, cpus=3, block_chars=block_chars)
         assert (parts, diags) == (3, [(252, "duplicate record ('C12', 1990, 'OTHER')")])
+
+    @pytest.mark.parametrize("line_end", ["\r\n", "\r"])
+    def test_cr_that_ends_a_cut_read(self, tmp_path, line_end):
+        """The cut finder reads from the target to a "\\r" that ends its
+        read: a "\\n" that starts the next read ends the same line, and the
+        cut falls after both."""
+        rows = good_rows(300)
+        rows[250] = "C12,1990,0.3,0.25,0.03"  # repeats row 240
+        text = line_end.join([HEADER, *rows]) + line_end
+        target = int(len(text) * 0.9 / 1.9)  # of part 1 of 2
+        cr = text.index("\r", target)
+        block_chars = cr - target + 1
+        path = tmp_path / "panel.csv"
+        path.write_text(text, newline="")
+        with (
+            mock.patch.object(panel_module, "_usable_cpus", lambda: 2),
+            mock.patch.object(panel_module, "_PART_BYTES", len(text) // 3),
+            mock.patch.object(panel_module, "_BLOCK_CHARS", block_chars),
+            open(path, "rb") as stream,
+        ):
+            assert panel_module._split_plan(stream)[1][0] == cr + len(line_end)
+        (_, _, _, diags, _), parts = self.cases(tmp_path, text, block_chars=block_chars)
+        assert (parts, diags) == (2, [(252, "duplicate record ('C12', 1990, 'OTHER')")])
+
+    @pytest.mark.parametrize("end", ["\n", ""])
+    def test_target_in_the_last_line(self, tmp_path, end):
+        """No line ends past the last target but the file's end: 3 CPUs read
+        2 parts."""
+        rows = good_rows(200) + ["L" * 6000 + ",2015,0.3,0.25,0.5"]
+        text = HEADER + "\n" + "\n".join(rows) + end
+        (_, _, _, diags, _), parts = self.cases(tmp_path, text, cpus=3)
+        assert (parts, diags) == (2, [(202, "share ordering violated")])
+
+    def test_blank_lines_before_two_cuts(self, tmp_path):
+        """Blank lines, which make no rows, before each of 2 cuts: each
+        part's line numbers follow all the lines of the parts before it."""
+        rows = [*good_rows(60), *[""] * 300, *good_rows(60, "D{}"), *[""] * 300, *good_rows(60, "E{}")]
+        bad = [59, 360, 419, 720, 779]  # each first or last in a run of rows
+        for j in bad:
+            rows[j] = rows[j].replace("0.3,", "x,")
+        text = HEADER + "\n" + "\n".join(rows) + "\n"
+        cuts = [text.index("\n", len(text) * share // 29) + 1 for share in (9, 19)]
+        assert all("\n\n\n" in text[lo:hi] for lo, hi in zip([0, *cuts], cuts))
+        (_, _, _, diags, _), parts = self.cases(tmp_path, text, cpus=3)
+        assert parts == 3
+        assert diags == [(j + 2, "unparseable numeric in column 'gini': 'x'") for j in bad]
+
+    def test_cut_in_a_quoted_field_of_a_later_part(self, tmp_path):
+        """Part 1 of 3 ends inside a quoted field: its child exits 1, and
+        this process reads the whole input after part 0."""
+        rows = good_rows(130) + ['"Multi' + "\n" * 1500 + 'Line",2015,0.3,0.25,0.03'] + good_rows(60, "D{}")
+        text = HEADER + "\n" + "\n".join(rows) + "\n"
+        target = len(text) * 9 // 29
+        assert text.count('"', 0, target) == 0 and text.count('"', 0, 2 * target) == 1
+        whole, parts = self.cases(tmp_path, text, cpus=3, reads=2)
+        assert parts == 3 and len(whole[1][0]) == 191
+
+    def test_unclosed_quote_ends_the_last_part(self, tmp_path):
+        """The last part ends inside a quoted field that no quote closes: no
+        part starts after it, and it reads as one process reads it."""
+        text = HEADER + "\n" + "\n".join(good_rows(300)) + '\n"Open,2015,0.3\n\nand on\n'
+        (_, columns, _, diags, _), parts = self.cases(tmp_path, text)
+        assert (parts, len(columns[0])) == (2, 300)
+        assert diags == [(304, "row too short: no value for column 'year'")]
 
     def test_byte_order_mark(self, tmp_path):
         text = '﻿"country",year,gini,top10,bottom10\n' + "\n".join(good_rows(300)) + "\n"
@@ -1247,8 +1318,9 @@ class TestSplitParse:
             mock.patch.object(panel_module, "_PART_BYTES", len(text) // 3),
             open(path, "rb") as stream,
         ):
-            (_, (cut, _, line)) = panel_module._split_plan(stream).parts
+            (_, (cut, _)) = panel_module._split_plan(stream)
         # The same bytes, the row that starts part 1 made bad.
+        line = text.count("\n", 0, cut) + 1
         at = text.index("\n", cut) + 1
         text = text[:cut] + text[cut:at].replace("0.3,", "x.x,") + text[at:]
         (_, _, _, diags, _), parts = self.cases(tmp_path, text, part_bytes=len(text) // 3)
@@ -1262,12 +1334,13 @@ class TestSplitParse:
         rows[int(300 * where)] = "C\xff,2015,0.3,0.25,0.03"
         data = (HEADER + "\n" + "\n".join(rows) + "\n").encode("latin-1")
         # Small blocks: the header's block does not hold the byte.
-        (error, message), parts = self.cases(tmp_path, data, block_chars=64)
+        # A child that fails makes this process read the whole input.
+        (error, message), parts = self.cases(tmp_path, data, reads=1 + (where > 0.5), block_chars=64)
         assert (parts, error) == (2, ValueError) and "can't decode byte 0xff" in message
 
     def test_missing_column(self, tmp_path):
         text = "country,year,gini,top10\n" + "\n".join(good_rows(300)) + "\n"
-        whole, parts = self.cases(tmp_path, text)
+        whole, parts = self.cases(tmp_path, text, reads=0)  # refused before a part is read
         assert (parts, whole) == (1, (SchemaError, "missing declared column(s): bottom10"))
 
     def test_stream_not_at_the_start(self, tmp_path):
@@ -1297,7 +1370,7 @@ class TestSplitParse:
         text = HEADER + "\n" + "\n".join(good_rows(300)) + "\n"
         path = tmp_path / "panel.csv"
         path.write_text(text)
-        assert split_parse(path, 1, 16)[1] == 1
+        assert split_parse(path, 1, 16)[1:] == (1, 1)
 
     def test_threads_or_ignored_children_read_whole(self, tmp_path):
         """A process that runs another thread, which a forked child would
@@ -1305,19 +1378,19 @@ class TestSplitParse:
         text = HEADER + "\n" + "\n".join(good_rows(300)) + "\n"
         path = tmp_path / "panel.csv"
         path.write_text(text)
-        whole, _ = split_parse(path, 1)
+        whole = split_parse(path, 1)
         done = threading.Event()
         thread = threading.Thread(target=done.wait)
         thread.start()
         try:
-            assert split_parse(path, 2, 16) == (whole, 1)
+            assert split_parse(path, 2, 16) == whole
         finally:
             done.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
         previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         try:
-            assert split_parse(path, 2, 16) == (whole, 1)
+            assert split_parse(path, 2, 16) == whole
         finally:
             signal.signal(signal.SIGCHLD, previous)
 

@@ -1,5 +1,7 @@
 """The example scripts run to completion on the bundled data."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -22,3 +24,67 @@ def test_script_exits_0(script):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def load_bench_pairs():
+    """scripts/bench_pairs.py as a module."""
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_medians_and_wins(tmp_path, capsys, monkeypatch):
+    """Each pair runs both checkouts, the first side alternating, on seed
+    SEED + k; the medians and quartiles of each side and the pairs the
+    change wins are printed, a tie counting for neither side, for a "lower"
+    and a "higher" metric alike."""
+    bench_pairs = load_bench_pairs()
+    base, change = tmp_path / "base", tmp_path / "change"
+    base.mkdir()
+    change.mkdir()
+    spec = {"end_to_end": [{"name": "wall_s", "better": "lower"}, {"name": "items_per_s", "better": "higher"}]}
+    (change / "BENCHMARK.json").write_text(json.dumps(spec))
+    values = {  # by side, the values of pairs 0 to 3: a win, a tie, a loss, a win
+        base: {"wall_s": [1.0, 2.0, 3.0, 4.0], "items_per_s": [10, 20, 30, 40]},
+        change: {"wall_s": [0.5, 2.0, 3.5, 3.0], "items_per_s": [11, 20, 29, 41]},
+    }
+    calls = []
+
+    def bench_run(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload, seed, seconds))
+        k = seed - 10
+        metrics = {name: {"value": side[k]} for name, side in values[checkout].items()}
+        return {"correct": True, "failed": k == 3, "attempted": 10, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "bench_run", bench_run)
+    argv = [str(base), str(change), "--workload", "w", "--pairs", "4", "--seed", "10", "--seconds", "2"]
+    assert bench_pairs.main(argv) == 0
+    sides = [name for name, *_ in calls]
+    assert sides == ["base", "change", "change", "base", "base", "change", "change", "base"]
+    assert [seed for _, _, seed, _ in calls] == [10, 10, 11, 11, 12, 12, 13, 13]
+    assert {(workload, seconds) for _, workload, _, seconds in calls} == {("w", 2.0)}
+    assert capsys.readouterr().out.splitlines() == [
+        "w base: correct=True failed=1 of 40",
+        "w change: correct=True failed=1 of 40",
+        "w wall_s pairs (base, change): (1, 0.5), (2, 2), (3, 3.5), (4, 3)",
+        "w wall_s: base 2.5 [1.25, 3.75]  change 2.5 [0.875, 3.375]  change better in 2 of 4 pairs (lower is better)",
+        "w items_per_s pairs (base, change): (10, 11), (20, 20), (30, 29), (40, 41)",
+        "w items_per_s: base 25 [12.5, 37.5]  change 24.5 [13.25, 38]  change better in 2 of 4 pairs"
+        " (higher is better)",
+    ]
+
+
+def test_bench_pairs_one_pair(tmp_path, capsys, monkeypatch):
+    """With one pair, each side's median and quartiles are its one value."""
+    bench_pairs = load_bench_pairs()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": "wall_s", "better": "lower"}]}))
+
+    def bench_run(checkout, workload, seed, seconds):
+        return {"correct": True, "failed": 0, "attempted": 1, "metrics": {"wall_s": {"value": 0.75}}}
+
+    monkeypatch.setattr(bench_pairs, "bench_run", bench_run)
+    assert bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "w wall_s: base 0.75 [0.75, 0.75]  change 0.75 [0.75, 0.75]  change better in 0 of 1 pairs (lower is better)"
+    )
