@@ -861,8 +861,6 @@ _PART_BYTES = 1 << 20
 # The bytes of part 0 over those of each other part: the parent process
 # parses part 0 and then joins the others.
 _FIRST_PART_SHARE = 0.9
-# A line end, as universal newlines reads one.
-_LINE_END = re.compile(rb"\r\n?|\n")
 
 
 class _SplitFailed(Exception):
@@ -875,7 +873,7 @@ def _line_cut(fd: int, target: int, end: int) -> int:
     "\\r") at or past the byte offset ``target`` of the file ``fd``, read by
     ``os.pread`` a block at a time, or ``end`` where no line ends before it."""
     for data in _file_chunks(fd, target, end):
-        if found := _LINE_END.search(data):
+        if found := re.search(rb"\r\n?|\n", data):
             cut = target + found.end()
             # A "\r" that ends the read may be the first byte of a "\r\n".
             if found.group() == b"\r" and found.end() == len(data):

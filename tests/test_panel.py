@@ -1091,7 +1091,7 @@ def split_parse(path, cpus, part_bytes=1 << 20, block_chars=1 << 18, skip_line=F
     real_fork, real_read = panel_module._fork_part, panel_module._read_part
 
     def fork(*args):
-        forked.append(args[1])
+        forked.append(1)
         return real_fork(*args)
 
     def read_part(*args):
@@ -1283,8 +1283,8 @@ class TestSplitParse:
         this process reads the whole input after part 0."""
         rows = good_rows(130) + ['"Multi' + "\n" * 1500 + 'Line",2015,0.3,0.25,0.03'] + good_rows(60, "D{}")
         text = HEADER + "\n" + "\n".join(rows) + "\n"
-        target = len(text) * 9 // 29
-        assert text.count('"', 0, target) == 0 and text.count('"', 0, 2 * target) == 1
+        first, second = (len(text) * share // 29 for share in (9, 19))  # the cuts' targets
+        assert '"' not in text[:first] and text.count('"', first, second) == 1
         whole, parts = self.cases(tmp_path, text, cpus=3, reads=2)
         assert parts == 3 and len(whole[1][0]) == 191
 
