@@ -6,8 +6,11 @@ each per pair, with the side that runs first alternating from pair to pair
 and pair k on seed SEED + k.  For each workload and end-to-end metric it
 prints every pair's values, each side's median and quartiles, and the pairs
 B wins, by the metric's "better" in B's BENCHMARK.json (ties count for
-neither).  It changes nothing in either checkout but what bench/run.py
-writes there.
+neither).  It then prints the change of B's median from A's, relative to
+A's, next to the metric's "bound", and marks the metric unresolved where
+A's interquartile range, relative to its median, is wider than that bound:
+such runs are too spread to tell a change of that size.  It changes
+nothing in either checkout but what bench/run.py writes there.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload panel-compute --pairs 10 --seed 1001
 """
@@ -50,6 +53,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
 
     for workload in args.workload:
         runs: dict[str, list[dict]] = {"base": [], "change": []}
@@ -72,6 +76,12 @@ def main(argv=None) -> int:
                 f"{workload} {name}: base {ma:.4g} [{qa1:.4g}, {qa3:.4g}]  change {mb:.4g} [{qb1:.4g}, {qb3:.4g}]"
                 f"  change better in {wins} of {len(a)} pairs ({direction} is better)"
             )
+            if name in bounds and ma:
+                spread = (qa3 - qa1) / abs(ma)
+                print(
+                    f"{workload} {name}: median change {(mb - ma) / abs(ma):+.1%}, bound {bounds[name]:.1%},"
+                    f" base IQR {spread:.1%} of its median" + ("  unresolved" if spread > bounds[name] else "")
+                )
     return 0
 
 

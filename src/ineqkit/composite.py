@@ -47,6 +47,14 @@ def _check_t_over_b(value) -> np.ndarray:
     return value
 
 
+def _check_shapes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise ArityError(f"shapes {a.shape} and {b.shape} do not broadcast") from None
+    return a, b
+
+
 def _check_weight(weight: float) -> float:
     weight = float(weight)
     if not 0.0 < weight <= 1.0 or math.isnan(weight):
@@ -130,8 +138,7 @@ def composite(gini, b_over_t, weight: float = DEFAULT_WEIGHT) -> CompositeResult
     ratio 0).  Also carries the simpler unbounded variant for the same
     inputs.  Arrays give arrays, element by element; scalars give floats.
     """
-    gini = _check_unit("gini", gini)
-    b_over_t = _check_unit("share ratio", b_over_t)
+    gini, b_over_t = _check_shapes(_check_unit("gini", gini), _check_unit("share ratio", b_over_t))
     h = 1.0 - np.power(b_over_t, _check_weight(weight))
     index_i = np.sqrt(gini * gini + h * h) / np.sqrt(2.0)
     return CompositeResult(
@@ -179,7 +186,7 @@ def alternative_index(gini, t_over_b):
     Equals 0.01 at perfect equality (gini 0, T/B = 1) and +infinity when the
     bottom share is zero.
     """
-    return _alt_index(_check_unit("gini", gini), _check_t_over_b(t_over_b))
+    return _alt_index(*_check_shapes(_check_unit("gini", gini), _check_t_over_b(t_over_b)))
 
 
 def _alt_index(gini: np.ndarray, t_over_b: np.ndarray):

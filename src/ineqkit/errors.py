@@ -43,3 +43,6 @@ class JoinError(IneqError, ValueError):
 
 class NotFoundError(IneqError, KeyError):
     """A requested key is absent from the data."""
+
+    def __str__(self) -> str:
+        return f"{', '.join(map(repr, self.args))} not found"

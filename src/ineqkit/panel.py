@@ -309,10 +309,6 @@ _SOURCE_CODES = {s.value: i for i, s in enumerate(SOURCES)}
 _ERRORS = "surrogatepass"
 
 
-# Masks, by byte, of the bytes a cell may hold for numpy's string casts to
-# read it as int() and float() do; 0 pads a fixed-width cell.
-_INT_CHARS = np.array([c in b"\0+-0123456789" for c in range(256)])
-_FLOAT_CHARS = np.array([c in b"\0+-.0123456789Ee" for c in range(256)])
 # Mask, by byte, of the bytes that may border a plain quote.
 _QUOTE_BORDERS = np.array([c in b'\n\r",' for c in range(256)])
 # The powers of ten a fraction of at most 15 digits divides by, all exact.
@@ -620,34 +616,28 @@ def _decimals(cells: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
     return m, plain
 
 
-def _cast(cells: np.ndarray, dtype, chars) -> tuple[np.ndarray, np.ndarray]:
+def _cast(cells: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
     """The cells as ``dtype``, and the mask of the cells cast; the others
-    read 0.  :func:`_decimals` reads the cells it can exactly.  Of the rest,
-    only non-empty cells all of whose characters are in ``chars`` are cast,
-    as one array.  Where such a cell is no number (``-``, ``1.2.3``, a year
-    beyond int64), those cells are cast one at a time as the one-row check
-    reads them, and only the failing ones are unmarked."""
+    read 0.  :func:`_decimals` reads the cells it can exactly, and each of
+    the rest is read alone, as the one-row check reads it: by ``int()`` or
+    ``float()`` of its bytes, or of its stripped text where it is not ASCII.
+    A cell that fails, or an int beyond int64, is left unmarked.  A column
+    of text (one that holds a NUL) is read a cell at a time throughout."""
     if cells.dtype == object:
-        return np.zeros(len(cells), dtype), np.zeros(len(cells), dtype=bool)
-    values, plain = _decimals(cells, dtype)
+        values, plain = np.zeros(len(cells), dtype), np.zeros(len(cells), dtype=bool)
+    else:
+        values, plain = _decimals(cells, dtype)
     rest = np.flatnonzero(~plain)
-    if not rest.size:
-        return values, plain
-    codes = cells[rest][:, None].view(np.uint8)
-    # A cell's length is one past its last non-zero byte, as str_len reads it.
-    length = np.max((codes != 0) * np.arange(1, codes.shape[1] + 1), axis=1)
-    codes = codes[:, : length.max(initial=0)]
-    rows = rest[chars[codes].all(axis=1) & (length > 0)]
-    plain[rows] = True
-    try:
-        values[rows] = cells[rows].astype(dtype)
-    except (ValueError, OverflowError):
-        kind = int if dtype == np.int64 else float
-        for j, cell in zip(rows.tolist(), cells[rows].tolist()):
-            try:
-                values[j] = kind(cell)
-            except (ValueError, OverflowError):
-                plain[j] = False
+    kind = int if dtype == np.int64 else float
+    # A memoryview sets one element faster than numpy's indexing; it refuses
+    # an int beyond int64 with a ValueError.
+    out, read = memoryview(values), memoryview(plain)
+    for j, cell in zip(rest.tolist(), cells[rest].tolist()):
+        try:
+            out[j] = kind(cell if cell.isascii() else _text(cell))
+            read[j] = True
+        except ValueError:
+            pass
     return values, plain
 
 
@@ -728,10 +718,11 @@ class _Layout:
     scale: tuple[float, float, float]
     default_source: Source
 
-    def check(self, texts: list[str], length: int):
-        """The first check a row of ``length`` cells with the stripped cells
-        ``texts`` fails, as its reason and None, or None and the row's year
-        and shares."""
+    def check(self, texts: list[str], length: int) -> str:
+        """The reason of the first cell check that a row of ``length`` cells
+        with the stripped cells ``texts`` fails.  Only a row whose cells a
+        cast or a lookup rejected is checked, and those read each cell as
+        this check does, so it fails one: the check only words why."""
 
         def cell(k: int) -> str:
             if self.where[k] >= length:
@@ -743,13 +734,11 @@ class _Layout:
                 raise ValueError("empty country identifier")
             text = cell(1)
             try:
-                year = int(text)
-                np.int64(year)
+                np.int64(int(text))
             except ValueError:
                 raise ValueError(f"year is not an integer: {text!r}") from None
             except OverflowError:
                 raise ValueError(f"year out of range: {text!r}") from None
-            shares = []
             for k in (2, 3, 4):
                 text = cell(k)
                 try:
@@ -760,12 +749,10 @@ class _Layout:
                     ) from None
                 if not math.isfinite(value):
                     raise ValueError(f"non-finite value in column '{self.declared[k]}': {text!r}")
-                shares.append(value / self.scale[k - 2])
-            if len(self.declared) > 5 and cell(5).upper() not in _SOURCE_CODES:
-                raise ValueError(f"unknown source {texts[5].upper()!r}")
+            # Every cell before the source reads, so the source is unknown.
+            return f"unknown source {cell(5).upper()!r}"
         except ValueError as exc:
-            return str(exc), None
-        return _share_fault(*shares), (year, *shares)
+            return str(exc)
 
 
 # The columns of a run of parsed rows: the panel's, and the line each row
@@ -792,10 +779,12 @@ def _read_part(blocks, line: int, layout: _Layout) -> _Part:
     """The rows of ``blocks``, as :func:`_byte_blocks` yields them, the
     first starting on line ``line``.
 
-    Each block's cells become columns, each read by one _cast; only the rows
-    that a cast skips are checked one by one.  The block's rows are then
-    copied to the ends of the part's columns, which grow in place, with the
-    line each row ends on.
+    Each block's cells become columns, each read by one _cast, lookup or
+    source coding, which read every cell as the one-row check does.  A row
+    whose cells all read, to finite shares, is skipped only for a share
+    rule; the check words the reason of any other skipped row, and keeps no
+    value.  The block's rows are then copied to the ends of the part's
+    columns, which grow in place, with the line each row ends on.
     """
     codes: dict[str, int] = {}
 
@@ -812,11 +801,11 @@ def _read_part(blocks, line: int, layout: _Layout) -> _Part:
     widths = list(_CELL_BYTES[: len(layout.declared)])
     for cells, short, numbers, line in _blocks(blocks, line, list(layout.where), widths):
         country = _lookup(cells[0], country_code, country_memo)
-        year, good = _cast(cells[1], np.int64, _INT_CHARS)
+        year, good = _cast(cells[1], np.int64)
         good &= country >= 0
         shares = []
         for col, s in zip(cells[2:5], layout.scale):
-            values, ok = _cast(col, np.float64, _FLOAT_CHARS)
+            values, ok = _cast(col, np.float64)
             shares.append(values / s)
             good &= ok
         values = {"country": country, "year": year}
@@ -836,11 +825,7 @@ def _read_part(blocks, line: int, layout: _Layout) -> _Part:
             if cast[j]:
                 reason = _share_fault(*(share[j].item() for share in shares))
             else:
-                reason, row = layout.check([_text(col[j]) for col in cells], short.get(j, width))
-                if reason is None:
-                    for name, value in zip(("year", "gini", "top10", "bottom10"), row):
-                        values[name][j] = value
-                    continue
+                reason = layout.check([_text(col[j]) for col in cells], short.get(j, width))
             skipped.append((numbers[j].item(), reason))
             bad_rows.append(done + j)
         values["line"] = numbers

@@ -71,6 +71,8 @@ def atkinson(sample, eps: float) -> float:
     """
     sample = _as_sample(sample)
     eps = float(eps)
+    if not math.isfinite(eps):
+        raise DomainError("aversion parameter must be finite")
     if eps < 0:
         raise DomainError("aversion parameter must be >= 0")
     v = sample._scaled[0]
@@ -152,11 +154,12 @@ def ge_index(sample, alpha: float) -> float:
             # mean(r^alpha) is then so large that subtracting 1 changes nothing
             try:
                 log_mean = _log_power_mean(sample.values, sample.mean, alpha)
-                return math.exp(log_mean - math.log(alpha * (alpha - 1.0)))
+                # alpha * (alpha - 1) > 0 here, and overflows for |alpha| > ~1.3e154
+                return math.exp(log_mean - math.log(abs(alpha)) - math.log(abs(alpha - 1.0)))
             except OverflowError:
                 raise DomainError(f"GE({alpha!r}) of this sample exceeds the float range") from None
         dev = total - v.size
-    return max(dev / v.size / (alpha * (alpha - 1.0)), 0.0)
+    return max(dev / v.size / alpha / (alpha - 1.0), 0.0)
 
 
 def ge_zero(sample) -> float:

@@ -486,6 +486,19 @@ class TestMicro:
             code, out, _ = run(capsys, "micro", "--input", self.write(tmp_path, [3, 1, 2]))
         assert (code, calls, metric_map(out)["n"]) == (0, [True], "3")
 
+    @pytest.mark.parametrize(
+        "flag, value, error",
+        [
+            ("--alpha", "1e155", "error: GE(1e+155) of this sample exceeds the float range"),
+            ("--epsilon", "nan", "error: aversion parameter must be finite"),
+            ("--epsilon", "inf", "error: aversion parameter must be finite"),
+        ],
+    )
+    def test_parameter_past_the_float_range_exit_2(self, capsys, tmp_path, flag, value, error):
+        """No index prints as nan, or as a 0 that stands for an overflow."""
+        code, out, err = run(capsys, "micro", "--input", self.write(tmp_path, [1, 2, 3]), flag, value)
+        assert (code, out, err.splitlines()) == (2, "", [error])
+
     def test_all_zero_exit_2(self, capsys, tmp_path):
         path = self.write(tmp_path, [0, 0, 0])
         code, _, err = run(capsys, "micro", "--input", path)
@@ -834,7 +847,7 @@ class TestRankCompareSeries:
             "--country",
             "Atlantis",
         )
-        assert code == 2
+        assert (code, err) == (2, "error: 'Atlantis' not found\n")
 
     def test_source_filter(self, capsys):
         code, out, _ = run(

@@ -145,6 +145,11 @@ class TestComposite:
             with pytest.raises(DomainError, match=message):
                 composite(*args)
 
+    def test_shapes_that_do_not_broadcast(self):
+        with pytest.raises(ArityError, match=r"shapes \(2,\) and \(3,\) do not broadcast"):
+            composite([0.5, 0.4], [0.1, 0.2, 0.3])
+        assert composite([0.5, 0.4], 0.3).index_i.shape == (2,)
+
     @given(unit_floats, unit_floats)
     def test_bounds(self, g, ratio):
         assert 0.0 <= composite(g, ratio).index_i <= 1.0
@@ -283,6 +288,11 @@ class TestAlternativeIndex:
 
     def test_infinite(self):
         assert alternative_index(1.0, math.inf) == math.inf
+
+    def test_shapes_that_do_not_broadcast(self):
+        with pytest.raises(ArityError):
+            alternative_index([0.5, 0.4], [2.0, 3.0, 4.0])
+        assert alternative_index(0.5, [2.0, 3.0]).shape == (2,)
 
     def test_carried_on_composite_result(self):
         res = composite(0.360, 1 / 13.79)

@@ -38,16 +38,25 @@ def test_bench_pairs_medians_and_wins(tmp_path, capsys, monkeypatch):
     """Each pair runs both checkouts, the first side alternating, on seed
     SEED + k; the medians and quartiles of each side and the pairs the
     change wins are printed, a tie counting for neither side, for a "lower"
-    and a "higher" metric alike."""
+    and a "higher" metric alike.  So is the relative change of the medians
+    beside the metric's bound, unresolved where the base's IQR, relative to
+    its median, is wider than the bound; a metric with no bound gets no
+    such line."""
     bench_pairs = load_bench_pairs()
     base, change = tmp_path / "base", tmp_path / "change"
     base.mkdir()
     change.mkdir()
-    spec = {"end_to_end": [{"name": "wall_s", "better": "lower"}, {"name": "items_per_s", "better": "higher"}]}
+    spec = {
+        "end_to_end": [
+            {"name": "wall_s", "better": "lower", "bound": 0.25},
+            {"name": "items_per_s", "better": "higher", "bound": 1.5},
+            {"name": "peak_rss_mb", "better": "lower"},
+        ]
+    }
     (change / "BENCHMARK.json").write_text(json.dumps(spec))
     values = {  # by side, the values of pairs 0 to 3: a win, a tie, a loss, a win
-        base: {"wall_s": [1.0, 2.0, 3.0, 4.0], "items_per_s": [10, 20, 30, 40]},
-        change: {"wall_s": [0.5, 2.0, 3.5, 3.0], "items_per_s": [11, 20, 29, 41]},
+        base: {"wall_s": [1.0, 2.0, 3.0, 4.0], "items_per_s": [10, 20, 30, 40], "peak_rss_mb": [5, 5, 5, 5]},
+        change: {"wall_s": [0.5, 2.0, 3.5, 3.0], "items_per_s": [11, 20, 29, 41], "peak_rss_mb": [6, 6, 6, 6]},
     }
     calls = []
 
@@ -69,22 +78,28 @@ def test_bench_pairs_medians_and_wins(tmp_path, capsys, monkeypatch):
         "w change: correct=True failed=1 of 40",
         "w wall_s pairs (base, change): (1, 0.5), (2, 2), (3, 3.5), (4, 3)",
         "w wall_s: base 2.5 [1.25, 3.75]  change 2.5 [0.875, 3.375]  change better in 2 of 4 pairs (lower is better)",
+        "w wall_s: median change +0.0%, bound 25.0%, base IQR 100.0% of its median  unresolved",
         "w items_per_s pairs (base, change): (10, 11), (20, 20), (30, 29), (40, 41)",
         "w items_per_s: base 25 [12.5, 37.5]  change 24.5 [13.25, 38]  change better in 2 of 4 pairs"
         " (higher is better)",
+        "w items_per_s: median change -2.0%, bound 150.0%, base IQR 100.0% of its median",
+        "w peak_rss_mb pairs (base, change): (5, 6), (5, 6), (5, 6), (5, 6)",
+        "w peak_rss_mb: base 5 [5, 5]  change 6 [6, 6]  change better in 0 of 4 pairs (lower is better)",
     ]
 
 
 def test_bench_pairs_one_pair(tmp_path, capsys, monkeypatch):
     """With one pair, each side's median and quartiles are its one value."""
     bench_pairs = load_bench_pairs()
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": "wall_s", "better": "lower"}]}))
+    spec = {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.1}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
 
     def bench_run(checkout, workload, seed, seconds):
         return {"correct": True, "failed": 0, "attempted": 1, "metrics": {"wall_s": {"value": 0.75}}}
 
     monkeypatch.setattr(bench_pairs, "bench_run", bench_run)
     assert bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", "1"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == (
-        "w wall_s: base 0.75 [0.75, 0.75]  change 0.75 [0.75, 0.75]  change better in 0 of 1 pairs (lower is better)"
-    )
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "w wall_s: base 0.75 [0.75, 0.75]  change 0.75 [0.75, 0.75]  change better in 0 of 1 pairs (lower is better)",
+        "w wall_s: median change +0.0%, bound 10.0%, base IQR 0.0% of its median",
+    ]

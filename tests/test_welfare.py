@@ -43,6 +43,12 @@ class TestPowerMeanRange:
         with pytest.raises(DomainError, match="exceeds the float range"):
             ge_index(values, alpha)
 
+    @pytest.mark.parametrize("alpha", [1e155, -1e155, 1e300, -1e300])
+    def test_order_whose_square_overflows_raises(self, alpha):
+        """alpha * (alpha - 1) is past the float range, and so is the index."""
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            ge_index([1, 2, 3], alpha)
+
     @pytest.mark.parametrize(
         "values, alpha",
         # r^alpha overflows for the largest (smallest) ratio, the index does not
@@ -86,6 +92,12 @@ class TestAtkinson:
     def test_negative_aversion_rejected(self):
         with pytest.raises(DomainError):
             atkinson([1, 2], -0.1)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_aversion_must_be_finite(self, eps):
+        with pytest.raises(DomainError) as exc:
+            atkinson([1, 2, 3], eps)
+        assert str(exc.value) == "aversion parameter must be finite"
 
     @given(positive_samples, st.floats(min_value=1e-3, max_value=1e3))
     def test_scale_invariance(self, s, c):
