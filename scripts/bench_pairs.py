@@ -12,6 +12,11 @@ A's interquartile range, relative to its median, is wider than that bound:
 such runs are too spread to tell a change of that size.  It changes
 nothing in either checkout but what bench/run.py writes there.
 
+Every run has PYTHONDONTWRITEBYTECODE=1, so each side compiles its own
+source in every run, and a checkout whose src/ or bench/ already holds
+bytecode is refused: the side that read it would skip that compile and
+read faster and smaller than the other.
+
     python3 scripts/bench_pairs.py PARENT CHANGE --workload panel-compute --pairs 10 --seed 1001
 """
 
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -26,9 +32,14 @@ from pathlib import Path
 
 
 def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line (the last line of stdout) of one untraced run."""
+    """The result line (the last line of stdout) of one untraced run, which
+    writes no bytecode."""
+    for folder in ("src", "bench"):
+        if cached := next((checkout / folder).rglob("*.pyc"), None):
+            raise SystemExit(f"error: {cached}: remove the bytecode of {checkout} first")
     argv = ["bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run([sys.executable, *argv], cwd=checkout, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, *argv], cwd=checkout, capture_output=True, text=True, env=env)
     if done.returncode:
         raise SystemExit(f"error: {checkout}: bench/run.py exited {done.returncode}\n{done.stderr[-2000:]}")
     return json.loads(done.stdout.splitlines()[-1])

@@ -407,7 +407,8 @@ def cmd_micro(args) -> int:
     try:
         mld = ge_zero(sample)
     except ZeroIncomeError:
-        mld = math.nan
+        # ln(mean / 0) is +inf, so the mean of the log deviations is too.
+        mld = math.inf
     rows.append(("mld", _fmt(mld)))
     res = composite(gini, b_over_t[0], args.weight)
     rows.append(("weight", _fmt(args.weight)))

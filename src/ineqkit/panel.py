@@ -15,7 +15,6 @@ import csv
 import enum
 import io
 import itertools
-import math
 import os
 import pickle
 import re
@@ -50,14 +49,6 @@ _SHARE_RULES = (
 )
 
 
-def _share_fault(gini: float, top10: float, bottom10: float) -> str | None:
-    """The reason of the first share rule the values break, or None."""
-    for rule, reason in _SHARE_RULES:
-        if not rule(gini, top10, bottom10):
-            return reason.format(gini, top10, bottom10)
-    return None
-
-
 @dataclass(frozen=True)
 class CountryYearRecord:
     """One panel row of published indicator values (decimal units)."""
@@ -72,9 +63,9 @@ class CountryYearRecord:
     def __post_init__(self):
         if not self.country:
             raise DomainError("country identifier must be non-empty")
-        fault = _share_fault(self.gini, self.top10, self.bottom10)
-        if fault is not None:
-            raise DomainError(fault)
+        for rule, reason in _SHARE_RULES:
+            if not rule(self.gini, self.top10, self.bottom10):
+                raise DomainError(reason.format(self.gini, self.top10, self.bottom10))
 
     @property
     def key(self) -> tuple[str, int, str]:
@@ -619,10 +610,10 @@ def _decimals(cells: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
 def _cast(cells: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
     """The cells as ``dtype``, and the mask of the cells cast; the others
     read 0.  :func:`_decimals` reads the cells it can exactly, and each of
-    the rest is read alone, as the one-row check reads it: by ``int()`` or
-    ``float()`` of its bytes, or of its stripped text where it is not ASCII.
-    A cell that fails, or an int beyond int64, is left unmarked.  A column
-    of text (one that holds a NUL) is read a cell at a time throughout."""
+    the rest is read alone: by ``int()`` or ``float()`` of its bytes, or of
+    its stripped text where it is not ASCII.  A cell that fails, or an int
+    beyond int64, is left unmarked.  A column of text (one that holds a NUL)
+    is read a cell at a time throughout."""
     if cells.dtype == object:
         values, plain = np.zeros(len(cells), dtype), np.zeros(len(cells), dtype=bool)
     else:
@@ -657,7 +648,7 @@ def _blocks(blocks, line: int, usecols: list[int], widths):
     width = max(usecols) + 1
     for block, plain in blocks:
         raw = np.frombuffer(block, dtype=np.uint8)
-        lines = np.count_nonzero(raw == ord("\n")) + (block[-1] != ord("\n"))
+        lines = int(np.count_nonzero(raw == ord("\n"))) + (block[-1] != ord("\n"))
         cells, short = _byte_cells(block, lines, usecols, widths) if plain else None, {}
         if cells is not None and len(cells[0]) == lines:  # each line is a row
             ends = np.arange(line, line + lines)
@@ -711,48 +702,37 @@ class _Layout:
     """The declared columns of a panel file, by the names of its header: in
     the order country, year, gini, top10, bottom10 and the source where
     there is one, their positions, the divisor of each share column and the
-    source of a file without a source column."""
+    source of a file without a source column.  A row's cells are checked in
+    that order."""
 
     declared: tuple[str, ...]
     where: tuple[int, ...]
     scale: tuple[float, float, float]
     default_source: Source
 
-    def check(self, texts: list[str], length: int) -> str:
-        """The reason of the first cell check that a row of ``length`` cells
-        with the stripped cells ``texts`` fails.  Only a row whose cells a
-        cast or a lookup rejected is checked, and those read each cell as
-        this check does, so it fails one: the check only words why."""
-
-        def cell(k: int) -> str:
-            if self.where[k] >= length:
-                raise ValueError(f"row too short: no value for column '{self.declared[k]}'")
-            return texts[k]
-
-        try:
-            if not cell(0):
-                raise ValueError("empty country identifier")
-            text = cell(1)
+    def reason(self, k: int, cell, length: int) -> str:
+        """The reason of a row of ``length`` cells whose first failed check
+        is that of its declared cell ``k``, ``cell`` (padding where the row
+        is short).  Only that cell is decoded, and read again only to tell
+        which way it failed."""
+        name, text = self.declared[k], _text(cell)
+        if self.where[k] >= length:
+            return f"row too short: no value for column '{name}'"
+        if k == 0:
+            return "empty country identifier"
+        if k == 1:
             try:
-                np.int64(int(text))
+                int(text)
             except ValueError:
-                raise ValueError(f"year is not an integer: {text!r}") from None
-            except OverflowError:
-                raise ValueError(f"year out of range: {text!r}") from None
-            for k in (2, 3, 4):
-                text = cell(k)
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise ValueError(
-                        f"unparseable numeric in column '{self.declared[k]}': {text!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ValueError(f"non-finite value in column '{self.declared[k]}': {text!r}")
-            # Every cell before the source reads, so the source is unknown.
-            return f"unknown source {cell(5).upper()!r}"
-        except ValueError as exc:
-            return str(exc)
+                return f"year is not an integer: {text!r}"
+            return f"year out of range: {text!r}"
+        if k == 5:
+            return f"unknown source {text.upper()!r}"
+        try:
+            float(text)
+        except ValueError:
+            return f"unparseable numeric in column '{name}': {text!r}"
+        return f"non-finite value in column '{name}': {text!r}"
 
 
 # The columns of a run of parsed rows: the panel's, and the line each row
@@ -763,14 +743,13 @@ _PART_COLUMNS = {**_COLUMNS, "line": np.int64}
 @dataclass
 class _Part:
     """``rows`` parsed rows in file order: their columns, which may hold room
-    for more, the line number and reason of each skipped row and its index,
-    the codes of the country names, in the order the names were first read,
-    and the line after the last line read."""
+    for more, where a skipped row's country code is -1; the line number and
+    reason of each skipped row; the codes of the country names, in the order
+    the names were first read; and the line after the last line read."""
 
     columns: dict[str, np.ndarray]
     rows: int
     skipped: list[tuple[int, str]]
-    bad_rows: list[int]
     codes: dict[str, int]
     line: int
 
@@ -780,11 +759,14 @@ def _read_part(blocks, line: int, layout: _Layout) -> _Part:
     first starting on line ``line``.
 
     Each block's cells become columns, each read by one _cast, lookup or
-    source coding, which read every cell as the one-row check does.  A row
-    whose cells all read, to finite shares, is skipped only for a share
-    rule; the check words the reason of any other skipped row, and keeps no
-    value.  The block's rows are then copied to the ends of the part's
-    columns, which grow in place, with the line each row ends on.
+    source coding.  Each check of a row is a mask over the block, in order:
+    one per declared cell (a country code < 0, a year not read, a share not
+    read or not finite, a source code < 0), then one per share rule.  A row
+    that fails one is skipped, with the reason of the first: a cell's is
+    worded by :meth:`_Layout.reason`, a rule's from the shares read.  The
+    block's rows, a skipped row's country code set to -1, are then copied
+    to the ends of the part's columns, which grow in place, with the line
+    each row ends on.
     """
     codes: dict[str, int] = {}
 
@@ -793,7 +775,6 @@ def _read_part(blocks, line: int, layout: _Layout) -> _Part:
 
     columns = {name: np.empty(0, dtype) for name, dtype in _PART_COLUMNS.items()}
     skipped: list[tuple[int, str]] = []
-    bad_rows: list[int] = []
     country_memo: dict = {}
     source_memo: dict = {}
     done = 0
@@ -801,33 +782,29 @@ def _read_part(blocks, line: int, layout: _Layout) -> _Part:
     widths = list(_CELL_BYTES[: len(layout.declared)])
     for cells, short, numbers, line in _blocks(blocks, line, list(layout.where), widths):
         country = _lookup(cells[0], country_code, country_memo)
-        year, good = _cast(cells[1], np.int64)
-        good &= country >= 0
-        shares = []
+        year, read = _cast(cells[1], np.int64)
+        failed, shares = [country < 0, ~read], []
         for col, s in zip(cells[2:5], layout.scale):
-            values, ok = _cast(col, np.float64)
+            values, read = _cast(col, np.float64)
+            failed.append(~(read & np.isfinite(values)))
             shares.append(values / s)
-            good &= ok
         values = {"country": country, "year": year}
         values.update(zip(("gini", "top10", "bottom10"), shares))
         if len(cells) > 5:
             values["source"] = _source_codes(cells[5], source_memo)
-            good &= values["source"] >= 0
+            failed.append(values["source"] < 0)
         else:
             values["source"] = SOURCES.index(layout.default_source)
-        # A row whose cells all cast, to finite shares, can break only a share
-        # rule: the reason the one-row check gives is that of its values.
-        cast = good & np.isfinite(shares).all(axis=0)
-        good = cast.copy()
-        for rule, _ in _SHARE_RULES:
-            good &= rule(*shares)
-        for j in np.flatnonzero(~good).tolist():
-            if cast[j]:
-                reason = _share_fault(*(share[j].item() for share in shares))
+        failed += [~rule(*shares) for rule, _ in _SHARE_RULES]
+        failed = np.array(failed)
+        bad = np.flatnonzero(failed.any(axis=0))
+        for j, k in zip(bad.tolist(), failed[:, bad].argmax(axis=0).tolist()):
+            if k < len(cells):
+                reason = layout.reason(k, cells[k][j], short.get(j, width))
             else:
-                reason = layout.check([_text(col[j]) for col in cells], short.get(j, width))
+                reason = _SHARE_RULES[k - len(cells)][1].format(*(share[j].item() for share in shares))
             skipped.append((numbers[j].item(), reason))
-            bad_rows.append(done + j)
+        country[bad] = -1
         values["line"] = numbers
         rows = slice(done, done + len(numbers))
         if rows.stop > len(columns["line"]):
@@ -836,7 +813,7 @@ def _read_part(blocks, line: int, layout: _Layout) -> _Part:
         for name, column in columns.items():
             column[rows] = values[name]
         done = rows.stop
-    return _Part(columns, done, skipped, bad_rows, codes, line)
+    return _Part(columns, done, skipped, codes, line)
 
 
 # A file is parsed in parts, each by a process of its own, only where each
@@ -907,13 +884,12 @@ def _fork_part(layout: _Layout, pieces, at_cut: bool, children: Children):
     """The pipe of a child process, one of ``children``, that parses the part
     ``pieces`` of a file, its first line numbered 1, as :func:`_byte_blocks`
     reads it with ``at_cut`` (None where no process is to be had).  It sends
-    its row count, diagnostics, skipped-row indexes, country names and the
-    line after its last, pickled, then the bytes of each column, in
-    ``_PART_COLUMNS`` order."""
+    its row count, diagnostics, country names and the line after its last,
+    pickled, then the bytes of each column, in ``_PART_COLUMNS`` order."""
 
     def send(pipe) -> None:
         part = _read_part(_byte_blocks(pieces, head=False, at_cut=at_cut), 1, layout)
-        pickle.dump((part.rows, part.skipped, part.bad_rows, list(part.codes), part.line), pipe)
+        pickle.dump((part.rows, part.skipped, list(part.codes), part.line), pipe)
         for column in part.columns.values():
             pipe.write(column[: part.rows])
 
@@ -924,10 +900,9 @@ def _receive(pipe, part: _Part) -> None:
     """Append the rows a child process sends down ``pipe`` (see
     :func:`_fork_part`) to ``part``: its columns grow in place and take the
     bytes as they are read.  The child's country codes become the part's,
-    its row indexes follow the part's rows, and its line numbers, counted
-    from 1, follow the part's lines.  Raises where the pipe ends early or
-    holds no pickle."""
-    rows, skipped, bad_rows, names, line = pickle.load(pipe)
+    and its line numbers, counted from 1, follow the part's lines.  Raises
+    where the pipe ends early or holds no pickle."""
+    rows, skipped, names, line = pickle.load(pipe)
     done, shift = part.rows, part.line - 1
     for column in part.columns.values():
         column.resize(done + rows, refcheck=False)
@@ -936,11 +911,10 @@ def _receive(pipe, part: _Part) -> None:
             raise EOFError("a part's rows end early")
     part.columns["line"][done : done + rows] += shift
     codes = part.codes
-    # One spare slot: a row whose country was rejected reads code -1.
+    # One spare slot: a skipped row reads code -1.
     table = np.array([*(codes.setdefault(name, len(codes)) for name in names), -1], dtype=np.intp)
     _remap(part.columns["country"][done : done + rows], table)
     part.skipped += [(at + shift, reason) for at, reason in skipped]
-    part.bad_rows += [done + j for j in bad_rows]
     part.rows += rows
     part.line += line - 1
 
@@ -1006,14 +980,13 @@ def _parse(blocks, schema: SchemaConfig, label: str, later=()):
     for column in columns.values():
         column.resize(done, refcheck=False)
     names = sorted(codes)
-    # One spare slot: a row whose country was rejected reads code -1.
+    country, year, source = (columns[name] for name in ("country", "year", "source"))
+    kept = country >= 0
+    # One spare slot: a skipped row reads code -1.
     rank = np.zeros(len(names) + 1, dtype=np.intp)
     rank[[codes[name] for name in names]] = np.arange(len(names))
-    country, year, source = (columns[name] for name in ("country", "year", "source"))
     _remap(country, rank)
     lines = columns.pop("line")
-    kept = np.ones(done, dtype=bool)
-    kept[part.bad_rows] = False
 
     # One key sort of the rows not skipped serves the duplicate check and
     # the panel's key order.

@@ -437,7 +437,7 @@ class TestMicro:
         assert float(metrics["h"]) == 1.0
         assert float(metrics["index_i"]) == pytest.approx(0.790569, abs=1e-6)
         assert metrics["palma"] == "inf"
-        assert metrics["mld"] == "nan"
+        assert metrics["mld"] == "inf"
         assert float(metrics["atkinson"]) == 1.0  # default epsilon 1 with a zero
 
     @pytest.mark.parametrize(

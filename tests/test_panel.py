@@ -801,11 +801,11 @@ class TestColumnarParse:
         assert [d.line for d in diags] == [702, 1302]
         assert len(panel) == 1998
         assert 1234567890123456789 in panel.year.tolist()
-        # one lookup of the one country, then the five cells of each row a
-        # cast skips: a gini of 99999999999999999999 casts to 1e20, whose
-        # row breaks only a range rule and is not checked alone
+        # one lookup of the one country, then the one cell each row a cast
+        # skips fails: a gini of 99999999999999999999 casts to 1e20, whose
+        # row breaks only a range rule and is worded from its values
         checked = 1 if bad == "99999999999999999999" else 2
-        assert len(read) == 1 + checked * 5
+        assert len(read) == 1 + checked
 
     @pytest.mark.parametrize(
         "text",
@@ -1183,6 +1183,7 @@ def split_parse(path, cpus, part_bytes=1 << 20, block_chars=1 << 18, skip_line=F
             panel, diags = parse_panel(stream)
         except (ValueError, SchemaError) as exc:
             return (type(exc), str(exc)), len(forked) + 1, len(reads)
+        assert all(type(d.line) is int for d in diags)
         columns = [getattr(panel, name).tolist() for name in panel_module._COLUMNS]
         order = np.asarray(panel._key_order()).tolist()
         parsed = (list(panel.names), columns, order, [(d.line, d.reason) for d in diags], stream.tell())
@@ -1464,6 +1465,85 @@ class TestSplitParse:
             assert split_parse(path, 2, 16) == whole
         finally:
             signal.signal(signal.SIGCHLD, previous)
+
+
+# A good row's cells by declared column, and rows that each fail a check:
+# the cells changed from a good row's, the reason, and the text of the one
+# cell the wording decodes (None: a share rule's reason decodes none).
+GOOD_CELLS = {"country": "AAA", "year": "2015", "gini": "0.3", "top10": "0.25", "bottom10": "0.03", "source": "WB"}
+BAD_CELLS = {
+    "empty country": ({"country": " "}, "empty country identifier", ""),
+    "year not an integer": ({"year": "20x5"}, "year is not an integer: '20x5'", "20x5"),
+    "year out of range": ({"year": "-9223372036854775809"}, "year out of range: '-9223372036854775809'",
+                          "-9223372036854775809"),
+    "unparseable share": ({"gini": "0..3"}, "unparseable numeric in column 'gini': '0..3'", "0..3"),
+    "non-finite share": ({"bottom10": "-inf"}, "non-finite value in column 'bottom10': '-inf'", "-inf"),
+    "unknown source": ({"source": "xx"}, "unknown source 'XX'", "xx"),
+    "gini out of range": ({"gini": "1.5"}, "gini out of range: 1.5", None),
+    "top10 out of range": ({"top10": "1.25"}, "top10 share out of range: 1.25", None),
+    "bottom10 out of range": ({"bottom10": "-0.03"}, "bottom10 share out of range: -0.03", None),
+    "share ordering": ({"top10": "0.02"}, "share ordering violated", None),
+    "first of two cells": ({"year": "x", "gini": "y"}, "year is not an integer: 'x'", "x"),
+    "a cell before a rule": ({"gini": "1.5", "source": "xx"}, "unknown source 'XX'", "xx"),
+    "first of two rules": ({"gini": "1.5", "top10": "0.02"}, "gini out of range: 1.5", None),
+}
+
+
+def reason_cases():
+    """The header, the bad row's cells, its reason and the text of the cell
+    its wording decodes: one case per entry of BAD_CELLS, and a row one cell
+    short at each declared column, which the header puts last."""
+    columns = list(GOOD_CELLS)
+    for name, (changed, reason, decoded) in BAD_CELLS.items():
+        yield pytest.param(columns, [changed.get(c, GOOD_CELLS[c]) for c in columns], reason, decoded, id=name)
+    for missing in columns:
+        header = [c for c in columns if c != missing] + [missing]
+        reason = f"row too short: no value for column '{missing}'"
+        yield pytest.param(header, [GOOD_CELLS[c] for c in header[:-1]], reason, "", id=f"short at {missing}")
+
+
+class TestSkipReasons:
+    """A skipped row gets the reason of the first check it fails, in one
+    process and in a split parse alike, and wording it decodes only the one
+    cell whose check failed: a share rule's reason decodes no cell."""
+
+    @pytest.mark.parametrize("header, bad, reason, decoded", list(reason_cases()))
+    def test_reason_decodes_one_cell(self, tmp_path, monkeypatch, header, bad, reason, decoded):
+        rows = [[str(1000 + i) if c == "year" else GOOD_CELLS[c] for c in header] for i in range(300)]
+        at = 225  # in the second of two parts, below
+        rows.insert(at, bad)
+        text = ",".join(header) + "\n" + "\n".join(",".join(row) for row in rows) + "\n"
+        read = []
+        real = panel_module._text
+        monkeypatch.setattr(panel_module, "_text", lambda cell: read.append(cell) or real(cell))
+        panel, diags = parse_panel(text)
+        monkeypatch.undo()
+        kept, expected, _ = reference_parse(text, SchemaConfig())
+        assert panel.records == kept
+        assert [(d.line, d.reason) for d in diags] == expected == [(at + 2, reason)]
+        # _lookup decodes each distinct country cell and each source cell
+        # not spelled exactly once; a short row's missing cell reads "".
+        cells = dict(zip(header, [*bad, ""]))
+        lookups = 1 + (cells["country"] != "AAA") + (cells["source"] not in ("WB", "OECD", "OTHER"))
+        if decoded is None:
+            assert len(read) == lookups
+        else:
+            assert len(read) == lookups + 1 and real(read[-1]) == decoded
+
+        path = tmp_path / "panel.csv"
+        path.write_text(text)
+        part_bytes = len(text) // 3
+        with (
+            mock.patch.object(panel_module, "_usable_cpus", lambda: 2),
+            mock.patch.object(panel_module, "_PART_BYTES", part_bytes),
+            open(path, "rb") as stream,
+        ):
+            (_, (cut, _)) = panel_module._split_plan(stream)
+        assert text.index("\n" + ",".join(bad) + "\n") >= cut
+        whole, _, _ = split_parse(path, 1)
+        split, parts, reads = split_parse(path, 2, part_bytes)
+        assert (parts, reads) == (2, 1)
+        assert split == whole and split[3] == [(at + 2, reason)]
 
 
 class TestSplitParseFailures:

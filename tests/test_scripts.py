@@ -103,3 +103,36 @@ def test_bench_pairs_one_pair(tmp_path, capsys, monkeypatch):
         "w wall_s: base 0.75 [0.75, 0.75]  change 0.75 [0.75, 0.75]  change better in 0 of 1 pairs (lower is better)",
         "w wall_s: median change +0.0%, bound 10.0%, base IQR 0.0% of its median",
     ]
+
+
+def test_bench_pairs_runs_write_and_read_no_bytecode(tmp_path, monkeypatch):
+    """Each run has PYTHONDONTWRITEBYTECODE=1 and the rest of the caller's
+    environment, and a checkout whose src/ or bench/ holds bytecode is
+    refused before anything runs: only one side would skip compiling."""
+    bench_pairs = load_bench_pairs()
+    (tmp_path / "src" / "ineqkit").mkdir(parents=True)
+    (tmp_path / "bench").mkdir()
+    monkeypatch.setenv("BENCH_PAIRS_PROBE", "kept")
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    calls = []
+
+    def run(argv, **kwargs):
+        calls.append((argv, kwargs))
+        return subprocess.CompletedProcess(argv, 0, stdout='# a comment\n{"correct": true}\n', stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    assert bench_pairs.bench_run(tmp_path, "w", 7, 2.0) == {"correct": True}
+    ((argv, kwargs),) = calls
+    assert argv[1:] == ["bench/run.py", "--workload", "w", "--seed", "7", "--seconds", "2.0", "--trace", "0"]
+    assert kwargs["cwd"] == tmp_path
+    assert kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert kwargs["env"]["BENCH_PAIRS_PROBE"] == "kept"
+    for folder in ("src/ineqkit", "bench"):
+        cached = tmp_path / folder / "__pycache__" / "panel.cpython-311.pyc"
+        cached.parent.mkdir()
+        cached.write_bytes(b"")
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.bench_run(tmp_path, "w", 7, 2.0)
+        assert str(exc.value) == f"error: {cached}: remove the bytecode of {tmp_path} first"
+        cached.unlink()
+    assert len(calls) == 1
