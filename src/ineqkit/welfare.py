@@ -5,7 +5,8 @@ The Atkinson index is built on the equally distributed equivalent income
 distribution) with aversion parameter epsilon.  The generalized-entropy
 family GE(alpha) shifts sensitivity from the bottom (small alpha) to the top
 (large alpha) of the distribution; GE(0) is the mean logarithmic deviation
-and GE(1) is the Theil index.
+and GE(1) is the Theil index.  With alpha = 1 - epsilon both read one power
+moment: 1 - A = (1 + alpha (alpha - 1) GE(alpha))^(1/alpha) (Shorrocks, 1980).
 
 No index calls BLAS: a weighted sum is an in-place product and ``sum``, not
 ``np.dot``, so results do not depend on the BLAS build or its thread count.
@@ -27,29 +28,27 @@ from .micro import _as_sample
 LIMIT_WINDOW = 1e-9
 
 
-def _log_power_mean(v: np.ndarray, mean: float, power: float) -> float:
-    """ln mean((v / mean)^power) of ascending values, free of overflow;
-    ``power`` != 0, and no value is zero when ``power`` < 0.
-
-    The largest value (``power`` > 0) or the smallest (``power`` < 0) is
-    factored out in log space, so every remaining term lies in [0, 1].
-    """
-    if power > 0:
-        ext = v[-1]
-        terms = v / ext
-    else:
-        ext = v[0]
-        terms = np.divide(ext, v)
-    terms **= abs(power)
-    return power * (math.log(ext) - math.log(mean)) + math.log(terms.mean())
-
-
-def _log_quotients(a, b) -> np.ndarray:
-    """ln(a / b) of positive values, read from their mantissas and exponents:
-    no quotient is formed whole, so none overflows or underflows, and the
-    result keeps its bits when a and b are scaled by one power of two."""
+def _log_quotients(a, b, shift: int = 0) -> np.ndarray:
+    """ln(a / b) + shift * ln 2 of positive values, from their mantissas and
+    exponents: no quotient is formed whole, so none overflows or underflows,
+    and the result keeps its bits when a and b are scaled by a power of two."""
     (ma, ea), (mb, eb) = np.frexp(a), np.frexp(b)
-    return np.log(ma / mb) + (ea - eb) * math.log(2.0)
+    return np.log(ma / mb) + (ea - eb + shift) * math.log(2.0)
+
+
+def _log_power_mean(sample, mean: float, alpha: float) -> float:
+    """ln mean(r^alpha) / alpha, the log power mean, ``mean`` being the scaled
+    mean: the largest income (``alpha`` > 0) or the smallest, then not zero, is
+    factored out, so each term left is a quotient in [0, 1] to the |alpha|."""
+    y = sample.values
+    ext = float(y[-1] if alpha > 0 else y[0])
+    terms = y / ext if alpha > 0 else np.divide(ext, y)
+    terms **= abs(alpha)
+    if -1.0 < alpha < 0.0:
+        # such an alpha lifts a quotient past the normal range near 1: read its log
+        cut = bisect.bisect_left(y, True, key=lambda x: ext / float(x) < np.finfo(float).tiny)
+        terms[cut:] = np.exp(alpha * _log_quotients(y[cut:], ext))
+    return float(_log_quotients(ext, mean, -sample._scaled[1])) + math.log(terms.mean()) / alpha
 
 
 def _sum_times_values(v: np.ndarray, ratios: np.ndarray, mean: float, weigh) -> float:
@@ -61,13 +60,57 @@ def _sum_times_values(v: np.ndarray, ratios: np.ndarray, mean: float, weigh) -> 
     return float(terms.sum() / mean)
 
 
+def _power_moment(sample, alpha: float, alpha_m1: float) -> tuple[float, bool]:
+    """``(mean(r^alpha) - 1, False)`` of r = y / ybar to full relative precision,
+    or ``(ln mean(r^alpha) / alpha, True)`` past the float range.  ``alpha_m1`` is
+    alpha - 1, exact where alpha rounds; no income is zero where alpha < 0."""
+    v, k = sample._scaled
+    if v[0] == v[-1]:  # every ratio is 1, whichever way the mean rounds
+        return 0.0, False
+    mean = v.mean()
+    ratios = v / mean
+    # The ratios ascend, so those below the normal range lead: zero incomes, then
+    # positive ones that lost bits, underflow or are scaled to 0.
+    low = int(np.searchsorted(ratios, np.finfo(float).tiny))
+    if -0.5 < alpha < 1.5 and not (alpha < 0 and low):
+        # Near alpha = 0 or 1, mean(r^alpha) - 1 nearly cancels and is then
+        # divided by a tiny alpha or alpha - 1: sum it as expm1 terms instead.
+        if alpha < 0.5:
+            # r^alpha - 1 = expm1(alpha ln r); a zero income contributes -1,
+            # and a positive one with a low ratio the log of its quotient.
+            nil = int(np.searchsorted(sample.values, 0.0, side="right"))
+            terms = ratios[nil:]
+            np.log(terms[low - nil :], out=terms[low - nil :])
+            terms[: low - nil] = _log_quotients(sample.values[nil:low], mean, -k)
+            terms *= alpha
+            np.expm1(terms, out=terms)
+            dev = float(terms.sum()) - nil
+        else:
+            # mean(r) = 1, so sum r^alpha - r = r expm1((alpha - 1) ln r)
+            # instead; a low ratio's term, below 2**-511, contributes nothing
+            dev = _sum_times_values(
+                v[low:], ratios[low:], mean,
+                lambda t: np.expm1(np.multiply(t, alpha_m1, out=t), out=t),
+            )
+    else:
+        # The direct sum is the more precise while finite and, for alpha < 0, no ratio low.
+        with np.errstate(over="ignore", divide="ignore"):
+            ratios **= alpha
+            total = float(ratios.sum())
+        del ratios  # the fallback makes its own
+        if not 0.0 < total < math.inf or (alpha < 0 and low):
+            return _log_power_mean(sample, mean, alpha), True
+        dev = total - v.size
+    return dev / v.size, False
+
+
 def atkinson(sample, eps: float) -> float:
     """Atkinson index with inequality aversion ``eps`` >= 0.
 
-    Equals 1 - y_ede / mean, where y_ede is the power mean of order
-    (1 - eps) for eps != 1 and the geometric mean for eps = 1.  With a zero
-    income present and eps >= 1 the equally distributed equivalent income is
-    zero, so the index is exactly 1.
+    Equals 1 - y_ede / mean, where y_ede is the power mean of order (1 - eps),
+    read from the GE power moment, and the geometric mean for eps = 1.  With a
+    zero income present and eps >= 1 the equally distributed equivalent
+    income is zero, so the index is exactly 1.
     """
     sample = _as_sample(sample)
     eps = float(eps)
@@ -75,31 +118,14 @@ def atkinson(sample, eps: float) -> float:
         raise DomainError("aversion parameter must be finite")
     if eps < 0:
         raise DomainError("aversion parameter must be >= 0")
-    v = sample._scaled[0]
-    mean = v.mean()
-    has_zero = sample.values[0] == 0.0
-    if abs(eps - 1.0) <= LIMIT_WINDOW:
-        if has_zero:
-            return 1.0
-        terms = v / mean
-        # The ratios ascend, so those that underflow to 0 lead.
-        zeros = int(np.searchsorted(terms, 0.0, side="right"))
-        np.log(terms[zeros:], out=terms[zeros:])
-        terms[:zeros] = _log_quotients(v[:zeros], mean)
-        return max(1.0 - float(np.exp(terms.mean())), 0.0)
-    if eps > 1.0 and has_zero:
+    if sample.values[0] == 0.0 and eps - 1.0 >= -LIMIT_WINDOW:
         return 1.0
-    power = 1.0 - eps
-    # The direct power mean is the more precise while it is finite; it
-    # overflows only for power < 0 and a tiny income.
-    with np.errstate(over="ignore", divide="ignore"):
-        terms = v / mean
-        terms **= power
-        moment = terms.mean()
-    del terms  # the fallback makes its own
-    if np.isfinite(moment):
-        return max(1.0 - float(moment ** (1.0 / power)), 0.0)
-    return -math.expm1(_log_power_mean(sample.values, sample.mean, power) / power)
+    if abs(eps - 1.0) <= LIMIT_WINDOW:
+        # ln(y_ede / mean) is minus the mean log deviation
+        return -math.expm1(-ge_zero(sample))
+    # 1 - eps rounds where eps is small; -eps is alpha - 1 exactly.
+    moment, in_log = _power_moment(sample, 1.0 - eps, -eps)
+    return max(0.0, -math.expm1(moment if in_log else math.log1p(moment) / (1.0 - eps)))
 
 
 def ge_index(sample, alpha: float) -> float:
@@ -119,47 +145,21 @@ def ge_index(sample, alpha: float) -> float:
         return ge_zero(sample)
     if abs(alpha - 1.0) <= LIMIT_WINDOW:
         return theil(sample)
-    v = sample._scaled[0]
     if alpha < 0 and sample.values[0] == 0.0:
         raise ZeroIncomeError("GE with alpha <= 0 is undefined for zero incomes")
-    mean = v.mean()
-    ratios = v / mean
-    # The ratios ascend, so the zeros lead: zero incomes and ratios that
-    # underflow.  For alpha < 0 the latter leave to the log-space sum below.
-    zeros = int(np.searchsorted(ratios, 0.0, side="right"))
-    if -0.5 < alpha < 1.5 and not (alpha < 0 and zeros):
-        # Near alpha = 0 or 1, mean(r^alpha) - 1 nearly cancels and is then
-        # divided by a tiny alpha or alpha - 1: sum it as expm1 terms instead.
-        if alpha < 0.5:
-            # r^alpha - 1 = expm1(alpha ln r); each zero ratio contributes -1
-            terms = ratios[zeros:]
-            np.log(terms, out=terms)
-            terms *= alpha
-            np.expm1(terms, out=terms)
-            dev = float(terms.sum()) - zeros
-        else:
-            # mean(r) = 1, so sum r^alpha - r = r expm1((alpha - 1) ln r)
-            # instead; zero ratios contribute nothing
-            dev = _sum_times_values(
-                v[zeros:], ratios[zeros:], mean,
-                lambda t: np.expm1(np.multiply(t, alpha - 1.0, out=t), out=t),
-            )
-    else:
-        # The direct sum is the more precise while it is finite.
-        with np.errstate(over="ignore", divide="ignore"):
-            ratios **= alpha
-            total = float(ratios.sum())
-        del ratios  # the fallback makes its own
-        if math.isinf(total):
-            # mean(r^alpha) is then so large that subtracting 1 changes nothing
-            try:
-                log_mean = _log_power_mean(sample.values, sample.mean, alpha)
-                # alpha * (alpha - 1) > 0 here, and overflows for |alpha| > ~1.3e154
-                return math.exp(log_mean - math.log(abs(alpha)) - math.log(abs(alpha - 1.0)))
-            except OverflowError:
-                raise DomainError(f"GE({alpha!r}) of this sample exceeds the float range") from None
-        dev = total - v.size
-    return max(dev / v.size / alpha / (alpha - 1.0), 0.0)
+    moment, in_log = _power_moment(sample, alpha, alpha - 1.0)
+    if not in_log:
+        return max(0.0, moment / alpha / (alpha - 1.0))
+    # L = ln mean(r^alpha) >= 0 but for rounding; e^L - 1 = e^L * -expm1(-L) keeps a
+    # small L (from an underflowed ratio); alpha * (alpha - 1) > 0 may overflow.
+    moment = max(alpha * moment, 0.0)
+    try:
+        index = math.exp(moment - math.log(abs(alpha)) - math.log(abs(alpha - 1.0))) * -math.expm1(-moment)
+    except OverflowError:
+        index = math.inf
+    if index == math.inf:
+        raise DomainError(f"GE({alpha!r}) of this sample exceeds the float range")
+    return index
 
 
 def ge_zero(sample) -> float:
@@ -170,15 +170,15 @@ def ge_zero(sample) -> float:
     sample = _as_sample(sample)
     if sample.values[0] == 0.0:
         raise ZeroIncomeError("mean log deviation is undefined for zero incomes")
-    v = sample._scaled[0]
+    v, k = sample._scaled
     mean = float(v.mean())
-    # The ratios descend, so those that overflow lead; a float quotient past
-    # the range is inf, with no numpy warning.
-    big = bisect.bisect_left(v, True, key=lambda x: mean / float(x) < math.inf)
+    # The ratios descend, so those that overflow lead, with any value the scale rule
+    # sets to 0, and are read unscaled; a quotient past the range is inf, no warning.
+    big = bisect.bisect_left(v, True, key=lambda x: x > 0.0 and mean / float(x) < math.inf)
     terms = np.empty_like(v)
     np.divide(mean, v[big:], out=terms[big:])
     np.log(terms[big:], out=terms[big:])
-    terms[:big] = _log_quotients(mean, v[:big])
+    terms[:big] = _log_quotients(mean, sample.values[:big], k)
     return max(float(terms.mean()), 0.0)
 
 

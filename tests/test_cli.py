@@ -473,6 +473,28 @@ class TestMicro:
         assert metrics["mld"] == "367.720473"
         assert (metrics["t_over_b_10"], metrics["palma"], metrics["atkinson"]) == ("inf", "inf", "1.000000")
 
+    @pytest.mark.parametrize(
+        "text, argv, row, value",
+        [
+            # the scale rule's 2**-8 sets 5e-324 to 0; ln(mean / 5e-324) is read unscaled
+            ("5e-324\n1e308\n", (), "mld", "726.124993"),
+            # just outside the window of epsilon = 1; GE(-2e-9) of the sample is 690.08
+            ("1e-300\n1e300\n", ("--epsilon", "1.000000002"), "atkinson", "1.000000"),
+        ],
+    )
+    def test_values_at_the_ends_of_the_float_range(self, capsys, tmp_path, text, argv, row, value):
+        path = tmp_path / "values.txt"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run(capsys, "micro", "--input", str(path), *argv)
+        assert (code, [str(w.message) for w in caught]) == (0, [])
+        assert metric_map(out)[row] == value
+
+    def test_order_past_the_float_range_of_a_mean_that_rounds_to_zero(self, capsys, tmp_path):
+        code, out, err = run(capsys, "micro", "--input", self.write(tmp_path, [0, 5e-324]), "--alpha", "1e5")
+        assert (code, out, err) == (2, "", "error: GE(100000.0) of this sample exceeds the float range\n")
+
     def test_values_checked_once(self, capsys, tmp_path):
         """The sample's invariants are checked once, and the order that
         micro's own sort made is not checked again."""

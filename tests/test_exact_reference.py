@@ -127,8 +127,13 @@ def near(value: float, point: float) -> bool:
 
 
 @settings(max_examples=150, deadline=None)
-@given(samples, st.floats(0.0, 20.0), st.floats(-5.0, 10.0))
+@given(samples, st.floats(0.0, 20.0) | st.floats(1.0 - 1e-6, 1.0 + 1e-6), st.floats(-5.0, 10.0))
 @example([1, 2, 3], 1.0 - 1e-10, 1e-12)
+# just outside the window of eps = 1, where the moment rounds near 1
+@example([1, 2], 1.0 - 2e-9, 2.0)
+@example([1, 2], 1.0 + 2e-9, 2.0)
+@example([1, 2], 1.0 - 1e-8, 2.0)
+@example([1, 2], 1.0 + 1e-7, 2.0)
 @example([1, 2, 3], 1.0 + 1e-10, 1.0 - 1e-8)
 @example([1, 10**9] * 20, 20.0, 1.0 + 1e-8)
 @example([10**9 - 1, 10**9], 0.5, -5.0)

@@ -1,8 +1,9 @@
 """Welfare indices: frozen examples, zero handling, and family identities."""
 
 import math
+import sys
 import warnings
-from decimal import Context, Decimal
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -13,18 +14,42 @@ from hypothesis import strategies as st
 from ineqkit import (
     DomainError,
     IncomeSample,
+    IneqError,
     ZeroIncomeError,
     atkinson,
     ge_index,
     ge_zero,
     theil,
 )
+from ineqkit.welfare import LIMIT_WINDOW
 
 positive_samples = st.lists(
     st.floats(min_value=0.5, max_value=50.0, allow_nan=False, allow_infinity=False),
     min_size=2,
     max_size=50,
 ).map(IncomeSample.from_values)
+
+
+def decimal_moment(values, alpha):
+    """mean((y / ybar)^alpha) of ``values`` by decimal at 60 digits, with the
+    Decimal of alpha."""
+    with localcontext(Context(prec=60)):
+        exact = [Decimal(v) for v in values]
+        mean = sum(exact) / len(exact)
+        a = Decimal(alpha)
+        return sum((a * (v / mean).ln()).exp() for v in exact) / len(exact), a
+
+
+def decimal_ge(values, alpha):
+    moment, a = decimal_moment(values, alpha)
+    with localcontext(Context(prec=60)):
+        return float((moment - 1) / (a * (a - 1)))
+
+
+def decimal_atkinson(values, eps):
+    moment, p = decimal_moment(values, 1 - Decimal(eps))
+    with localcontext(Context(prec=60)):
+        return float(1 - (moment.ln() / p).exp())
 
 
 def exact_ge(values, alpha):
@@ -38,7 +63,8 @@ def exact_ge(values, alpha):
 class TestPowerMeanRange:
     """Power means factor out the extreme ratio, so no term overflows."""
 
-    @pytest.mark.parametrize("values, alpha", [([1, 2, 3], 2000), ([1e-300, 2, 3], -3)])
+    # the unscaled mean of [0, 5e-324] rounds to 0; ln(mean) is read from the scaled one
+    @pytest.mark.parametrize("values, alpha", [([1, 2, 3], 2000), ([1e-300, 2, 3], -3), ([0.0, 5e-324], 1e5)])
     def test_unrepresentable_ge_raises(self, values, alpha):
         with pytest.raises(DomainError, match="exceeds the float range"):
             ge_index(values, alpha)
@@ -92,6 +118,15 @@ class TestAtkinson:
     def test_negative_aversion_rejected(self):
         with pytest.raises(DomainError):
             atkinson([1, 2], -0.1)
+
+    def test_aversion_whose_ge_is_past_the_float_range(self):
+        """A(eps) tends to 1 - min / mean as eps grows; GE(1 - eps) is past
+        the float range, and that error is not Atkinson's."""
+        assert atkinson([1, 2], 1e200) == pytest.approx(1.0 / 3.0, rel=1e-15)
+        # (1 - eps) ln(min / mean) is past the float range, its log power mean is not
+        assert atkinson([1, 1e9], 1e307) == pytest.approx(1.0 - 2.0 / (1.0 + 1e9), rel=1e-15)
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            ge_index([1, 2], 1.0 - 1e200)
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
     def test_aversion_must_be_finite(self, eps):
@@ -167,8 +202,6 @@ class TestGeneralizedEntropy:
     @given(positive_samples, st.floats(min_value=0.0, max_value=3.0))
     def test_cross_identity_with_atkinson(self, s, eps):
         # (1 - A(eps))^(1 - eps) = 1 + (1 - eps)(-eps) GE(1 - eps)
-        if abs(eps - 1.0) < 1e-6:
-            return
         lhs = (1.0 - atkinson(s, eps)) ** (1.0 - eps)
         rhs = 1.0 + (1.0 - eps) * (-eps) * ge_index(s, 1.0 - eps)
         assert lhs == pytest.approx(rhs, abs=1e-9)
@@ -214,8 +247,9 @@ class TestTheil:
 
 
 class TestRatioUnderflow:
-    """A positive income whose ratio to the mean underflows to 0 is read as a
-    zero income: its term takes its limit, and no warning is raised."""
+    """A positive income whose ratio to the mean is below the normal range
+    (subnormal, or 0 by underflow) is read by its log quotient where its term
+    is not negligible, else as a zero income, and no warning is raised."""
 
     TINY = [1e-310, 1e308]
     ZERO = [0.0, 1e308]
@@ -257,6 +291,38 @@ class TestRatioUnderflow:
         mld = sum(ctx.ln(mean / v) for v in exact) / len(exact)
         assert ge_zero(values) == pytest.approx(float(mld), rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "values, alpha",
+        [
+            # the fallback read the quotient 1e-600 ** 1e-3 as 0 (GE 1987.17)
+            ([1e-300, 1e300], -1e-3),
+            ([1e-300, 1e300], -2e-9),
+            # a small positive order read the ratio 2e-600 as a zero income
+            ([1e-300, 1e300], 2e-9),
+            ([1e-310] + [1e15] * 999, 0.01),
+            # the ratio 1e-320 / 1.5 is subnormal: it kept a few bits for r^alpha
+            ([1e-320, 1, 2, 3], -0.4),
+            ([1e-320, 1, 2, 3], -1e-3),
+        ],
+    )
+    def test_ge_of_a_small_order(self, values, alpha):
+        assert ge_index(values, alpha) == pytest.approx(decimal_ge(values, alpha), rel=1e-9)
+
+    def test_atkinson_of_a_small_order(self):
+        values = [1e-310] + [1e15] * 999
+        assert atkinson(values, 0.99) == pytest.approx(decimal_atkinson(values, 0.99), rel=1e-12)
+
+    def test_subnormal_the_scale_rule_sets_to_zero(self):
+        """Beside 1e308 the scale rule reads 5e-324 times 2**-8, which is 0:
+        its log quotient is read from the unscaled value."""
+        values = [5e-324, 1e308]
+        with localcontext(Context(prec=60)):
+            exact = [Decimal(v) for v in values]
+            mean = sum(exact) / len(exact)
+            mld = float(sum((mean / v).ln() for v in exact) / len(exact))
+        assert ge_zero(values) == pytest.approx(mld, rel=1e-14)
+        assert atkinson(values, 1.0) == 1.0
+
     def test_results_are_floats(self):
         for value in (theil([1, 3]), ge_index([1, 3], 0.7), ge_index([1, 3], 1.2)):
             assert type(value) is float
@@ -291,6 +357,56 @@ class TestNoBlas:
         assert theil(s) == pytest.approx(reference_theil, rel=self.REL)
         assert ge_index(s, 0.7) == pytest.approx(reference_ge(0.7), rel=self.REL)
         assert ge_index(s, 1.2) == pytest.approx(reference_ge(1.2), rel=self.REL)
+
+
+EXTREME_SAMPLES = [[1e-300, 1e300], [5e-324, 1e308], [0.0, 5e-324], [1e-320, 1.0, 2.0, 3.0], [1e308] * 3, [0.0, 1.0]]
+_EDGES = (LIMIT_WINDOW, 1.0 - LIMIT_WINDOW, 1.0 + LIMIT_WINDOW)
+# 0, the smallest order, each window edge and one ulp outside it, the moment
+# near 1 just outside the window of 1, and orders up to 1e300; both signs
+_ORDERS = (
+    5e-324, *_EDGES, *(math.nextafter(e, 2.0 * e) for e in _EDGES),
+    1.0 - 2e-9, 1.0 + 2e-9, 0.5, 2.0, 50.0, 1e155, 1e300,
+)
+EXTREME_ORDERS = (0.0, *_ORDERS, *(-order for order in _ORDERS))
+
+
+def value_in_range_or_typed_error(measure, upper: float) -> None:
+    """``measure()`` is a float in [0, ``upper``] or raises an
+    :class:`IneqError`; no other exception and no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = measure()
+        except IneqError:
+            return
+    # -0.0 would print as -0.000000
+    assert type(value) is float and 0.0 <= value <= upper and math.copysign(1.0, value) == 1.0, value
+
+
+@pytest.mark.parametrize("values", EXTREME_SAMPLES, ids=repr)
+@pytest.mark.parametrize("order", EXTREME_ORDERS, ids=repr)
+def test_extreme_orders_give_a_value_or_a_typed_error(values, order):
+    value_in_range_or_typed_error(lambda: atkinson(values, order), 1.0)
+    value_in_range_or_typed_error(lambda: ge_index(values, order), sys.float_info.max)
+
+
+@pytest.mark.parametrize("values", [[0.1] * 3, [1e308] * 3, [5.0] * 4], ids=repr)
+@pytest.mark.parametrize(
+    "order", [o for o in EXTREME_ORDERS if abs(o) > LIMIT_WINDOW and abs(o - 1.0) > LIMIT_WINDOW], ids=repr
+)
+def test_equal_incomes_at_any_order(values, order):
+    """Each index read from the power moment of equal incomes is 0, although
+    the mean of [0.1] * 3 rounds above 0.1, and a ratio of 1 - 2**-53 to the
+    power 1e155 is 0; the repr also tells 0.0 from -0.0 (-0.000000)."""
+    assert repr(ge_index(values, order)) == "0.0"
+    if order >= 0.0:
+        assert repr(atkinson(values, order)) == "0.0"
+
+
+@pytest.mark.parametrize("values", EXTREME_SAMPLES, ids=repr)
+def test_extreme_samples_give_a_value_or_a_typed_error(values):
+    value_in_range_or_typed_error(lambda: theil(values), math.log(len(values)))
+    value_in_range_or_typed_error(lambda: ge_zero(values), sys.float_info.max)
 
 
 @given(positive_samples, st.data())
