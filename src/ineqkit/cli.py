@@ -13,6 +13,7 @@ import codecs
 import contextlib
 import csv
 import io
+import itertools
 import math
 import os
 import pickle
@@ -319,16 +320,23 @@ def _load_values(source, encoding: str) -> np.ndarray | None:
     return values
 
 
-def _parse_lines(path: str, lines: list[str]) -> np.ndarray:
-    """``float()`` of each non-blank stripped line; a bad value is reported
-    with its 1-based line number."""
+def _lines(text: str):
+    """The 1-based number and stripped text of each non-blank line of
+    ``text``, whose lines end at "\\n", "\\r\\n" or a lone "\\r" only, as
+    with universal newlines."""
+    return ((n, line) for n, line in enumerate(map(str.strip, io.StringIO(text, newline=None)), 1) if line)
+
+
+def _parse_lines(path: str, text: str) -> np.ndarray:
+    """``float()`` of each non-blank line of ``text`` (see :func:`_lines`);
+    a bad value is reported with its 1-based line number."""
     try:
-        return np.array([float(line) for line in map(str.strip, lines) if line])
+        return np.array([float(line) for _, line in _lines(text)])
     except ValueError as exc:
         # Only an input that fails pays for finding its first bad line.
-        for number, line in enumerate(lines, 1):
+        for number, line in _lines(text):
             try:
-                float(line.strip() or 0)
+                float(line)
             except ValueError:
                 raise ValueError(f"{path}:{number}: {exc}") from None
         raise
@@ -356,13 +364,13 @@ def _read_values(path: str) -> np.ndarray:
         values = _load_values(os.path.join(os.getcwd(), path), "utf-8-sig")
     if values is None:
         text = (_read_bytes(path) if data is None else data).decode()
-        values = _parse_lines(path, text.splitlines())
+        values = _parse_lines(path, text)
     finite = np.isfinite(values)
     if not finite.all():
         if text is None:
             text = (_read_bytes(path) if data is None else data).decode()
-        numbers = [number for number, line in enumerate(text.splitlines(), 1) if line.strip()]
-        raise DomainError(f"{path}:{numbers[np.argmin(finite)]}: sample values must be finite")
+        number, _ = next(itertools.islice(_lines(text), int(np.argmin(finite)), None))
+        raise DomainError(f"{path}:{number}: sample values must be finite")
     return values
 
 

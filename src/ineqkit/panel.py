@@ -349,9 +349,10 @@ class _Rows:
     one and the byte before it is a delimiter, a line end or the start of
     the input.  Inside a quoted field a doubled quote is a quote, and any
     other quote closes the field.  A line end ("\\n", "\\r\\n" or a lone
-    "\\r") ends a row unless it lies inside a quoted field, and the end of
-    the input ends the last row.  A "\\r" that ends a chunk, not the input,
-    is counted with the next (ending at offset 0 if no "\\n" follows).
+    "\\r") ends a row unless it lies inside a quoted field; the end of the
+    input, which ends the last row, is left to :func:`_byte_blocks`.  A
+    "\\r" that ends a chunk is counted with the next (ending at offset 0 if
+    no "\\n" follows).
 
     A quote is plain where it opens a field, closes one just before a
     delimiter or line end, or is one of a doubled pair; numpy's reader reads
@@ -365,15 +366,13 @@ class _Rows:
     toggled = False  # that byte is a quote that opened or closed a field
     seen = opened = 0  # the bytes read, and the offset of the quote that opened the field
 
-    def lines(self, data: bytes, last: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def lines(self, data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The offset in ``data`` after each of its lines, the mask of the
         lines that end a row, and the offsets of its quotes that are not
-        plain, in order; the state moves on to its end.  Where ``last`` says
-        that ``data`` ends the input, its last line ends at its end and ends
-        a row."""
+        plain, in order; the state moves on to its end."""
         raw = np.frombuffer(data, dtype=np.uint8)
         n = len(raw)
-        held, lone = not last and data[-1:] == b"\r", np.empty(0, np.intp)
+        held, lone = data[-1:] == b"\r", np.empty(0, np.intp)
         if b"\r" in data:
             cr = np.flatnonzero(raw[: n - held] == ord("\r"))
             lone = cr[raw[np.minimum(cr + 1, n - 1)] != ord("\n")]
@@ -418,22 +417,22 @@ class _Rows:
         at = np.flatnonzero(raw == ord("\n"))  # the lines, by last byte
         if len(lone):
             at = np.sort(np.concatenate((at, lone)))
-        if last and data[-1:] not in (b"", b"\n", b"\r"):
-            at = np.append(at, n - 1)
-        rows = np.searchsorted(toggles, at) % 2 == quoted
-        rows[-1:] |= last
-        return at + 1, rows, stray
+        return at + 1, np.searchsorted(toggles, at) % 2 == quoted, stray
 
 
 def _byte_blocks(parts, head: bool = True, at_cut: bool = False):
     """The bytes of ``parts``, pieces of CSV text or of its bytes, in blocks
     of whole rows, each cut at the last row end :class:`_Rows` finds or at
-    the end of the input, and whether its quotes are plain.  A row whose
-    open quoted field passes 4 bytes for each character of csv's field limit
-    is yielded as far as it is read, for csv.reader to refuse: an unclosed
-    quote is not read on to the end of the input.  Pieces that ``at_cut``
-    says a cut of a file ends raise :class:`_SplitFailed`, after the last
-    row end, where they end inside a quoted field.
+    the end of the input.  With each block come whether its quotes are
+    plain, its line count and the 0-based line on which each of its rows
+    ends, but a blank row (one whose first byte is a line end).  The block
+    at the end of the input holds at most one row, which ends on its last
+    line.  A row whose open quoted field passes 4 bytes for each character
+    of csv's field limit ends the blocks, as far as it is read, for
+    csv.reader to refuse: an unclosed quote is not read on to the end of
+    the input.  Pieces that ``at_cut`` says a cut of a file ends raise
+    :class:`_SplitFailed`, after the last row end, where the blocks end
+    inside a quoted field.
 
     A leading byte-order mark is dropped where ``head`` says the pieces start
     the input, and "\\r\\n" and a lone "\\r" are read as "\\n", as with
@@ -442,7 +441,11 @@ def _byte_blocks(parts, head: bool = True, at_cut: bool = False):
     its position in the pieces after the mark.
     """
 
-    def block(raw: bytes) -> bytes:
+    def block(raw: bytes, plain: bool, lines: int, rows: np.ndarray, ends) -> tuple:
+        """The block ``raw``, checked and translated, with ``plain``,
+        ``lines`` and the lines ``rows`` on which its rows end, at the
+        offsets ``ends`` counted back from its end, but those of its blank
+        rows."""
         nonlocal offset
         if check and not raw.isascii():
             try:
@@ -450,12 +453,15 @@ def _byte_blocks(parts, head: bool = True, at_cut: bool = False):
             except UnicodeDecodeError as exc:
                 raise _undecodable(exc, offset) from None
         offset += len(raw)
+        # Each row but the first starts where the one before ends.
+        first = np.frombuffer(raw, dtype=np.uint8)[np.concatenate(([0], ends[:-1] + len(raw)))]
+        rows = rows[(first != ord("\n")) & (first != ord("\r"))]
         if b"\r" in raw:
             raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        return raw
+        return raw, plain, lines, rows
 
     pending: list[bytes] = []  # read, and no row end since the last block
-    offset, check, plain, rows = 0, True, True, _Rows()
+    offset, check, plain, held, rows = 0, True, True, 0, _Rows()  # held: the lines of ``pending``
     for part in parts:
         if isinstance(part, str):
             part, check = part.encode("utf-8", _ERRORS), False
@@ -466,22 +472,27 @@ def _byte_blocks(parts, head: bool = True, at_cut: bool = False):
                 continue
             part, pending, head = part.removeprefix(codecs.BOM_UTF8), [], False
         ends, ended, stray = rows.lines(part)
-        if cut := int(ends[ended].max(initial=0)):
-            yield block(b"".join([*pending, part[:cut]])), plain and not (stray < cut).any()
-            pending, plain = [], True
+        row, cut = np.flatnonzero(ended), 0
+        if len(row):
+            cut, done = int(ends[row[-1]]), int(row[-1]) + 1
+            plain &= not (stray < cut).any()
+            yield block(b"".join([*pending, part[:cut]]), plain, held + done, held + row, ends[row] - cut)
+            pending, plain, held = [], True, -done
         plain &= not (stray >= cut).any()
         pending.append(part[cut:])
+        held += len(ends)
         if rows.quoted and rows.seen - rows.opened > 4 * (csv.field_size_limit() + 1):
             # The open field holds more characters than csv.reader takes, at
             # most 4 bytes each: csv.reader reads the row so far and raises.
-            yield block(b"".join(pending)), False
+            break
     if at_cut and rows.quoted:
         raise _SplitFailed("a cut inside a quoted field")
     data = b"".join(pending)
     if head:
         data = data.removeprefix(codecs.BOM_UTF8)
     if data:
-        yield block(data), plain and not rows.quoted
+        lines = held + (data[-1:] != b"\n")
+        yield block(data, plain and not rows.quoted, lines, np.array([lines - 1]), np.zeros(1, np.intp))
 
 
 def _csv_rows(text: str, line: int) -> list[list[str]]:
@@ -646,17 +657,8 @@ def _blocks(blocks, line: int, usecols: list[int], widths):
     and its cells are stripped (and kept as text where one holds a NUL).
     """
     width = max(usecols) + 1
-    for block, plain in blocks:
-        raw = np.frombuffer(block, dtype=np.uint8)
-        lines = int(np.count_nonzero(raw == ord("\n"))) + (block[-1] != ord("\n"))
+    for block, plain, lines, ends in blocks:
         cells, short = _byte_cells(block, lines, usecols, widths) if plain else None, {}
-        if cells is not None and len(cells[0]) == lines:  # each line is a row
-            ends = np.arange(line, line + lines)
-        else:
-            # The line each row ends on, but blank lines, which both readers skip
-            ends, rows, _ = _Rows().lines(block, last=True)
-            filled = raw[np.concatenate(([0], ends[rows][:-1]))] != ord("\n")
-            ends = line + np.flatnonzero(rows)[filled]
         if cells is None or len(cells[0]) != len(ends):
             rows = [row for row in _csv_rows(block.decode("utf-8", _ERRORS), line) if row]
             short = {j: len(row) for j, row in enumerate(rows) if len(row) < width}
@@ -667,8 +669,8 @@ def _blocks(blocks, line: int, usecols: list[int], widths):
                 cells = [np.array(col, dtype=object) for col in texts]
             else:
                 cells = [np.array([t.encode("utf-8", _ERRORS) for t in col], "S") for col in texts]
+        yield cells, short, line + ends, line + lines
         line += lines
-        yield cells, short, ends, line
 
 
 def _slices(values: np.ndarray):
@@ -945,15 +947,16 @@ def _parse(blocks, schema: SchemaConfig, label: str, later=()):
     """:func:`parse_panel` of ``blocks``, as :func:`_byte_blocks` yields
     them: of all the input, or of part 0 of a file whose ``later`` parts
     child processes parse (see :func:`_read_parts`).  The header is the
-    first row of the first block."""
-    first, plain = next(blocks, (b"", True))
-    ends, rows, _ = _Rows().lines(first, last=True)
-    if not rows.any():
+    first row of the first block, blank or not: a blank one names no column."""
+    first, plain, lines, rows = next(blocks, (b"", True, 0, None))
+    if not first:
         raise SchemaError("input has no header row")
-    row = int(np.argmax(rows))  # the header ends on line row + 1
-    header = [h.strip() for h in _csv_rows(first[: ends[row]].decode("utf-8", _ERRORS), 1)[0]]
-    blocks = itertools.chain([(first[ends[row] :], plain)] if ends[row] < len(first) else [], blocks)
-    del first, ends, rows  # the rest of the first block is held only by ``blocks``
+    row = 0 if first[0] == ord("\n") else int(rows[0])  # the header ends on line row + 1
+    head = b"".join(itertools.islice(io.BytesIO(first), row + 1))
+    header = [h.strip() for h in _csv_rows(head.decode("utf-8", _ERRORS), 1)[0]]
+    rest = (first[len(head) :], plain, lines - row - 1, rows[rows > row] - row - 1)
+    blocks = itertools.chain([rest] if rest[0] else [], blocks)
+    del first, rest  # the rest of the first block is held only by ``blocks``
     positions = {name: i for i, name in enumerate(header)}
 
     declared = [schema.country, schema.year, schema.gini, schema.top10, schema.bottom10]

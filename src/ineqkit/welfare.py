@@ -171,6 +171,8 @@ def ge_zero(sample) -> float:
     if sample.values[0] == 0.0:
         raise ZeroIncomeError("mean log deviation is undefined for zero incomes")
     v, k = sample._scaled
+    if v[0] == v[-1]:  # every ratio is 1, whichever way the mean rounds
+        return 0.0
     mean = float(v.mean())
     # The ratios descend, so those that overflow lead, with any value the scale rule
     # sets to 0, and are read unscaled; a quotient past the range is inf, no warning.
@@ -189,6 +191,8 @@ def theil(sample) -> float:
     contribute nothing (the r ln r -> 0 limit).
     """
     v = _as_sample(sample)._scaled[0]
+    if v[0] == v[-1]:  # every ratio is 1, whichever way the mean rounds
+        return 0.0
     mean = v.mean()
     ratios = v / mean
     zeros = int(np.searchsorted(ratios, 0.0, side="right"))

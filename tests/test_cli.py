@@ -545,9 +545,12 @@ class TestMicro:
         assert code == 0
         assert metric_map(out)["n"] == "3"
 
+    # Lines end at "\n", "\r\n" and a lone "\r" only: a form feed or a
+    # vertical tab is line content, which strip() then drops.
     @pytest.mark.parametrize(
         "text, line",
-        [("1\nnan\n3\n", 2), ("1\n\n\n-inf\n", 4), ("1\r\n2\r\n1e999\r\n", 3)],
+        [("1\nnan\n3\n", 2), ("1\n\n\n-inf\n", 4), ("1\r\n2\r\n1e999\r\n", 3),
+         ("1\n2\x0c\ninf\n", 3), ("1\n2\n\x0b\ninf\n", 4), ("1\x0b\r2\x0c\rnan", 3)],
     )
     @pytest.mark.parametrize("via_stdin", [False, True])
     def test_non_finite_value_reports_its_line(
@@ -562,8 +565,23 @@ class TestMicro:
         assert (code, out) == (2, "")
         assert err == f"error: {name}:{line}: sample values must be finite\n"
 
+    @pytest.mark.parametrize(
+        "text, line, value",
+        [("1\n2\x0c3\n", 2, "2\x0c3"), ("1\n2\x0c\nx\n", 3, "x"), ("1\n2\x1e5\n7\n", 2, "2\x1e5")],
+    )
+    @pytest.mark.parametrize("via_stdin", [False, True])
+    def test_bad_value_reports_its_line(self, capsys, tmp_path, monkeypatch, text, line, value, via_stdin):
+        path = tmp_path / "values.txt"
+        path.write_bytes(text.encode())
+        if via_stdin:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        name = "-" if via_stdin else str(path)
+        code, out, err = run(capsys, "micro", "--input", name)
+        assert (code, out) == (2, "")
+        assert err == f"error: {name}:{line}: could not convert string to float: {value!r}\n"
+
     def test_plain_file_takes_the_numpy_reader(self, capsys, tmp_path, monkeypatch):
-        def refuse(path, lines):
+        def refuse(path, text):
             raise AssertionError("per-line parse used")
 
         monkeypatch.setattr(cli, "_parse_lines", refuse)
@@ -602,7 +620,7 @@ class TestMicro:
         lines and no per-value floats; "-" is stdin even beside a file of
         that name."""
 
-        def refuse(path, lines):
+        def refuse(path, text):
             raise AssertionError("per-line parse used")
 
         sources = []
@@ -1050,9 +1068,11 @@ class TestWeightFlag:
 
 # Lines of a values file: a value with optional padding and a line ending.
 # Beside numbers they hold what ``float()`` takes and numpy's reader may not
-# (underscores, Unicode digits, whitespace-only lines, Unicode spaces, every
-# line break ``str.splitlines`` knows), non-finite spellings, commas, a
-# misplaced byte-order mark and bad values.
+# (underscores, Unicode digits, whitespace-only lines, Unicode spaces),
+# non-finite spellings, commas, a misplaced byte-order mark and bad values.
+# Lines end at "\n", "\r\n" and a lone "\r" only: the other breaks
+# ``str.splitlines`` knows ("\x0b", "\x0c", "\x1c", "\x85", "\u2028") are
+# line content, as padding or, in _LINE_ENDINGS, joining two lines' values.
 _NUMBERS = st.one_of(
     st.sampled_from(
         ["0", "1", "2.5", "-3", "+4", "1e3", ".5", "5.", "007", "1e999", "1e-400"]

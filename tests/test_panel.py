@@ -2,7 +2,6 @@
 
 import csv
 import io
-import itertools
 import math
 import os
 import pickle
@@ -619,30 +618,33 @@ class TestRowRule:
     @example(text='"a""b\n', cuts=[3])
     @example(text='a\n"b""c', cuts=[5, 6])
     def test_rows_end_where_csv_reader_ends_them(self, text, cuts):
-        """Read in chunks cut anywhere, the lines and row ends of _Rows are
-        the lines universal newlines give and the rows csv.reader reads, the
-        quotes of the chunks are plain where those of the whole text are,
-        and a field still open after a chunk is what csv.reader reads after
-        the quote _Rows says opened it."""
+        """Read in chunks cut anywhere, the blocks of _byte_blocks hold the
+        lines universal newlines give, each block cut at a line end and
+        yielded with its line count, and each row csv.reader reads, but a
+        blank one, ends on the line its line_num names; the quotes of the
+        chunks are plain, by _Rows, where those of the whole text are, and a
+        field still open after a chunk is what csv.reader reads after the
+        quote _Rows says opened it."""
         data = text.encode()
         bounds = [0, *sorted({c for c in cuts if c < len(data)}), len(data)]
         chunks = [data[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-        rows, ends, ended, plain = panel_module._Rows(), [], [], True
+        rows, plain = panel_module._Rows(), True
         for k, chunk in enumerate(chunks):
-            at, mask, stray = rows.lines(chunk, k == len(chunks) - 1)
-            plain &= not len(stray)
-            ends += (at + bounds[k]).tolist()
-            ended += mask.tolist()
+            plain &= not len(rows.lines(chunk)[2])
             if rows.quoted:
                 so_far = text[: bounds[k + 1]]
                 field = so_far[rows.opened + 1 :].replace('""', '"').replace("\r\n", "\n").replace("\r", "\n")
                 assert list(csv.reader(io.StringIO(so_far, newline=None)))[-1][-1] == field
-        assert plain == (not len(panel_module._Rows().lines(data, True)[2]))
-        lines = itertools.accumulate(map(len, text.splitlines(keepends=True)))
-        assert ends == list(lines)
+        assert plain == (not len(panel_module._Rows().lines(data)[2]))
+        lines, ended = [], []
+        for block, _, count, ends in panel_module._byte_blocks(chunks):
+            assert count == len(block.splitlines())
+            ended += (len(lines) + ends + 1).tolist()
+            lines += block.splitlines()
+        assert lines == data.splitlines()
         reader = csv.reader(io.StringIO(text, newline=None))
-        numbers = [reader.line_num for _ in reader]
-        assert [i + 1 for i, end in enumerate(ended) if end] == numbers
+        numbers = [reader.line_num for row in reader if row]
+        assert ended == numbers
 
 
 class TestColumnarParse:
@@ -734,7 +736,7 @@ class TestColumnarParse:
         assert (panel.records, [(d.line, d.reason) for d in diags]) == (kept, expected)
         assert ['Name"x', "1990", "0.3", "0.25", "0.03"] in csv_reads
         # the header, then the rows of the one block, of some 42, that holds the quote
-        held = [block for block, _ in panel_module._byte_blocks(panel_module._chunks(text)) if b'"' in block]
+        held = [block for block, *_ in panel_module._byte_blocks(panel_module._chunks(text)) if b'"' in block]
         assert len(held) == 1 and len(csv_reads) == 1 + held[0].count(b"\n") < 50
 
     @pytest.mark.parametrize(
@@ -1465,6 +1467,46 @@ class TestSplitParse:
             assert split_parse(path, 2, 16) == whole
         finally:
             signal.signal(signal.SIGCHLD, previous)
+
+    def test_no_process_to_be_had_reads_whole(self, tmp_path):
+        """Where no child process can be forked, the parse gives up the
+        split before part 0 is read and reads the input whole, once, in this
+        process, leaving no child behind."""
+        rows = good_rows(300)
+        rows[250] = "C12,1990,x,0.25,0.03"
+        text = HEADER + "\n" + "\n".join(rows) + "\n"
+        with mock.patch.object(os, "fork", side_effect=OSError(11, "Resource temporarily unavailable")):
+            (_, columns, _, diags, position), parts = self.cases(tmp_path, text, cpus=3)
+        assert parts == 3  # both later parts were tried
+        assert (len(columns[0]), position) == (299, len(text))
+        assert diags == [(252, "unparseable numeric in column 'gini': 'x'")]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_line_end_past_the_first_target_reads_whole(self, tmp_path):
+        """A file whose last line starts before the first cut's target is
+        not cut: one process reads it whole, once."""
+        rows = good_rows(20)
+        rows[5] = "C0,1995,0.3,0.02,0.03"
+        rows.append("Long" + "g" * 3000 + ",2015,0.3,0.25,0.03")
+        text = HEADER + "\n" + "\n".join(rows) + "\n"
+        part_bytes = len(text) // 2
+        path = tmp_path / "panel.csv"
+        path.write_text(text)
+        real, cut = panel_module._line_cut, []
+        with (
+            mock.patch.object(panel_module, "_usable_cpus", lambda: 2),
+            mock.patch.object(panel_module, "_PART_BYTES", part_bytes),
+            mock.patch.object(panel_module, "_line_cut", lambda *args: cut.append(real(*args)) or cut[-1]),
+            open(path, "rb") as stream,
+        ):
+            assert panel_module._split_plan(stream) is None
+        assert cut == [len(text)]  # the one target tried found no line end before the end
+        (_, columns, _, diags, position), parts = self.cases(tmp_path, text, part_bytes=part_bytes)
+        assert (parts, len(columns[0]), position) == (1, 20, len(text))
+        assert diags == [(7, "share ordering violated")]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 # A good row's cells by declared column, and rows that each fail a check:

@@ -403,6 +403,28 @@ def test_equal_incomes_at_any_order(values, order):
         assert repr(atkinson(values, order)) == "0.0"
 
 
+# Orders inside LIMIT_WINDOW of 0 and of 1, and the windows' edges
+_IN_WINDOW = (
+    -LIMIT_WINDOW, -1e-10, 0.0, 1e-10, LIMIT_WINDOW,
+    1.0 - LIMIT_WINDOW, 1.0 - 1e-10, 1.0, 1.0 + 1e-10, 1.0 + LIMIT_WINDOW,
+)
+
+
+@pytest.mark.parametrize(
+    "values", [[0.1] * 3, [0.1] * 6, [0.7] * 6, [1e300] * 7, [1e308] * 3, [5.0] * 4], ids=repr
+)
+def test_equal_incomes_inside_the_limit_windows(values):
+    """Equal incomes read 0.0 from every reader of the limit windows, as
+    from the power moment: the mean of [0.1] * 3 rounds above 0.1 and that
+    of [0.1] * 6 below it, so each ln(mean / y) is one ulp from 0."""
+    read = [ge_zero(values), theil(values)]
+    for order in _IN_WINDOW:
+        read.append(ge_index(values, order))
+        if order >= 0.0:
+            read.append(atkinson(values, order))
+    assert [repr(value) for value in read] == ["0.0"] * len(read)
+
+
 @pytest.mark.parametrize("values", EXTREME_SAMPLES, ids=repr)
 def test_extreme_samples_give_a_value_or_a_typed_error(values):
     value_in_range_or_typed_error(lambda: theil(values), math.log(len(values)))
