@@ -9,16 +9,11 @@ acceptance failure, 2 input or schema error.
 from __future__ import annotations
 
 import argparse
-import codecs
-import contextlib
 import csv
 import io
-import itertools
 import math
-import os
 import pickle
 import sys
-import warnings
 
 import numpy as np
 
@@ -34,12 +29,12 @@ from .composite import (
 )
 from .errors import (
     DivisionByZeroShareError,
-    DomainError,
     IneqError,
     JoinError,
     SchemaError,
     ZeroIncomeError,
 )
+from .micro import _open, _read_bytes
 from .panel import (
     SOURCES,
     Panel,
@@ -74,31 +69,10 @@ _DIAGNOSTIC_ROWS = 1 << 10
 # A field of `ineq compute` below this is printed from its count of
 # millionths, which float64 holds exactly.
 _MILLIONTHS_BELOW = 2.0**52 / 1e6
-# Suffixes numpy's file reader decompresses by; `ineq micro` reads such a file
-# as plain text, like any other.
-_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _fmt(value: float, decimals: int = 6) -> str:
     return f"{value:.{decimals}f}"
-
-
-def _open(path: str):
-    """The input ``path`` as a binary stream: stdin's bytes for "-" (stdin
-    itself where it has no bytes), else the file's."""
-    if path == "-":
-        return contextlib.nullcontext(getattr(sys.stdin, "buffer", sys.stdin))
-    return open(path, "rb")
-
-
-def _read_bytes(path: str) -> bytes:
-    """All the bytes of the input ``path``, without a leading byte-order mark
-    (spreadsheet exports often start with one)."""
-    with _open(path) as stream:
-        data = stream.read()
-    if isinstance(data, str):  # a text stdin
-        data = data.encode("utf-8", "surrogateescape")
-    return data.removeprefix(codecs.BOM_UTF8)
 
 
 def _emit(chunks, output: str) -> None:
@@ -296,90 +270,8 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def _load_values(source, encoding: str) -> np.ndarray | None:
-    """The values of a one-column input read by numpy's C reader from
-    ``source``, a path or a binary stream; None where that reader rejects
-    the input."""
-    try:
-        with warnings.catch_warnings():
-            # "input contained no data": the per-line parse handles that input
-            warnings.simplefilter("ignore", UserWarning)
-            values = np.loadtxt(
-                source,
-                dtype=float,
-                comments=None,
-                delimiter=",",
-                ndmin=2,
-                encoding=encoding,
-            )
-    except (OSError, ValueError):
-        return None
-    if values.size == 0 or values.shape[1] != 1:
-        return None
-    values.shape = (len(values),)  # one column: an array of its own, no view
-    return values
-
-
-def _lines(text: str):
-    """The 1-based number and stripped text of each non-blank line of
-    ``text``, whose lines end at "\\n", "\\r\\n" or a lone "\\r" only, as
-    with universal newlines."""
-    return ((n, line) for n, line in enumerate(map(str.strip, io.StringIO(text, newline=None)), 1) if line)
-
-
-def _parse_lines(path: str, text: str) -> np.ndarray:
-    """``float()`` of each non-blank line of ``text`` (see :func:`_lines`);
-    a bad value is reported with its 1-based line number."""
-    try:
-        return np.array([float(line) for _, line in _lines(text)])
-    except ValueError as exc:
-        # Only an input that fails pays for finding its first bad line.
-        for number, line in _lines(text):
-            try:
-                float(line)
-            except ValueError:
-                raise ValueError(f"{path}:{number}: {exc}") from None
-        raise
-
-
-def _read_values(path: str) -> np.ndarray:
-    """The numbers of a one-value-per-line input, blank lines skipped; a bad
-    or non-finite value is reported with its 1-based line number.
-
-    A plain file, read by path, and stdin's bytes are read by numpy's C
-    reader.  Every input that reader does not take as one column of numbers
-    (underscores, Unicode digits, whitespace-only lines, unparseable values,
-    bytes that are not UTF-8, ...) goes through the per-line ``float()``
-    parse of the input's text, so both give the same values and errors.
-    """
-    data = values = text = None
-    if path == "-":
-        data = _read_bytes(path)
-        # The mark is gone: with "utf-8-sig" numpy would strip one from each line.
-        values = _load_values(io.BytesIO(data), "utf-8")
-    elif os.path.isfile(path) and not path.endswith(_COMPRESSED_SUFFIXES):
-        # numpy reads only a path in chunks, any stream a line at a time.  An
-        # absolute path is never taken for a URL; joined, not normalized, so
-        # ".." after a symlink resolves as the OS does.
-        values = _load_values(os.path.join(os.getcwd(), path), "utf-8-sig")
-    if values is None:
-        text = (_read_bytes(path) if data is None else data).decode()
-        values = _parse_lines(path, text)
-    finite = np.isfinite(values)
-    if not finite.all():
-        if text is None:
-            text = (_read_bytes(path) if data is None else data).decode()
-        number, _ = next(itertools.islice(_lines(text), int(np.argmin(finite)), None))
-        raise DomainError(f"{path}:{number}: sample values must be finite")
-    return values
-
-
 def cmd_micro(args) -> int:
-    values = _read_values(args.input)
-    # Sorted here and handed over read-only, not checked again: the sample keeps this array.
-    values.sort()
-    values.flags.writeable = False
-    sample = micro.IncomeSample._of_sorted(values)
+    sample = micro.read_sample(args.input)
     # Every Lorenz-based row reads this one curve.  It is looked up on the
     # module so that code patching ``ineqkit.micro.lorenz_curve`` sees it.
     curve = micro.lorenz_curve(sample)

@@ -9,13 +9,20 @@ interpolate linearly on the curve, so a cut point falling inside an
 observation splits that observation proportionally.  To read several
 measures, build the curve once with :func:`lorenz_curve`.
 
-All operations are pure functions over immutable inputs and may be shared
-freely across threads.
+All operations but :func:`read_sample`, which reads a file or stdin, are pure
+functions over immutable inputs and may be shared freely across threads.
 """
 
 from __future__ import annotations
 
+import codecs
+import contextlib
+import io
+import itertools
 import math
+import os
+import sys
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,8 +72,9 @@ def _checked(values, ordered: bool) -> np.ndarray:
 class IncomeSample:
     """Finite, non-negative values in ascending order with a positive total.
 
-    Use :meth:`from_values` to build one from unsorted data.  Direct
-    construction requires the array to already satisfy the invariants.
+    Use :meth:`from_values` to build one from unsorted data, and
+    :func:`read_sample` to read one from a file.  Direct construction
+    requires the array to already satisfy the invariants.
     """
 
     values: np.ndarray
@@ -119,6 +127,103 @@ class IncomeSample:
     def mean(self) -> float:
         scaled, k = self._scaled
         return math.ldexp(float(scaled.mean()), k)
+
+
+def _open(path: str):
+    """The input ``path`` as a binary stream: stdin's bytes for "-" (stdin
+    itself where it has no bytes), else the file's."""
+    if path == "-":
+        return contextlib.nullcontext(getattr(sys.stdin, "buffer", sys.stdin))
+    return open(path, "rb")
+
+
+def _read_bytes(path: str) -> bytes:
+    """All the bytes of the input ``path``, without a leading byte-order mark
+    (spreadsheet exports often start with one)."""
+    with _open(path) as stream:
+        data = stream.read()
+    if isinstance(data, str):  # a text stdin
+        data = data.encode("utf-8", "surrogateescape")
+    return data.removeprefix(codecs.BOM_UTF8)
+
+
+def _load_values(source, encoding: str) -> np.ndarray | None:
+    """The values of a one-column input read by numpy's C reader from
+    ``source``, a path or a binary stream; None where that reader rejects
+    the input."""
+    try:
+        with warnings.catch_warnings():
+            # "input contained no data": the per-line parse handles that input
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(source, dtype=float, comments=None, delimiter=",", ndmin=2, encoding=encoding)
+    except (OSError, ValueError):
+        return None
+    if values.size == 0 or values.shape[1] != 1:
+        return None
+    values.shape = (len(values),)  # one column: an array of its own, no view
+    return values
+
+
+def _lines(text: str):
+    """The 1-based number and stripped text of each non-blank line of
+    ``text``; lines end at "\\n", "\\r\\n" or a lone "\\r" only."""
+    return ((n, line) for n, line in enumerate(map(str.strip, io.StringIO(text, newline=None)), 1) if line)
+
+
+def _parse_lines(path: str, text: str) -> np.ndarray:
+    """``float()`` of each non-blank line of ``text`` (see :func:`_lines`);
+    a bad value is reported with its 1-based line number."""
+    values = []
+    for number, line in _lines(text):
+        try:
+            values.append(float(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{number}: {exc}") from None
+    return np.array(values)
+
+
+def read_sample(path: str) -> IncomeSample:
+    """The sample of a one-number-per-line input: the file ``path``, or
+    stdin's bytes for "-".  A leading UTF-8 byte-order mark is dropped, the
+    rest must be UTF-8, and blank lines are skipped.
+
+    A plain file, by its path, and stdin's bytes are read by numpy's C reader
+    (``np.loadtxt``), with no Python float per line.  Names ending in ``.gz``,
+    ``.bz2``, ``.xz`` or ``.lzma`` (plain text, never decompressed) and any
+    input that reader does not take as one column of numbers (``1_000``,
+    Unicode digits, whitespace-only lines, ...) take a per-line ``float()``
+    parse instead, with the same values and messages.  Lines end at "\\n",
+    "\\r\\n" or a lone "\\r" only, as in a panel: a form feed, vertical tab,
+    "\\x1c" to "\\x1e", "\\x85", U+2028 or U+2029 is line content, so "2\\f3"
+    is one bad value.  A bad, non-finite (``nan``, ``inf``, ``1e999``) or
+    negative value is reported with its 1-based line number, non-finite
+    before negative.  The array read is sorted in place and kept, not copied.
+    """
+    data = values = text = None
+    if path == "-":
+        data = _read_bytes(path)
+        # The mark is gone: with "utf-8-sig" numpy would strip one from each line.
+        values = _load_values(io.BytesIO(data), "utf-8")
+    elif os.path.isfile(path) and not path.endswith((".gz", ".bz2", ".xz", ".lzma")):
+        # numpy reads only a path in chunks (any stream a line at a time) and
+        # decompresses by these suffixes.  An absolute path is never a URL;
+        # joined, not normalized, so ".." after a symlink resolves as the OS does.
+        values = _load_values(os.path.join(os.getcwd(), path), "utf-8-sig")
+    if values is None:
+        text = (_read_bytes(path) if data is None else data).decode()
+        values = _parse_lines(path, text)
+    # NaN fails both tests, -inf the first, +inf the second; min and max copy nothing.
+    if not (values.min(initial=0.0) >= 0.0 and values.max(initial=0.0) < math.inf):
+        bad = np.flatnonzero(~((values >= 0.0) & (values < math.inf)))
+        nonfinite = ~np.isfinite(values[bad])
+        problem = "finite" if nonfinite.any() else "non-negative"
+        if text is None:
+            text = (_read_bytes(path) if data is None else data).decode()
+        number, _ = next(itertools.islice(_lines(text), int(bad[np.argmax(nonfinite)]), None))
+        raise DomainError(f"{path}:{number}: sample values must be {problem}")
+    values.sort()
+    values.flags.writeable = False
+    return IncomeSample._of_sorted(values)
 
 
 def _as_sample(sample) -> IncomeSample:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ineqkit import IneqError, cli
+from ineqkit import IneqError, cli, micro
 from ineqkit.cli import main
 from ineqkit.ranking import Indicator, indicator_value
 
@@ -531,6 +531,23 @@ class TestMicro:
         code, _, err = run(capsys, "micro", "--input", path)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [("", "sample must contain at least one value"),
+         ("\n\n", "sample must contain at least one value"),
+         (" \n\t\r\n\x0c\r", "sample must contain at least one value"),
+         ("0\n0\n0\n", "sample total must be positive"),
+         ("0\r\n\r\n-0.0", "sample total must be positive")],
+    )
+    @pytest.mark.parametrize("via_stdin", [False, True])
+    def test_no_values_or_no_total_exit_2(self, capsys, tmp_path, monkeypatch, text, error, via_stdin):
+        path = tmp_path / "values.txt"
+        path.write_bytes(text.encode())
+        if via_stdin:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "micro", "--input", "-" if via_stdin else str(path))
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+
     def test_unparseable_exit_2(self, capsys, tmp_path):
         path = tmp_path / "values.txt"
         path.write_text("1\n\nbanana\n")
@@ -550,7 +567,9 @@ class TestMicro:
     @pytest.mark.parametrize(
         "text, line",
         [("1\nnan\n3\n", 2), ("1\n\n\n-inf\n", 4), ("1\r\n2\r\n1e999\r\n", 3),
-         ("1\n2\x0c\ninf\n", 3), ("1\n2\n\x0b\ninf\n", 4), ("1\x0b\r2\x0c\rnan", 3)],
+         ("1\n2\x0c\ninf\n", 3), ("1\n2\n\x0b\ninf\n", 4), ("1\x0b\r2\x0c\rnan", 3),
+         # a non-finite value is reported before a negative one on an earlier line
+         ("3\n-1\nnan\n", 3)],
     )
     @pytest.mark.parametrize("via_stdin", [False, True])
     def test_non_finite_value_reports_its_line(
@@ -564,6 +583,21 @@ class TestMicro:
         code, out, err = run(capsys, "micro", "--input", name)
         assert (code, out) == (2, "")
         assert err == f"error: {name}:{line}: sample values must be finite\n"
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("3\n-1\n2\n", 2), ("1\n \n-2\n", 3), ("1_0\n\n-1e-300\n-5\n", 3), ("1\r-0.0\r-1", 3)],
+    )
+    @pytest.mark.parametrize("via_stdin", [False, True])
+    def test_negative_value_reports_its_line(self, capsys, tmp_path, monkeypatch, text, line, via_stdin):
+        path = tmp_path / "values.txt"
+        path.write_bytes(text.encode())
+        if via_stdin:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        name = "-" if via_stdin else str(path)
+        code, out, err = run(capsys, "micro", "--input", name)
+        assert (code, out) == (2, "")
+        assert err == f"error: {name}:{line}: sample values must be non-negative\n"
 
     @pytest.mark.parametrize(
         "text, line, value",
@@ -584,7 +618,7 @@ class TestMicro:
         def refuse(path, text):
             raise AssertionError("per-line parse used")
 
-        monkeypatch.setattr(cli, "_parse_lines", refuse)
+        monkeypatch.setattr(micro, "_parse_lines", refuse)
         path = self.write(tmp_path, [3, 1.5, "2e3", 0])
         code, out, _ = run(capsys, "micro", "--input", path)
         assert code == 0
@@ -626,7 +660,7 @@ class TestMicro:
         sources = []
         real = np.loadtxt
         monkeypatch.setattr(np, "loadtxt", lambda source, **kw: sources.append(source) or real(source, **kw))
-        monkeypatch.setattr(cli, "_parse_lines", refuse)
+        monkeypatch.setattr(micro, "_parse_lines", refuse)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "-").write_text("1\n")
         monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff1\n2\n3e2\n"))
@@ -635,12 +669,12 @@ class TestMicro:
         assert len(sources) == 1 and not isinstance(sources[0], (str, list))
 
     def test_sample_keeps_the_array_read(self, capsys, tmp_path, monkeypatch):
-        """`ineq micro` sorts the array it read in place and hands it to the
+        """`ineq micro` sorts the array numpy read in place and hands it to the
         sample: no second copy of the values is made."""
         read, samples = [], []
-        real_read, real_curve = cli._read_values, cli.micro.lorenz_curve
-        monkeypatch.setattr(cli, "_read_values", lambda path: read.append(real_read(path)) or read[-1])
-        monkeypatch.setattr(cli.micro, "lorenz_curve", lambda s: samples.append(s) or real_curve(s))
+        real_read, real_curve = np.loadtxt, micro.lorenz_curve
+        monkeypatch.setattr(np, "loadtxt", lambda source, **kw: read.append(real_read(source, **kw)) or read[-1])
+        monkeypatch.setattr(micro, "lorenz_curve", lambda s: samples.append(s) or real_curve(s))
         path = tmp_path / "values.txt"
         path.write_text("3\n1\n2\n")
         code, out, _ = run(capsys, "micro", "--input", str(path))
@@ -1101,7 +1135,7 @@ _LINES = st.tuples(
 def _read_outcome(name):
     """Values read by ``ineq micro`` from ``name``, or the error it reports."""
     try:
-        values = cli._read_values(name)
+        values = micro.read_sample(name).values
     except (ValueError, IneqError) as exc:
         return "error", str(exc).replace(f"{name}:", "<input>:", 1)
     return "values", values.dtype, values.shape, values.tobytes()

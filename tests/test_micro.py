@@ -1,7 +1,9 @@
 """Micro-data measures: examples with independent oracles, then properties."""
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -562,3 +564,20 @@ class TestPalma:
         with pytest.raises(DivisionByZeroShareError):
             palma_ratio([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
 
+
+def test_micro_imports_no_panel_or_cli_code():
+    """`ineqkit.micro` reads a sample file with none of the panel commands'
+    code: no ``cli``, ``panel``, ``ranking`` or ``_fork``, no ``pickle``
+    or ``csv``, at module level or inside a function."""
+    source = Path(__file__).resolve().parents[1] / "src" / "ineqkit" / "micro.py"
+    imported = set()
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import is from the package; `from . import cli` names a module of it
+            module = ".".join(filter(None, ["ineqkit" if node.level else "", node.module]))
+            imported.update([module, *(f"{module}.{alias.name}" for alias in node.names)])
+    forbidden = ("ineqkit.cli", "ineqkit.panel", "ineqkit.ranking", "ineqkit._fork", "pickle", "csv")
+    assert {"numpy", "ineqkit.errors"} <= imported
+    assert [name for name in sorted(imported) if any(name == f or name.startswith(f + ".") for f in forbidden)] == []
