@@ -173,19 +173,22 @@ def _lines(text: str):
 def _parse_lines(path: str, text: str) -> np.ndarray:
     """``float()`` of each non-blank line of ``text`` (see :func:`_lines`);
     a bad value is reported with its 1-based line number."""
-    values = []
-    for number, line in _lines(text):
-        try:
-            values.append(float(line))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{number}: {exc}") from None
-    return np.array(values)
+    try:
+        return np.array([float(line) for _, line in _lines(text)])
+    except ValueError as exc:
+        # Only an input that fails pays for finding its first bad line.
+        for number, line in _lines(text):
+            try:
+                float(line)
+            except ValueError:
+                raise DomainError(f"{path}:{number}: {exc}") from None
+        raise
 
 
 def read_sample(path: str) -> IncomeSample:
-    """The sample of a one-number-per-line input: the file ``path``, or
-    stdin's bytes for "-".  A leading UTF-8 byte-order mark is dropped, the
-    rest must be UTF-8, and blank lines are skipped.
+    """The sample of a one-number-per-line input: the file ``path``, or stdin's
+    bytes for "-".  A leading UTF-8 byte-order mark is dropped, the rest must
+    be UTF-8, and blank lines are skipped.
 
     A plain file, by its path, and stdin's bytes are read by numpy's C reader
     (``np.loadtxt``), with no Python float per line.  Names ending in ``.gz``,
@@ -196,10 +199,9 @@ def read_sample(path: str) -> IncomeSample:
     "\\r\\n" or a lone "\\r" only, as in a panel: a form feed, vertical tab,
     "\\x1c" to "\\x1e", "\\x85", U+2028 or U+2029 is line content, so "2\\f3"
     is one bad value.  A bad, non-finite (``nan``, ``inf``, ``1e999``) or
-    negative value is reported with its 1-based line number, non-finite
-    before negative.  The array read is sorted in place and kept, not copied.
-    """
-    data = values = text = None
+    negative value is reported with its 1-based line number, non-finite before
+    negative.  The array read is sorted in place and kept, not copied."""
+    data = values = None
     if path == "-":
         data = _read_bytes(path)
         # The mark is gone: with "utf-8-sig" numpy would strip one from each line.
@@ -210,16 +212,15 @@ def read_sample(path: str) -> IncomeSample:
         # joined, not normalized, so ".." after a symlink resolves as the OS does.
         values = _load_values(os.path.join(os.getcwd(), path), "utf-8-sig")
     if values is None:
-        text = (_read_bytes(path) if data is None else data).decode()
-        values = _parse_lines(path, text)
+        data = _read_bytes(path) if data is None else data
+        values = _parse_lines(path, data.decode())
     # NaN fails both tests, -inf the first, +inf the second; min and max copy nothing.
     if not (values.min(initial=0.0) >= 0.0 and values.max(initial=0.0) < math.inf):
         bad = np.flatnonzero(~((values >= 0.0) & (values < math.inf)))
         nonfinite = ~np.isfinite(values[bad])
         problem = "finite" if nonfinite.any() else "non-negative"
-        if text is None:
-            text = (_read_bytes(path) if data is None else data).decode()
-        number, _ = next(itertools.islice(_lines(text), int(bad[np.argmax(nonfinite)]), None))
+        data = _read_bytes(path) if data is None else data
+        number, _ = next(itertools.islice(_lines(data.decode()), int(bad[np.argmax(nonfinite)]), None))
         raise DomainError(f"{path}:{number}: sample values must be {problem}")
     values.sort()
     values.flags.writeable = False

@@ -1133,12 +1133,27 @@ _LINES = st.tuples(
 
 
 def _read_outcome(name):
-    """Values read by ``ineq micro`` from ``name``, or the error it reports."""
-    try:
-        values = micro.read_sample(name).values
-    except (ValueError, IneqError) as exc:
-        return "error", str(exc).replace(f"{name}:", "<input>:", 1)
-    return "values", values.dtype, values.shape, values.tobytes()
+    """What ``ineq micro`` reads from ``name``: each array parsed, by numpy's
+    reader or the per-line parse, as it was in read order, then the sample's
+    values or the error it reports."""
+    parsed = []
+
+    def spy(real):
+        def read(*args):
+            values = real(*args)
+            if values is not None:  # numpy's reader declined: the per-line parse follows
+                parsed.append((values.dtype, values.shape, values.tobytes()))
+            return values
+
+        return read
+
+    with mock.patch.object(micro, "_load_values", spy(micro._load_values)), \
+            mock.patch.object(micro, "_parse_lines", spy(micro._parse_lines)):
+        try:
+            values = micro.read_sample(name).values
+        except (ValueError, IneqError) as exc:
+            return parsed, "error", str(exc).replace(f"{name}:", "<input>:", 1)
+    return parsed, "values", values.dtype, values.shape, values.tobytes()
 
 
 @settings(max_examples=300)

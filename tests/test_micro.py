@@ -26,6 +26,7 @@ from ineqkit import (
     lorenz_curve,
     palma_ratio,
     ratio_b_over_t,
+    read_sample,
     theil,
     top_share,
 )
@@ -581,3 +582,15 @@ def test_micro_imports_no_panel_or_cli_code():
     forbidden = ("ineqkit.cli", "ineqkit.panel", "ineqkit.ranking", "ineqkit._fork", "pickle", "csv")
     assert {"numpy", "ineqkit.errors"} <= imported
     assert [name for name in sorted(imported) if any(name == f or name.startswith(f + ".") for f in forbidden)] == []
+
+
+@pytest.mark.parametrize("name", ["values.txt", "values.txt.gz"])
+def test_read_sample_reports_a_bad_line_as_a_domain_error(tmp_path, name):
+    """An unparseable line is an :class:`IneqError` carrying the path and the
+    1-based line number, whichever parse took the file (a ``.gz`` name takes
+    the per-line one)."""
+    path = tmp_path / name
+    path.write_text("1\n\nbanana\n")
+    with pytest.raises(DomainError) as info:
+        read_sample(str(path))
+    assert str(info.value) == f"{path}:3: could not convert string to float: 'banana'"
