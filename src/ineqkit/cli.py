@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import math
+import os
 import pickle
 import sys
 
@@ -35,27 +37,28 @@ from .errors import (
     ZeroIncomeError,
 )
 from .micro import _open, _read_bytes
-from .panel import (
-    SOURCES,
-    Panel,
-    SchemaConfig,
-    Source,
-    parse_panel,
-    ratio_of,
-    slice_panel,
-    t_over_b_of,
-)
-from .ranking import (
-    Indicator,
-    compare_rankings,
-    rank,
-    replicate_table,
-    round_half_away,
-    series,
-)
 from .welfare import atkinson, ge_index, ge_zero, theil
 
-_INDICATORS = {i.value: i for i in Indicator}
+
+def _deferred(module: str, name: str):
+    """``module.name``, imported on its first call, so that `ineq micro`
+    loads no panel code; a name of its own here, which a caller may replace."""
+
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(module, __package__), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+parse_panel = _deferred(".panel", "parse_panel")
+slice_panel = _deferred(".panel", "slice_panel")
+rank = _deferred(".ranking", "rank")
+compare_rankings = _deferred(".ranking", "compare_rankings")
+series = _deferred(".ranking", "series")
+
+# The values of `ranking.Indicator`, sorted.
+_INDICATORS = ("alt", "gini", "index", "ratio")
 # Percent cuts of the tail-share rows of `ineq micro`.
 _TAIL_CUTS = (10, 20, 30, 40, 50)
 # Rows composited and formatted at a time by `ineq compute`.
@@ -85,6 +88,8 @@ def _emit(chunks, output: str) -> None:
 
 
 def _schema_from_args(args, source: Source | None) -> SchemaConfig:
+    from .panel import SchemaConfig, Source
+
     columns = {}
     if args.schema:
         for item in args.schema.split(","):
@@ -112,6 +117,8 @@ def _load_panel(args, country: str | None = None) -> Panel:
 
     Raises when a row was skipped under --strict.
     """
+    from .panel import Source
+
     source = Source(args.source.upper()) if args.source else None
     with _open(args.input) as stream:
         schema = _schema_from_args(args, source)
@@ -231,6 +238,8 @@ def _compute_rows(names: list[str], country, year, fields, name_table) -> str:
 
 
 def cmd_compute(args) -> int:
+    from .panel import ratio_of, t_over_b_of
+
     panel = _load_panel(args)
     # Checked before any output, and only when some row uses it.
     if len(panel):
@@ -321,6 +330,8 @@ def cmd_micro(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    from .panel import SOURCES, ratio_of
+
     panel = _load_panel(args)
     if not len(panel):
         print("error: no records to calibrate on", file=sys.stderr)
@@ -356,17 +367,21 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    from .ranking import Indicator
+
     panel = _load_panel(args)
-    table = rank(panel, _INDICATORS[args.indicator], args.weight)
+    table = rank(panel, Indicator(args.indicator), args.weight)
     rows = [[e.rank, e.country, _fmt(e.value, 3)] for e in table.entries]
     _emit(_csv_text(["rank", "country", "value"], rows), args.output)
     return 0
 
 
 def cmd_compare(args) -> int:
+    from .ranking import Indicator
+
     panel = _load_panel(args)
-    table_a = rank(panel, _INDICATORS[args.indicator_a], args.weight)
-    table_b = rank(panel, _INDICATORS[args.indicator_b], args.weight)
+    table_a = rank(panel, Indicator(args.indicator_a), args.weight)
+    table_b = rank(panel, Indicator(args.indicator_b), args.weight)
     cmp = compare_rankings(table_a, table_b)
     if args.summary_only:
         _emit(_csv_text(["changed", "unchanged"], [[cmp.changed, cmp.unchanged]]), args.output)
@@ -417,6 +432,8 @@ def _read_table(path: str, text: str, needed: tuple[str, ...]) -> dict[str, dict
 
 
 def cmd_replicate(args) -> int:
+    from .ranking import replicate_table, round_half_away
+
     # Each input is read and decoded once: stdin cannot be read twice.
     text = _read_bytes(args.input).decode()
     inputs = _read_table(args.input, text, ("gini", "t_over_b"))
@@ -533,13 +550,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("rank", help="competition-rank countries under an indicator")
     _add_panel_flags(sub)
-    sub.add_argument("--indicator", choices=sorted(_INDICATORS), default="index")
+    sub.add_argument("--indicator", choices=_INDICATORS, default="index")
     sub.set_defaults(func=cmd_rank)
 
     sub = subs.add_parser("compare", help="rank-change counts between two indicators")
     _add_panel_flags(sub)
-    sub.add_argument("--indicator-a", choices=sorted(_INDICATORS), default="gini")
-    sub.add_argument("--indicator-b", choices=sorted(_INDICATORS), default="index")
+    sub.add_argument("--indicator-a", choices=_INDICATORS, default="gini")
+    sub.add_argument("--indicator-b", choices=_INDICATORS, default="index")
     sub.add_argument("--summary-only", action="store_true")
     sub.set_defaults(func=cmd_compare)
 
@@ -579,5 +596,18 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """`ineq`'s entry point: :func:`main`, then an exit that skips the
+    interpreter's teardown once stdout and stderr are flushed.  A flush that
+    fails leaves the exit to the interpreter, which reports it as usual."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        raise SystemExit(code) from None
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -188,7 +188,8 @@ def _parse_lines(path: str, text: str) -> np.ndarray:
 def read_sample(path: str) -> IncomeSample:
     """The sample of a one-number-per-line input: the file ``path``, or stdin's
     bytes for "-".  A leading UTF-8 byte-order mark is dropped, the rest must
-    be UTF-8, and blank lines are skipped.
+    be UTF-8 (else a DomainError with the decoder's message), and blank lines
+    are skipped.
 
     A plain file, by its path, and stdin's bytes are read by numpy's C reader
     (``np.loadtxt``), with no Python float per line.  Names ending in ``.gz``,
@@ -213,7 +214,11 @@ def read_sample(path: str) -> IncomeSample:
         values = _load_values(os.path.join(os.getcwd(), path), "utf-8-sig")
     if values is None:
         data = _read_bytes(path) if data is None else data
-        values = _parse_lines(path, data.decode())
+        try:
+            text = data.decode()
+        except UnicodeDecodeError as exc:
+            raise DomainError(str(exc)) from None
+        values = _parse_lines(path, text)
     # NaN fails both tests, -inf the first, +inf the second; min and max copy nothing.
     if not (values.min(initial=0.0) >= 0.0 and values.max(initial=0.0) < math.inf):
         bad = np.flatnonzero(~((values >= 0.0) & (values < math.inf)))

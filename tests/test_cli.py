@@ -555,6 +555,15 @@ class TestMicro:
         assert code == 2
         assert err == f"error: {path}:3: could not convert string to float: 'banana'\n"
 
+    def test_bytes_that_are_not_utf8_exit_2(self, capsys, tmp_path):
+        """The decoder's message, as it was when the error was not an
+        :class:`IneqError`; a ``.gz`` name takes the per-line parse."""
+        path = tmp_path / "values.txt.gz"
+        path.write_bytes(b"1\n2\n\xff3\n")
+        code, out, err = run(capsys, "micro", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte\n"
+
     def test_byte_order_mark(self, capsys, tmp_path):
         path = tmp_path / "values.txt"
         path.write_text("\ufeff1\n2\n3\n", encoding="utf-8")
@@ -1189,13 +1198,18 @@ def test_file_and_stdin_reads_agree(tmp_path_factory, bom, lines, final_newline,
     assert by_file == by_stdin
 
 
-def _python(*argv, **kwargs) -> subprocess.CompletedProcess:
+def _python(*argv, buffered=False, **kwargs) -> subprocess.CompletedProcess:
     """A run of this interpreter on ``argv`` from the repository's root, with
-    the package's source first on its path."""
+    the package's source first on its path; stdout and stderr are captured
+    unless given.  ``buffered`` drops ``PYTHONUNBUFFERED``, so that stdout is
+    block-buffered, as where that variable is not set."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.pathsep.join(filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, *argv], cwd=root, env=env, capture_output=True, **kwargs)
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, *argv], cwd=root, env=env, **options)
 
 
 @pytest.mark.parametrize(
@@ -1234,3 +1248,121 @@ for argv in (["rank", *one], ["compare", *one], ["series", *panel, "--country", 
 print(sorted(m for m in ("numpy.ma", "numpy.char") if m in sys.modules))
 """
     assert _python("-c", script, text=True, check=True).stdout == "[]\n"
+
+
+GOLDEN_MICRO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden_micro.txt")
+
+
+def _stdout_lost(error: str) -> bytes:
+    """The interpreter's report of a stdout it could not flush at exit."""
+    return f"Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' encoding='utf-8'>\n{error}\n".encode()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stdout_exits_as_the_interpreter_does():
+    """A stdout that cannot take the table is reported once, by the
+    interpreter, with its exit status 120 and no traceback."""
+    with open("/dev/full", "wb") as full:
+        done = _python("-m", "ineqkit", "micro", "--input", GOLDEN_MICRO, stdout=full, buffered=True)
+    assert (done.returncode, done.stderr) == (120, _stdout_lost("OSError: [Errno 28] No space left on device"))
+
+
+def test_closed_stdout_pipe_exits_as_the_interpreter_does():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _python("-m", "ineqkit", "micro", "--input", GOLDEN_MICRO, stdout=write, buffered=True)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (120, _stdout_lost("BrokenPipeError: [Errno 32] Broken pipe"))
+
+
+def test_a_run_ends_with_what_main_wrote(capsys, tmp_path):
+    """`python -m ineqkit`, which skips the interpreter's teardown, writes
+    what `main` does in process: stdout or the whole ``--output`` file, and
+    stderr.  `compute` on 40,000 rows (10 chunks) forks a child on 2 CPUs."""
+    panel = _forked_panel(tmp_path / "panel.csv", rows=40_000)
+    target = tmp_path / "out.csv"
+    for argv in (["micro", "--input", GOLDEN_MICRO], ["compute", "--input", str(panel)]):
+        expected = run(capsys, *argv)
+        assert expected[0] == 0 and expected[1]
+        done = _python("-m", "ineqkit", *argv, buffered=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == expected
+        done = _python("-m", "ineqkit", *argv, "--output", str(target), buffered=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", expected[2])
+        assert target.read_text() == expected[1]
+    done = _python("-m", "ineqkit", "micro", buffered=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr.endswith("ineq micro: error: the following arguments are required: --input\n")
+
+
+def test_micro_loads_no_panel_code():
+    """`micro` leaves the panel and ranking modules unloaded, and `rank`
+    loads them; ``ineqkit.composite`` stays the function throughout."""
+    script = f"""
+import os, sys
+import ineqkit
+from ineqkit import cli
+function = ineqkit.composite
+assert cli.main(["micro", "--input", {GOLDEN_MICRO!r}, "--output", os.devnull]) == 0
+print(sorted(m for m in ("ineqkit.panel", "ineqkit.ranking") if m in sys.modules))
+panel = ["--input", "tests/data/golden_panel.csv", "--output", os.devnull]
+one = [*panel, "--year", "2015", "--source", "wb"]
+for argv in (["rank", *one], ["compare", *one], ["series", *panel, "--country", "Alpha"],
+             ["calibrate", *panel], ["compute", *panel],
+             ["replicate", "--input", "data/wb_2015_indicators.csv", "--output", os.devnull]):
+    assert cli.main(argv) == 0, argv
+    assert ineqkit.composite is function, argv
+    if argv[0] == "rank":
+        print(sorted(m for m in ("ineqkit.panel", "ineqkit.ranking") if m in sys.modules))
+"""
+    done = _python("-c", script, text=True)
+    assert (done.returncode, done.stdout) == (0, "[]\n['ineqkit.panel', 'ineqkit.ranking']\n"), done.stderr
+
+
+def test_package_names_resolve_to_their_modules():
+    import importlib
+
+    import ineqkit
+
+    for name in ineqkit.__all__:
+        if name == "__version__":
+            continue
+        module = importlib.import_module(f"ineqkit.{ineqkit._MODULE_OF[name]}")
+        value = getattr(ineqkit, name)
+        assert value is getattr(module, name), name
+        # the table names the module that defines each class and function
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name
+    star = {}
+    exec("from ineqkit import *", star)
+    assert sorted(star.keys() - {"__builtins__"}) == sorted(ineqkit.__all__)
+    from ineqkit import cli as cli_module, micro as micro_module, panel as panel_module
+
+    assert (cli_module.__name__, micro_module.__name__, panel_module.__name__) == (
+        "ineqkit.cli",
+        "ineqkit.micro",
+        "ineqkit.panel",
+    )
+    assert callable(ineqkit.composite)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        ineqkit.no_such_name
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [("panel", "parse_panel"), ("panel", "slice_panel"), ("ranking", "rank"),
+     ("ranking", "compare_rankings"), ("ranking", "series")],
+)
+def test_deferred_names_forward_their_arguments(monkeypatch, module, name):
+    """Each panel-side name `cli` defers calls its module's function, looked
+    up at the call, with the caller's positional and keyword arguments."""
+    import importlib
+
+    calls = []
+    monkeypatch.setattr(importlib.import_module(f"ineqkit.{module}"), name, lambda *a, **k: calls.append((a, k)) or calls)
+    assert getattr(cli, name)(1, "two", three=3) is calls
+    assert calls == [((1, "two"), {"three": 3})]
+
+
+def test_indicator_choices_are_the_indicators():
+    assert cli._INDICATORS == tuple(sorted(i.value for i in Indicator))

@@ -584,6 +584,17 @@ def test_micro_imports_no_panel_or_cli_code():
     assert [name for name in sorted(imported) if any(name == f or name.startswith(f + ".") for f in forbidden)] == []
 
 
+def test_read_sample_reports_bytes_that_are_not_utf8_as_a_domain_error(tmp_path):
+    """Bytes the per-line parse cannot decode are an :class:`IneqError`
+    carrying the decoder's message."""
+    path = tmp_path / "values.txt.gz"
+    path.write_bytes(b"1\n2\n\xff3\n")
+    with pytest.raises(DomainError) as info:
+        read_sample(str(path))
+    assert isinstance(info.value, IneqError)
+    assert str(info.value) == "'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"
+
+
 @pytest.mark.parametrize("name", ["values.txt", "values.txt.gz"])
 def test_read_sample_reports_a_bad_line_as_a_domain_error(tmp_path, name):
     """An unparseable line is an :class:`IneqError` carrying the path and the
