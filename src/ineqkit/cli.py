@@ -16,6 +16,7 @@ import math
 import os
 import pickle
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,10 +40,14 @@ from .errors import (
 from .micro import _open, _read_bytes
 from .welfare import atkinson, ge_index, ge_zero, theil
 
+if TYPE_CHECKING:
+    from .panel import Panel, SchemaConfig, Source
+
 
 def _deferred(module: str, name: str):
-    """``module.name``, imported on its first call, so that `ineq micro`
-    loads no panel code; a name of its own here, which a caller may replace."""
+    """A stand-in for ``module.name`` that imports the module at its first
+    call, so that `ineq micro` loads no panel code.  It is a name of this
+    module, which code that traces or fakes the call may replace."""
 
     def call(*args, **kwargs):
         return getattr(importlib.import_module(module, __package__), name)(*args, **kwargs)
