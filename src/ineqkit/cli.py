@@ -16,7 +16,6 @@ import math
 import os
 import pickle
 import sys
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,9 +38,6 @@ from .errors import (
 )
 from .micro import _open, _read_bytes
 from .welfare import atkinson, ge_index, ge_zero, theil
-
-if TYPE_CHECKING:
-    from .panel import Panel, SchemaConfig, Source
 
 
 def _deferred(module: str, name: str):
