@@ -306,9 +306,6 @@ def cmd_micro(args) -> int:
     except DivisionByZeroShareError:
         palma = math.inf
     rows.append(("palma", _fmt(palma)))
-    # Freed before the welfare measures, each of which holds an n-float
-    # temporary of its own.
-    del curve
     rows.append(("epsilon", _fmt(args.epsilon)))
     rows.append(("atkinson", _fmt(atkinson(sample, args.epsilon))))
     rows.append(("alpha", _fmt(args.alpha)))

@@ -38,6 +38,10 @@ from .errors import (
 # Slack for float wobble when validating curve invariants.
 _CONVEXITY_TOL = 1e-9
 
+# Values per block of the blocked passes over a sample: each pass holds a few
+# blocks, never an array as long as the sample.
+_BLOCK = 1 << 16
+
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """``arr`` as a read-only array.  One that is already read-only and owns
@@ -106,27 +110,46 @@ class IncomeSample:
         return int(self.values.size)
 
     @cached_property
-    def _scaled(self) -> tuple[np.ndarray, int]:
-        """``(values * 2**-k, k)``, k = 0 (the array itself) unless the largest
-        value nears an end of the float range.  There k keeps n**1.5 * max,
-        which bounds every sum the measures take, below 2**1020, and max at or
-        above 2**-512, so that their products stay normal.  Exact for normal values."""
+    def _scale(self) -> int:
+        """The k of 2**k, the power of two the measures divide every value by:
+        0 unless the largest value nears an end of the float range.  There k
+        keeps n**1.5 * max, which bounds every sum the measures take, below
+        2**1020, and max at or above 2**-512, so that their products stay normal."""
         e = math.frexp(self.values[-1])[1]
-        k = max(e + 3 * self.n.bit_length() // 2 + 4 - 1023, min(e + 512, 0))
-        return (self.values * 2.0**-k if k else self.values), k
+        return max(e + 3 * self.n.bit_length() // 2 + 4 - 1023, min(e + 512, 0))
+
+    def _scaled_blocks(self, start: int = 0):
+        """The values from ``start`` on divided by 2**k (see :attr:`_scale`), a
+        block at a time, as :func:`_blocks` gives them."""
+        return _blocks(self.values, 2.0**-self._scale, start)
+
+    @cached_property
+    def _sum(self) -> float:
+        """The sum of the values divided by 2**k (see :attr:`_scale`)."""
+        return math.fsum(block.sum() for _, block in self._scaled_blocks())
 
     @property
     def total(self) -> float:
-        scaled, k = self._scaled
         try:
-            return math.ldexp(float(scaled.sum()), k)
+            return math.ldexp(self._sum, self._scale)
         except OverflowError:
             raise DomainError("sample total overflows") from None
 
     @property
     def mean(self) -> float:
-        scaled, k = self._scaled
-        return math.ldexp(float(scaled.mean()), k)
+        return math.ldexp(self._sum / self.n, self._scale)
+
+
+def _blocks(values: np.ndarray, scale: float = 1.0, start: int = 0):
+    """``(i, values[i : i + m] * scale)`` for each block of at most ``_BLOCK``
+    values from ``start`` on, each product written over the last in one
+    scratch buffer.  ``scale`` is a power of two, so a product is exact for a
+    normal value."""
+    buf = np.empty(min(_BLOCK, values.size - start))
+    for i in range(start, values.size, _BLOCK):
+        block = buf[: min(_BLOCK, values.size - i)]
+        np.multiply(values[i : i + _BLOCK], scale, out=block)
+        yield i, block
 
 
 def _open(path: str):
@@ -254,8 +277,11 @@ class LorenzCurve:
     L non-decreasing, L(p) <= p, and chord slopes non-decreasing (convexity).
     ``LorenzCurve(p, L)`` checks them all.  A curve built from a checked
     sample by :func:`lorenz_curve` holds them by construction, so it is
-    trusted, and stores only L: its p is k/n, built when it is first read.
-    Every Lorenz-derived measure is a method of the curve.
+    trusted, and keeps only the sample's values, its total and the running
+    sum at the start of each block of ``_BLOCK`` values: its p = k/n and its L
+    are built when first read, and each measure sums the few points it needs
+    from the block that holds them.  Every Lorenz-derived measure is a method
+    of the curve.
     """
 
     def __init__(self, p, L):
@@ -283,7 +309,7 @@ class LorenzCurve:
         slack += np.diff(slopes)
         if np.any(slack < 0.0):
             raise DomainError("curve must be convex (non-decreasing slopes)")
-        self.__dict__.update(p=_frozen(p), L=_frozen(L), _even=False)
+        self.__dict__.update(p=_frozen(p), L=_frozen(L), _n=L.size - 1, _carries=None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -291,16 +317,47 @@ class LorenzCurve:
     @cached_property
     def p(self) -> np.ndarray:
         """Population shares; a sample-built curve's, k/n, are built when first read."""
-        p = np.arange(self.L.size) / (self.L.size - 1)
+        p = np.arange(self._n + 1) / self._n
         p.flags.writeable = False
         return p
 
+    @cached_property
+    def L(self) -> np.ndarray:
+        """Income shares; a sample-built curve's are built when first read."""
+        L = np.zeros(self._n + 1)
+        for i in range(0, self._n, _BLOCK):
+            L[i + 1 : i + 1 + _BLOCK] = self._sums(i, min(i + _BLOCK, self._n))
+        L /= self._carries[-1]
+        L.flags.writeable = False
+        return L
+
+    def _sums(self, i: int, stop: int) -> np.ndarray:
+        """The running sums S[i + 1 : stop + 1] of a sample-built curve's scaled
+        values, S[k] the sum of the k smallest, from the carry S[i] of the
+        block that starts at ``i``.  ``np.add.accumulate`` adds in sequence, so
+        these are the bits of one cumsum over the whole sample."""
+        sums = self._values[i:stop] * self._factor
+        sums[0] += self._carries[i // _BLOCK]
+        return np.cumsum(sums, out=sums)
+
+    def _at(self, k: np.ndarray) -> np.ndarray:
+        """L[k] for an array of indices ``k``; a sample-built curve sums each
+        block that holds one only as far as the last index in it."""
+        if self._carries is None:
+            return self.L[k]
+        shares = np.zeros(k.shape)
+        for i in set(((k[k > 0] - 1) // _BLOCK * _BLOCK).tolist()):
+            here = (i < k) & (k <= i + _BLOCK)
+            sums = self._sums(i, int(k[here].max()))
+            shares[here] = sums[k[here] - i - 1] / self._carries[-1]
+        return shares
+
     def _segment(self, x: np.ndarray):
-        """For each share of ``x`` in [0, 1], the index ``k`` of the point
-        that ends its segment, as a search of p finds it, p[k - 1], p[k] and
-        the segment's slope."""
-        n = self.L.size - 1
-        if self._even:
+        """For each share of ``x`` in [0, 1], the segment that holds it, as a
+        search of p finds it: its ends p[k - 1] and p[k], L[k - 1] and L[k],
+        and its slope."""
+        n = self._n
+        if self._carries is not None:
             # On the grid fl(j/n), floor(x n) is at most one off the last j <= x.
             j = np.floor(x * n)
             j += (j < n) & ((j + 1.0) / n <= x)
@@ -310,7 +367,8 @@ class LorenzCurve:
         else:
             k = np.minimum(np.searchsorted(self.p, x, side="right"), n)
             left, right = self.p[k - 1], self.p[k]
-        return k, left, right, (self.L[k] - self.L[k - 1]) / (right - left)
+        lo, hi = self._at(np.stack((k - 1, k)))
+        return left, right, lo, hi, (hi - lo) / (right - left)
 
     @property
     def points(self) -> list[tuple[float, float]]:
@@ -323,8 +381,7 @@ class LorenzCurve:
         if not np.all((0.0 <= shares) & (shares <= 1.0)):
             raise DomainError(f"population share {p!r} outside [0, 1]")
         # np.interp's arithmetic on the segment that holds each share
-        k, left, right, slope = self._segment(shares)
-        lo, hi = self.L[k - 1], self.L[k]
+        left, right, lo, hi, slope = self._segment(shares)
         values = np.where(shares == left, lo, slope * (shares - left) + lo)
         values = np.where(shares == right, hi, values)
         return float(values) if values.ndim == 0 else values
@@ -337,10 +394,11 @@ class LorenzCurve:
         identical to the pairwise mean-difference form
         sum_ij |y_i - y_j| / (2 n^2 mean).  Population estimator: the maximum
         for a sample of size n is 1 - 1/n.  On the grid p = k/n the area is
-        (2 sum_{0<k<n} L_k + 1) / 2n, summed with no temporary.
+        (2 sum_{0<k<n} L_k + 1) / 2n; :func:`lorenz_curve` sums it a block at
+        a time as it builds the curve.
         """
-        if self._even:
-            return max(1.0 - (2.0 * float(self.L[1:-1].sum()) + 1.0) / (self.L.size - 1), 0.0)
+        if self._carries is not None:
+            return max(1.0 - (2.0 * self._inner + 1.0) / self._n, 0.0)
         area = float(np.sum((self.L[1:] + self.L[:-1]) * np.diff(self.p)) / 2.0)
         return max(1.0 - 2.0 * area, 0.0)
 
@@ -363,8 +421,8 @@ class LorenzCurve:
         # 1 - L(1 - x/100) cancels for a small cut, so the top share is read
         # from the right end: the share above the segment that holds the cut,
         # plus the part of that segment right of the cut.
-        hi, _, right, slope = self._segment(1.0 - tails)
-        top = (1.0 - self.L[hi]) + ((right - 1.0) + tails) * slope
+        _, right, _, hi, slope = self._segment(1.0 - tails)
+        top = (1.0 - hi) + ((right - 1.0) + tails) * slope
         ratio = np.divide(bottom, top, out=np.zeros_like(bottom), where=bottom != 0.0)
         # float noise can push bottom/top one ulp past 1 when the shares tie
         return bottom, top, np.minimum(ratio, 1.0)
@@ -384,19 +442,27 @@ class LorenzCurve:
 def lorenz_curve(sample) -> LorenzCurve:
     """Empirical Lorenz curve of a sample.
 
-    Returns n + 1 points; point k is (k/n, sum of the smallest k values over
-    the total).  It is not checked again: the checked sample's sorted,
+    Its n + 1 points are (k/n, sum of the smallest k values over the total),
+    summed a block at a time; the curve keeps the running sum at the start of
+    each block.  It is not checked again: the checked sample's sorted,
     non-negative values make it convex (Gastwirth, Econometrica 39(6), 1971).
     """
-    values = _as_sample(sample)._scaled[0]
-    L = np.empty(values.size + 1)
-    L[0] = 0.0
-    np.cumsum(values, out=L[1:])
-    L[1:] /= L[-1]
-    L[-1] = 1.0
-    L.flags.writeable = False
+    sample = _as_sample(sample)
+    n = sample.n
+    carries, inner = [0.0], []
+    # S[k], the sum of the k smallest scaled values, is at most n * max, and the
+    # scale rule keeps n**1.5 * max below 2**1020: the n terms S[k] * fit,
+    # fit <= 1/n, sum below 2**1020 / sqrt(n), and S[n] * fit stays normal.
+    fit = 2.0**-n.bit_length()
+    for i, sums in sample._scaled_blocks():
+        sums[0] += carries[-1]
+        carries.append(float(np.cumsum(sums, out=sums)[-1]))
+        sums *= fit
+        inner.append(sums[: n - 1 - i].sum())
     curve = LorenzCurve.__new__(LorenzCurve)
-    curve.__dict__.update(L=L, _even=True)
+    # _inner is the sum of L[1:-1], which the Gini reads
+    inner = math.fsum(inner) / (carries[-1] * fit)
+    curve.__dict__.update(_n=n, _values=sample.values, _factor=2.0**-sample._scale, _carries=carries, _inner=inner)
     return curve
 
 

@@ -8,6 +8,9 @@ family GE(alpha) shifts sensitivity from the bottom (small alpha) to the top
 and GE(1) is the Theil index.  With alpha = 1 - epsilon both read one power
 moment: 1 - A = (1 + alpha (alpha - 1) GE(alpha))^(1/alpha) (Shorrocks, 1980).
 
+Each index is summed a block of the sample at a time: its terms are formed
+in one scratch buffer of at most ``micro._BLOCK`` values, and the block sums
+are added by ``math.fsum``, so no index holds an array as long as the sample.
 No index calls BLAS: a weighted sum is an in-place product and ``sum``, not
 ``np.dot``, so results do not depend on the BLAS build or its thread count.
 """
@@ -20,7 +23,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ZeroIncomeError
-from .micro import _as_sample
+from .micro import _as_sample, _blocks
 
 # Dispatch to the closed-form limits inside this window: the general formulas
 # have removable singularities at alpha = 0, alpha = 1, and epsilon = 1 and
@@ -36,72 +39,105 @@ def _log_quotients(a, b, shift: int = 0) -> np.ndarray:
     return np.log(ma / mb) + (ea - eb + shift) * math.log(2.0)
 
 
+def _first(sample, test) -> int:
+    """The index of the first of a sample's values, divided by 2**k (see
+    ``IncomeSample._scale``), that passes ``test``; the ascending values fail
+    it, then pass it."""
+    scale = 2.0**-sample._scale
+    return bisect.bisect_left(sample.values, True, key=lambda x: test(float(x) * scale))
+
+
+def _log_ratios(sample, mean: float, low: int, start: int = 0):
+    """``(i, ln r)`` of the ratios r = y / ybar from ``start`` on, a block at a
+    time in one scratch buffer; the ratios before ``low``, below the normal
+    range, are read from the log quotients of the unscaled values."""
+    for i, terms in sample._scaled_blocks(start):
+        c = min(max(low - i, 0), terms.size)
+        np.log(np.divide(terms[c:], mean, out=terms[c:]), out=terms[c:])
+        terms[:c] = _log_quotients(sample.values[i : i + c], mean, -sample._scale)
+        yield i, terms
+
+
 def _log_power_mean(sample, mean: float, alpha: float) -> float:
     """ln mean(r^alpha) / alpha, the log power mean, ``mean`` being the scaled
     mean: the largest income (``alpha`` > 0) or the smallest, then not zero, is
     factored out, so each term left is a quotient in [0, 1] to the |alpha|."""
     y = sample.values
     ext = float(y[-1] if alpha > 0 else y[0])
-    terms = y / ext if alpha > 0 else np.divide(ext, y)
-    terms **= abs(alpha)
+    cut = y.size
     if -1.0 < alpha < 0.0:
         # such an alpha lifts a quotient past the normal range near 1: read its log
         cut = bisect.bisect_left(y, True, key=lambda x: ext / float(x) < np.finfo(float).tiny)
-        terms[cut:] = np.exp(alpha * _log_quotients(y[cut:], ext))
-    return float(_log_quotients(ext, mean, -sample._scaled[1])) + math.log(terms.mean()) / alpha
+
+    def block_sum(i, terms):
+        if alpha > 0:
+            terms /= ext
+        else:
+            np.divide(ext, terms, out=terms)
+        terms **= abs(alpha)
+        c = min(max(cut - i, 0), terms.size)
+        terms[c:] = np.exp(alpha * _log_quotients(y[i + c : i + terms.size], ext))
+        return terms.sum()
+
+    total = math.fsum(block_sum(i, terms) for i, terms in _blocks(y))
+    return float(_log_quotients(ext, mean, -sample._scale)) + math.log(total / y.size) / alpha
 
 
-def _sum_times_values(v: np.ndarray, ratios: np.ndarray, mean: float, weigh) -> float:
-    """sum(w_i * v_i) / mean of positive ratios v / mean, where ``weigh``
-    turns ln(ratios) into the w_i in place; ``ratios`` is overwritten."""
-    terms = np.log(ratios, out=ratios)
-    weigh(terms)
-    terms *= v
-    return float(terms.sum() / mean)
+def _sum_times_values(sample, start: int, mean: float, weigh) -> float:
+    """sum(w_i * v_i) / mean over the scaled values v_i from ``start`` on, each
+    of positive ratio v_i / mean, where ``weigh`` turns ln(ratios) into the w_i
+    in place."""
+
+    def block_sum(i, terms):
+        weigh(terms)
+        terms *= 2.0**-sample._scale  # exact, so w * y * 2**-k rounds once, as w * v
+        terms *= sample.values[i : i + terms.size]
+        return terms.sum()
+
+    return math.fsum(block_sum(i, terms) for i, terms in _log_ratios(sample, mean, start, start)) / mean
 
 
 def _power_moment(sample, alpha: float, alpha_m1: float) -> tuple[float, bool]:
     """``(mean(r^alpha) - 1, False)`` of r = y / ybar to full relative precision,
     or ``(ln mean(r^alpha) / alpha, True)`` past the float range.  ``alpha_m1`` is
     alpha - 1, exact where alpha rounds; no income is zero where alpha < 0."""
-    v, k = sample._scaled
-    if v[0] == v[-1]:  # every ratio is 1, whichever way the mean rounds
+    y = sample.values
+    if y[0] == y[-1]:  # every ratio is 1, whichever way the mean rounds
         return 0.0, False
-    mean = v.mean()
-    ratios = v / mean
+    mean = sample._sum / y.size
     # The ratios ascend, so those below the normal range lead: zero incomes, then
     # positive ones that lost bits, underflow or are scaled to 0.
-    low = int(np.searchsorted(ratios, np.finfo(float).tiny))
-    if -0.5 < alpha < 1.5 and not (alpha < 0 and low):
+    low = _first(sample, lambda v: v / mean >= np.finfo(float).tiny)
+    if alpha < 0 and low:
+        # a low ratio has lost the bits its vast r^alpha needs
+        return _log_power_mean(sample, mean, alpha), True
+    if -0.5 < alpha < 1.5:
         # Near alpha = 0 or 1, mean(r^alpha) - 1 nearly cancels and is then
         # divided by a tiny alpha or alpha - 1: sum it as expm1 terms instead.
         if alpha < 0.5:
             # r^alpha - 1 = expm1(alpha ln r); a zero income contributes -1,
             # and a positive one with a low ratio the log of its quotient.
-            nil = int(np.searchsorted(sample.values, 0.0, side="right"))
-            terms = ratios[nil:]
-            np.log(terms[low - nil :], out=terms[low - nil :])
-            terms[: low - nil] = _log_quotients(sample.values[nil:low], mean, -k)
-            terms *= alpha
-            np.expm1(terms, out=terms)
-            dev = float(terms.sum()) - nil
+            nil = int(np.searchsorted(y, 0.0, side="right"))
+            blocks = _log_ratios(sample, mean, low, nil)
+            dev = math.fsum(np.expm1(np.multiply(t, alpha, out=t), out=t).sum() for _, t in blocks) - nil
         else:
             # mean(r) = 1, so sum r^alpha - r = r expm1((alpha - 1) ln r)
             # instead; a low ratio's term, below 2**-511, contributes nothing
             dev = _sum_times_values(
-                v[low:], ratios[low:], mean,
+                sample, low, mean,
                 lambda t: np.expm1(np.multiply(t, alpha_m1, out=t), out=t),
             )
-    else:
-        # The direct sum is the more precise while finite and, for alpha < 0, no ratio low.
-        with np.errstate(over="ignore", divide="ignore"):
-            ratios **= alpha
-            total = float(ratios.sum())
-        del ratios  # the fallback makes its own
-        if not 0.0 < total < math.inf or (alpha < 0 and low):
-            return _log_power_mean(sample, mean, alpha), True
-        dev = total - v.size
-    return dev / v.size, False
+        return dev / y.size, False
+    # The direct sum is the more precise while finite.
+    with np.errstate(over="ignore"):
+        blocks = sample._scaled_blocks()
+        try:
+            total = math.fsum(np.power(np.divide(r, mean, out=r), alpha, out=r).sum() for _, r in blocks)
+        except OverflowError:  # block sums that are finite, but not their total
+            total = math.inf
+    if not 0.0 < total < math.inf:
+        return _log_power_mean(sample, mean, alpha), True
+    return (total - y.size) / y.size, False
 
 
 def atkinson(sample, eps: float) -> float:
@@ -168,20 +204,16 @@ def ge_zero(sample) -> float:
     Requires strictly positive values.
     """
     sample = _as_sample(sample)
-    if sample.values[0] == 0.0:
+    y = sample.values
+    if y[0] == 0.0:
         raise ZeroIncomeError("mean log deviation is undefined for zero incomes")
-    v, k = sample._scaled
-    if v[0] == v[-1]:  # every ratio is 1, whichever way the mean rounds
+    if y[0] == y[-1]:  # every ratio is 1, whichever way the mean rounds
         return 0.0
-    mean = float(v.mean())
-    # The ratios descend, so those that overflow lead, with any value the scale rule
-    # sets to 0, and are read unscaled; a quotient past the range is inf, no warning.
-    big = bisect.bisect_left(v, True, key=lambda x: x > 0.0 and mean / float(x) < math.inf)
-    terms = np.empty_like(v)
-    np.divide(mean, v[big:], out=terms[big:])
-    np.log(terms[big:], out=terms[big:])
-    terms[:big] = _log_quotients(mean, sample.values[:big], k)
-    return max(float(terms.mean()), 0.0)
+    mean = sample._sum / y.size
+    # A ratio below the normal range, and any value the scale rule sets to 0,
+    # is read from its log quotient: its reciprocal may overflow.
+    low = _first(sample, lambda v: v / mean >= np.finfo(float).tiny)
+    return max(-math.fsum(t.sum() for _, t in _log_ratios(sample, mean, low)) / y.size, 0.0)
 
 
 def theil(sample) -> float:
@@ -190,10 +222,10 @@ def theil(sample) -> float:
     Zero values, and values whose ratio to the mean underflows to 0,
     contribute nothing (the r ln r -> 0 limit).
     """
-    v = _as_sample(sample)._scaled[0]
-    if v[0] == v[-1]:  # every ratio is 1, whichever way the mean rounds
+    sample = _as_sample(sample)
+    y = sample.values
+    if y[0] == y[-1]:  # every ratio is 1, whichever way the mean rounds
         return 0.0
-    mean = v.mean()
-    ratios = v / mean
-    zeros = int(np.searchsorted(ratios, 0.0, side="right"))
-    return max(_sum_times_values(v[zeros:], ratios[zeros:], mean, lambda terms: None) / v.size, 0.0)
+    mean = sample._sum / y.size
+    zeros = _first(sample, lambda v: v / mean > 0.0)
+    return max(_sum_times_values(sample, zeros, mean, lambda terms: None) / y.size, 0.0)

@@ -30,6 +30,7 @@ from ineqkit import (
     theil,
     top_share,
 )
+from ineqkit.micro import _BLOCK
 
 
 def pairwise_gini(values):
@@ -396,6 +397,30 @@ class TestSampleBuiltCurve:
         assert curve.L.tobytes() == lorenz_curve(v * 0.5).L.tobytes()
         assert curve.gini() == pytest.approx(rank_gini(v / 1024.0), abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+    @pytest.mark.parametrize("top", [None, np.finfo(float).max, 2.0**-1000], ids=["plain", "huge", "tiny"])
+    def test_blocked_sums_keep_the_bits_of_one_cumsum(self, n, top):
+        v = _drawn_values((n, n)) + 0.1
+        s = IncomeSample.from_values(v if top is None else v / v.max() * top)
+        # the scale rule divides by 2**k, k != 0, at either end of the float range
+        assert (s._scale != 0) == (top is not None)
+        # the construction of a whole L: cumsum, then divide, then L[-1] = 1
+        L = np.empty(n + 1)
+        L[0] = 0.0
+        np.cumsum(s.values * 2.0**-s._scale, out=L[1:])
+        L[1:] /= L[-1]
+        L[-1] = 1.0
+        curve = lorenz_curve(s)
+        assert curve.L.tobytes() == L.tobytes()
+        # the blocked reads against a curve that holds that L, within the
+        # tolerance of tests/test_exact_reference.py
+        direct = LorenzCurve(np.arange(n + 1) / n, L)
+        close = {"rel": 1e-9, "abs": n * 2.0**-52}
+        assert curve.gini() == pytest.approx(direct.gini(), **close)
+        cuts = (0.01, 10.0, 33.3, 50.0)
+        for got, want in zip(curve.tail_shares(cuts), direct.tail_shares(cuts)):
+            np.testing.assert_allclose(got, want, rtol=close["rel"], atol=close["abs"])
+
     def test_right_end_reads_one(self):
         # the segment's interpolation formula reads 0.9999999999999998 here
         assert lorenz_curve([2.3, 9.1, 1.5]).value_at(1.0) == 1.0
@@ -408,10 +433,12 @@ class TestSampleBuiltCurve:
         with pytest.raises(ValueError):
             curve.p[1] = 0.5
 
-    def test_memory_within_three_times_the_sample(self):
-        # Sample, curve and one n-float temporary at a time, from the curve
-        # through every Lorenz and welfare measure.
-        s = IncomeSample.from_values(_drawn_values((7, 200_000)) + 1.0)
+    @pytest.mark.parametrize("n", [200_000, 800_000])
+    def test_memory_stays_within_a_few_blocks(self, n):
+        # From the curve through every Lorenz and welfare measure, the sample
+        # is the only array of n floats: the traced peak is a few blocks, under
+        # the same bound at both sizes (the sample alone is 3.05 and 12.2).
+        s = IncomeSample.from_values(_drawn_values((7, n)) + 1.0)
         # a tiny income overflows the direct power sums: the log-space fallback
         tiny = IncomeSample(np.concatenate(([1e-155], s.values[1:])))
         tracemalloc.start()
@@ -432,7 +459,7 @@ class TestSampleBuiltCurve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert s.values.nbytes + peak <= 3 * s.values.nbytes + 64 * 1024
+        assert peak <= 3 * 8 * _BLOCK
 
 
 class TestGini:
