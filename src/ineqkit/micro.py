@@ -55,13 +55,15 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 def _checked(values, ordered: bool) -> np.ndarray:
     """``values`` as the read-only array of a sample, once its invariants
-    hold; their order is checked unless ``ordered`` says it was just made."""
+    hold.  Where ``ordered`` says numpy just sorted them, their order is not
+    checked and only their ends, where a sort puts -inf, +inf and NaN, are
+    read for a non-finite value."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise DomainError("sample values must be one-dimensional")
     if arr.size == 0:
         raise EmptyInputError("sample must contain at least one value")
-    if not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr[[0, -1]] if ordered else arr)):
         raise DomainError("sample values must be finite")
     if arr[0] < 0:
         raise DomainError("sample values must be non-negative")

@@ -83,11 +83,10 @@ _COLUMNS = {
 }
 
 
-def _key_sort(country, year, source, kept=None) -> tuple[np.ndarray, np.ndarray]:
-    """The indexes of the rows where ``kept`` is set (every row when None) in
-    ascending (country, year, source) order, equal keys in row order, and the
-    mask of the places in that order whose key is the one before: each row
-    there repeats the key of an earlier row.
+def _key_sort(country, year, source) -> tuple[np.ndarray, np.ndarray]:
+    """The indexes of the rows in ascending (country, year, source) order,
+    equal keys in row order, and the mask of the places in that order whose
+    key is the one before: each row there repeats the key of an earlier row.
 
     Each row's country code, year above the least year, source code and row
     index are packed into one int64, a slice of rows at a time.  The keys
@@ -97,20 +96,16 @@ def _key_sort(country, year, source, kept=None) -> tuple[np.ndarray, np.ndarray]
     key too wide for 63 bits (years spread towards int64's ends) takes a
     stable lexsort of the three columns instead.
     """
-    if kept is None:
-        kept = np.ones(len(country), dtype=bool)
-    count = int(np.count_nonzero(kept))
+    count = len(country)
     if not count:
         return np.empty(0, dtype=np.intp), np.zeros(0, dtype=bool)
-    low = np.min(year, where=kept, initial=np.iinfo(np.int64).max)
-    high = np.max(year, where=kept, initial=np.iinfo(np.int64).min)
-    row_bits = (len(country) - 1).bit_length()
+    low, high = int(year.min()), int(year.max())
+    row_bits = (count - 1).bit_length()
     source_bits = (len(SOURCES) - 1).bit_length()
-    year_bits = (int(high) - int(low)).bit_length()
-    country_bits = int(np.max(country, where=kept, initial=0)).bit_length()
+    year_bits = (high - low).bit_length()
+    country_bits = int(country.max()).bit_length()
     if country_bits + year_bits + source_bits + row_bits > 63:
         order = np.lexsort((source, year, country))
-        order = order[kept[order]]
         repeat = np.zeros(count, dtype=bool)
         repeat[1:] = True
         for column in (country, year, source):
@@ -118,18 +113,14 @@ def _key_sort(country, year, source, kept=None) -> tuple[np.ndarray, np.ndarray]
             repeat[1:] &= ordered[1:] == ordered[:-1]
         return order, repeat
     key = np.empty(count, dtype=np.int64)
-    size = 0
     for rows in _slices(year):
-        # A skipped row's cells may be out of range: it is not packed.
-        index = np.arange(rows.start, rows.stop)[kept[rows]]
-        part = country[index] << year_bits
-        part |= year[index] - low
+        part = country[rows] << year_bits
+        part |= year[rows] - low
         part <<= source_bits
-        part |= source[index]
+        part |= source[rows]
         part <<= row_bits
-        part |= index
-        key[size : size + len(part)] = part
-        size += len(part)
+        part |= np.arange(rows.start, rows.stop)
+        key[rows] = part
     key.sort()
     limit = 1 << row_bits
     repeat = np.zeros(count, dtype=bool)
@@ -744,10 +735,10 @@ _PART_COLUMNS = {**_COLUMNS, "line": np.int64}
 
 @dataclass
 class _Part:
-    """``rows`` parsed rows in file order: their columns, which may hold room
-    for more, where a skipped row's country code is -1; the line number and
-    reason of each skipped row; the codes of the country names, in the order
-    the names were first read; and the line after the last line read."""
+    """``rows`` parsed rows in file order, each one that passed every check:
+    their columns, which may hold room for more; the line number and reason
+    of each skipped row; the codes of the country names, in the order the
+    names were first read; and the line after the last line read."""
 
     columns: dict[str, np.ndarray]
     rows: int
@@ -765,10 +756,9 @@ def _read_part(blocks, line: int, layout: _Layout) -> _Part:
     one per declared cell (a country code < 0, a year not read, a share not
     read or not finite, a source code < 0), then one per share rule.  A row
     that fails one is skipped, with the reason of the first: a cell's is
-    worded by :meth:`_Layout.reason`, a rule's from the shares read.  The
-    block's rows, a skipped row's country code set to -1, are then copied
-    to the ends of the part's columns, which grow in place, with the line
-    each row ends on.
+    worded by :meth:`_Layout.reason`, a rule's from the shares read.  Only
+    the rows that pass every check are copied to the ends of the part's
+    columns, which grow in place, with the line each row ends on.
     """
     codes: dict[str, int] = {}
 
@@ -790,30 +780,29 @@ def _read_part(blocks, line: int, layout: _Layout) -> _Part:
             values, read = _cast(col, np.float64)
             failed.append(~(read & np.isfinite(values)))
             shares.append(values / s)
-        values = {"country": country, "year": year}
+        values = {"country": country, "year": year, "line": numbers}
         values.update(zip(("gini", "top10", "bottom10"), shares))
         if len(cells) > 5:
             values["source"] = _source_codes(cells[5], source_memo)
             failed.append(values["source"] < 0)
         else:
-            values["source"] = SOURCES.index(layout.default_source)
+            values["source"] = np.full(len(numbers), SOURCES.index(layout.default_source))
         failed += [~rule(*shares) for rule, _ in _SHARE_RULES]
         failed = np.array(failed)
-        bad = np.flatnonzero(failed.any(axis=0))
+        ok = ~failed.any(axis=0)
+        bad = np.flatnonzero(~ok)
         for j, k in zip(bad.tolist(), failed[:, bad].argmax(axis=0).tolist()):
             if k < len(cells):
                 reason = layout.reason(k, cells[k][j], short.get(j, width))
             else:
                 reason = _SHARE_RULES[k - len(cells)][1].format(*(share[j].item() for share in shares))
             skipped.append((numbers[j].item(), reason))
-        country[bad] = -1
-        values["line"] = numbers
-        rows = slice(done, done + len(numbers))
+        rows = slice(done, done + len(numbers) - len(bad))
         if rows.stop > len(columns["line"]):
             for column in columns.values():
                 column.resize(max(rows.stop, len(column) * 5 // 4), refcheck=False)
         for name, column in columns.items():
-            column[rows] = values[name]
+            column[rows] = values[name][ok]
         done = rows.stop
     return _Part(columns, done, skipped, codes, line)
 
@@ -902,8 +891,9 @@ def _receive(pipe, part: _Part) -> None:
     """Append the rows a child process sends down ``pipe`` (see
     :func:`_fork_part`) to ``part``: its columns grow in place and take the
     bytes as they are read.  The child's country codes become the part's,
-    and its line numbers, counted from 1, follow the part's lines.  Raises
-    where the pipe ends early or holds no pickle."""
+    and its line numbers, counted from 1, follow the part's lines.  The
+    child sends only the rows that passed every check, which may be none.
+    Raises where the pipe ends early or holds no pickle."""
     rows, skipped, names, line = pickle.load(pipe)
     done, shift = part.rows, part.line - 1
     for column in part.columns.values():
@@ -913,8 +903,7 @@ def _receive(pipe, part: _Part) -> None:
             raise EOFError("a part's rows end early")
     part.columns["line"][done : done + rows] += shift
     codes = part.codes
-    # One spare slot: a skipped row reads code -1.
-    table = np.array([*(codes.setdefault(name, len(codes)) for name in names), -1], dtype=np.intp)
+    table = np.array([codes.setdefault(name, len(codes)) for name in names], dtype=np.intp)
     _remap(part.columns["country"][done : done + rows], table)
     part.skipped += [(at + shift, reason) for at, reason in skipped]
     part.rows += rows
@@ -947,7 +936,9 @@ def _parse(blocks, schema: SchemaConfig, label: str, later=()):
     """:func:`parse_panel` of ``blocks``, as :func:`_byte_blocks` yields
     them: of all the input, or of part 0 of a file whose ``later`` parts
     child processes parse (see :func:`_read_parts`).  The header is the
-    first row of the first block, blank or not: a blank one names no column."""
+    first row of the first block, blank or not: a blank one names no column.
+    The columns hold only the rows that passed every check; of those, the
+    rows that repeat an earlier key are compacted out after the key sort."""
     first, plain, lines, rows = next(blocks, (b"", True, 0, None))
     if not first:
         raise SchemaError("input has no header row")
@@ -984,16 +975,13 @@ def _parse(blocks, schema: SchemaConfig, label: str, later=()):
         column.resize(done, refcheck=False)
     names = sorted(codes)
     country, year, source = (columns[name] for name in ("country", "year", "source"))
-    kept = country >= 0
-    # One spare slot: a skipped row reads code -1.
-    rank = np.zeros(len(names) + 1, dtype=np.intp)
+    rank = np.zeros(len(names), dtype=np.intp)
     rank[[codes[name] for name in names]] = np.arange(len(names))
     _remap(country, rank)
     lines = columns.pop("line")
 
-    # One key sort of the rows not skipped serves the duplicate check and
-    # the panel's key order.
-    order, repeat = _key_sort(country, year, source, kept)
+    # One key sort of the rows serves the duplicate check and the key order.
+    order, repeat = _key_sort(country, year, source)
     repeats = order[repeat]
     for i, line in zip(repeats.tolist(), lines[repeats].tolist()):
         key = (names[country[i]], year[i].item(), SOURCES[source[i]].value)
@@ -1002,10 +990,10 @@ def _parse(blocks, schema: SchemaConfig, label: str, later=()):
     if repeats.size:
         skipped.sort(key=lambda diagnostic: diagnostic[0])
         _compact(order, ~repeat)
+        # The rows left are renumbered; the line numbers, read for the last
+        # time above, make room for the new row numbers.
+        kept = np.ones(len(lines), dtype=bool)
         kept[repeats] = False
-    if skipped:
-        # The panel's rows are the kept ones, renumbered; the line numbers,
-        # read for the last time above, make room for the new row numbers.
         for column in columns.values():
             _compact(column, kept)
         renumber = np.cumsum(kept, out=lines)

@@ -117,6 +117,23 @@ class TestIncomeSample:
                 build(values)
             assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([1.0, math.nan], "sample values must be finite"),
+            ([math.nan, -1.0], "sample values must be finite"),
+            ([-math.inf, 1.0], "sample values must be finite"),
+            ([math.inf], "sample values must be finite"),
+            ([-1.0, 2.0], "sample values must be non-negative"),
+        ],
+    )
+    def test_sorted_values_checked_at_their_ends(self, values, message):
+        """After its sort, from_values reads only the two end values for a
+        non-finite one, still before the sign."""
+        with pytest.raises(DomainError) as exc:
+            IncomeSample.from_values(values)
+        assert (type(exc.value), str(exc.value)) == (DomainError, message)
+
     def test_values_immutable(self):
         s = IncomeSample.from_values([1, 2])
         with pytest.raises(ValueError):

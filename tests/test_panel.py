@@ -302,10 +302,10 @@ KEY_YEARS = st.one_of(
 )
 
 
-def reference_key_sort(country, year, source, kept):
-    """The stable key order of the kept rows, and its repeat mask, by sorted()."""
+def reference_key_sort(country, year, source):
+    """The stable key order of the rows, and its repeat mask, by sorted()."""
     key = lambda i: (country[i], year[i], source[i])
-    order = sorted((i for i in range(len(country)) if kept[i]), key=key)
+    order = sorted(range(len(country)), key=key)
     return order, [j > 0 and key(order[j]) == key(order[j - 1]) for j in range(len(order))]
 
 
@@ -313,24 +313,21 @@ class TestKeySort:
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(
-            st.tuples(st.integers(0, 4), KEY_YEARS, st.integers(0, 2), st.booleans()),
+            st.tuples(st.integers(0, 4), KEY_YEARS, st.integers(0, 2)),
             min_size=1,
             max_size=40,
         ),
-        st.booleans(),
     )
-    @example([(0, -1, 0, True)], False)
-    @example([(3, int(INT64.max), 2, True)], True)
-    @example([(0, 0, 0, True), (0, 2**60, 0, True)], False)  # a 64-bit key
-    def test_matches_sorted(self, rows, skip):
-        """Repeated keys, negative years, wide keys, and skipped rows whose
-        cells read as a parse leaves them (country -1, any year)."""
-        kept = [keep or not skip for *_, keep in rows]
-        country = np.array([c if k else -1 for (c, *_), k in zip(rows, kept)], dtype=np.intp)
-        year = np.array([y for _, y, _, _ in rows], dtype=np.int64)
-        source = np.array([s for _, _, s, _ in rows], dtype=np.intp)
-        order, repeat = panel_module._key_sort(country, year, source, np.array(kept) if skip else None)
-        expected = reference_key_sort(country.tolist(), year.tolist(), source.tolist(), kept)
+    @example([(0, -1, 0)])
+    @example([(3, int(INT64.max), 2)])
+    @example([(0, 0, 0), (0, 2**60, 0)])  # a 64-bit key
+    def test_matches_sorted(self, rows):
+        """Repeated keys, negative years and wide keys."""
+        country = np.array([c for c, _, _ in rows], dtype=np.intp)
+        year = np.array([y for _, y, _ in rows], dtype=np.int64)
+        source = np.array([s for _, _, s in rows], dtype=np.intp)
+        order, repeat = panel_module._key_sort(country, year, source)
+        expected = reference_key_sort(country.tolist(), year.tolist(), source.tolist())
         assert (order.tolist(), repeat.tolist()) == expected
 
     @settings(max_examples=100, deadline=None)
@@ -1381,6 +1378,30 @@ class TestSplitParse:
         (_, columns, _, diags, _), parts = self.cases(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n", cpus=3)
         assert (parts, len(columns[0])) == (3, 300)
         assert diags == [(302, "duplicate record ('C0', 1990, 'OTHER')")]
+
+    @pytest.mark.parametrize("block_chars", [64, 1 << 18])
+    def test_part_of_skipped_rows_only(self, tmp_path, block_chars):
+        """Part 1 of 3 holds only rows with no gini, so its child sends no
+        rows; a repeat of a part-0 row follows them.  At 64 bytes a block,
+        one process also reads blocks of skipped rows only."""
+        bad = [row.replace(",0.3,", ",n/a,") for row in good_rows(200, "B{}")]
+        good = good_rows(100)
+        rows = [*good, *bad, good[5], *good_rows(99, "D{}")]
+        text = HEADER + "\n" + "\n".join(rows) + "\n"
+        path = tmp_path / "panel.csv"
+        path.write_text(text)
+        with (
+            mock.patch.object(panel_module, "_usable_cpus", lambda: 3),
+            mock.patch.object(panel_module, "_PART_BYTES", len(text) // 4),
+            open(path, "rb") as stream,
+        ):
+            (_, (lo, hi), _) = panel_module._split_plan(stream)
+        assert all(",n/a," in row for row in text[lo:hi].splitlines())
+        whole, parts = self.cases(tmp_path, text, cpus=3, block_chars=block_chars)
+        (_, columns, order, diags, position) = whole
+        assert (parts, len(columns[0]), len(order), position) == (3, 199, 199, len(text))
+        expected = [(j + 102, "unparseable numeric in column 'gini': 'n/a'") for j in range(200)]
+        assert diags == [*expected, (302, "duplicate record ('C0', 1995, 'OTHER')")]
 
     def test_bad_row_first_in_a_part(self, tmp_path):
         rows = good_rows(300)
