@@ -7,10 +7,18 @@ and pair k on seed SEED + k.  For each workload and end-to-end metric it
 prints every pair's values, each side's median and quartiles, and the pairs
 B wins, by the metric's "better" in B's BENCHMARK.json (ties count for
 neither).  It then prints the change of B's median from A's, relative to
-A's, next to the metric's "bound", and marks the metric unresolved where
-A's interquartile range, relative to its median, is wider than that bound:
-such runs are too spread to tell a change of that size.  It changes
-nothing in either checkout but what bench/run.py writes there.
+A's, next to the metric's "bound", and a verdict line:
+
+- "gain" where B wins at least 9 of 10 pairs and its median is better than
+  A's by more than A's interquartile range;
+- "worse past bound" where B's median is worse than A's by more than the
+  bound;
+- "unresolved" where A's interquartile range, relative to its median, is
+  wider than the bound (such runs are too spread to tell a change of that
+  size), unless every run of B is better than every run of A;
+- "within bound" otherwise, and "no gain" for a metric with no bound.
+
+It changes nothing in either checkout but what bench/run.py writes there.
 
 Every run has PYTHONDONTWRITEBYTECODE=1, so each side compiles its own
 source in every run, and a checkout whose src/ or bench/ already holds
@@ -53,6 +61,24 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return median, q1, q3
 
 
+def verdict(a: list[float], b: list[float], direction: str, bound: float | None) -> str:
+    """The verdict on the runs ``b`` of the change against the runs ``a`` of
+    the base, pair by pair, for a metric whose ``direction`` is better."""
+    sign = 1 if direction == "higher" else -1
+    (ma, qa1, qa3), (mb, _, _) = quartiles(a), quartiles(b)
+    wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+    if 10 * wins >= 9 * len(a) and sign * (mb - ma) > qa3 - qa1:
+        return "gain"
+    if bound is None:
+        return "no gain"
+    if ma and -sign * (mb - ma) / abs(ma) > bound:
+        return "worse past bound"
+    every_run_better = min(b) > max(a) if sign > 0 else max(b) < min(a)
+    if ma and (qa3 - qa1) / abs(ma) > bound and not every_run_better:
+        return "unresolved"
+    return "within bound"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path, help="checkout A, such as the parent commit")
@@ -88,11 +114,11 @@ def main(argv=None) -> int:
                 f"  change better in {wins} of {len(a)} pairs ({direction} is better)"
             )
             if name in bounds and ma:
-                spread = (qa3 - qa1) / abs(ma)
                 print(
                     f"{workload} {name}: median change {(mb - ma) / abs(ma):+.1%}, bound {bounds[name]:.1%},"
-                    f" base IQR {spread:.1%} of its median" + ("  unresolved" if spread > bounds[name] else "")
+                    f" base IQR {(qa3 - qa1) / abs(ma):.1%} of its median"
                 )
+            print(f"{workload} {name}: verdict {verdict(a, b, direction, bounds.get(name))}")
     return 0
 
 

@@ -210,20 +210,27 @@ def _compute_rows(names: list[str], country, year, fields, name_table) -> str:
     for k, _ in millionths:
         whole = k[fast] // 10**6
         numbers += [(",", whole, 1), (".", k[fast] - whole * 10**6, 6)]
+    del millionths
     widths = [max(least, len(str(v.max(initial=0)))) for _, v, least in numbers]
     matrix = np.empty((len(code), table.shape[1] + sum(widths) + len(widths) + 1), np.uint8)
     keep = np.ones(matrix.shape, bool)
     matrix[:, : table.shape[1]] = table[code]
     np.less(np.arange(table.shape[1]), lengths[code][:, None], out=keep[:, : table.shape[1]])
     at = table.shape[1]
-    for (separator, values, least), width in zip(numbers, widths):
+    for width in widths:
+        separator, values, least = numbers.pop(0)  # dropped once written
         matrix[:, at] = ord(separator)
         at += 1 + width
         _digits(values, least, matrix[:, at - width : at], keep[:, at - width : at])
     matrix[:, at] = ord("\n")
-    blob = matrix[keep].tobytes()
+    # The kept slots move to the front of the matrix, 512 rows at a time, not to a copy.
+    blob, size = matrix.reshape(-1), 0
+    for start in range(0, len(matrix), 512):
+        part = matrix[start : start + 512][keep[start : start + 512]]
+        blob[size : size + len(part)] = part
+        size += len(part)
     if fast.all():
-        return blob.decode()
+        return str(blob[:size], "utf-8")
 
     # Splice the f-string rows in at their places.
     ends = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
@@ -234,8 +241,8 @@ def _compute_rows(names: list[str], country, year, fields, name_table) -> str:
         c, y, g, tb, h, ix, a = (v[i].item() for v in (country, year, *fields))
         parts.append(f"{names[c]},{y},{g:.6f},{tb:.6f},{h:.6f},{ix:.6f},{a:.6f}\n".encode())
         done = before
-    parts.append(blob[ends[done] :])
-    return b"".join(parts).decode()
+    parts.append(blob[ends[done] : size])
+    return str(b"".join(parts), "utf-8")
 
 
 def cmd_compute(args) -> int:

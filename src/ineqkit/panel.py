@@ -72,11 +72,11 @@ class CountryYearRecord:
         return (self.country, self.year, self.source.value)
 
 
-# Column name and dtype of every panel column.
+# Column name and dtype of every panel column: 37 bytes a row.
 _COLUMNS = {
-    "country": np.intp,
+    "country": np.int32,
     "year": np.int64,
-    "source": np.intp,
+    "source": np.int8,
     "gini": np.float64,
     "top10": np.float64,
     "bottom10": np.float64,
@@ -89,12 +89,13 @@ def _key_sort(country, year, source) -> tuple[np.ndarray, np.ndarray]:
     key is the one before: each row there repeats the key of an earlier row.
 
     Each row's country code, year above the least year, source code and row
-    index are packed into one int64, a slice of rows at a time.  The keys
-    then differ, and their value order is the stable key order, so one
-    in-place value sort of them gives it: equal keys are neighbours that
-    differ only in the row-index bits, which are then all that is kept.  A
-    key too wide for 63 bits (years spread towards int64's ends) takes a
-    stable lexsort of the three columns instead.
+    index are packed into one int64, a slice of rows at a time, the country
+    codes widened to int64 before they are shifted.  The keys then differ,
+    and their value order is the stable key order, so one in-place value
+    sort of them gives it: equal keys are neighbours that differ only in the
+    row-index bits, which are then all that is kept.  A key too wide for 63
+    bits (years spread towards int64's ends) takes a stable lexsort of the
+    three columns instead.
     """
     count = len(country)
     if not count:
@@ -114,7 +115,7 @@ def _key_sort(country, year, source) -> tuple[np.ndarray, np.ndarray]:
         return order, repeat
     key = np.empty(count, dtype=np.int64)
     for rows in _slices(year):
-        part = country[rows] << year_bits
+        part = country[rows].astype(np.int64) << year_bits
         part |= year[rows] - low
         part <<= source_bits
         part |= source[rows]
@@ -728,9 +729,14 @@ class _Layout:
         return f"non-finite value in column '{name}': {text!r}"
 
 
-# The columns of a run of parsed rows: the panel's, and the line each row
-# ends on.
-_PART_COLUMNS = {**_COLUMNS, "line": np.int64}
+def _append(values: np.ndarray, size: int, new: np.ndarray) -> int:
+    """Write ``new`` after the first ``size`` elements of the array
+    ``values``, grown in place by at least 5/4 where full; the size after."""
+    stop = size + len(new)
+    if stop > len(values):
+        values.resize(max(stop, len(values) * 5 // 4), refcheck=False)
+    values[size:stop] = new
+    return stop
 
 
 @dataclass
@@ -738,13 +744,19 @@ class _Part:
     """``rows`` parsed rows in file order, each one that passed every check:
     their columns, which may hold room for more; the line number and reason
     of each skipped row; the codes of the country names, in the order the
-    names were first read; and the line after the last line read."""
+    names were first read; the line after the last line read; and ``runs``
+    runs of rows, each row from ``starts[j]`` on ending on line row +
+    ``offsets[j]``: a skipped row, a blank line, a row that spans lines or
+    the start of a part starts a run.  Both arrays may hold room for more."""
 
     columns: dict[str, np.ndarray]
     rows: int
     skipped: list[tuple[int, str]]
     codes: dict[str, int]
     line: int
+    starts: np.ndarray
+    offsets: np.ndarray
+    runs: int
 
 
 def _read_part(blocks, line: int, layout: _Layout) -> _Part:
@@ -758,14 +770,15 @@ def _read_part(blocks, line: int, layout: _Layout) -> _Part:
     that fails one is skipped, with the reason of the first: a cell's is
     worded by :meth:`_Layout.reason`, a rule's from the shares read.  Only
     the rows that pass every check are copied to the ends of the part's
-    columns, which grow in place, with the line each row ends on.
+    columns, which grow in place, and the rows where line less row changes.
     """
     codes: dict[str, int] = {}
 
     def country_code(text: str) -> int:
         return codes.setdefault(text, len(codes)) if text else -1
 
-    columns = {name: np.empty(0, dtype) for name, dtype in _PART_COLUMNS.items()}
+    columns = {name: np.empty(0, dtype) for name, dtype in _COLUMNS.items()}
+    starts, offsets, runs = np.empty(0, np.int64), np.empty(0, np.int64), 0
     skipped: list[tuple[int, str]] = []
     country_memo: dict = {}
     source_memo: dict = {}
@@ -780,7 +793,7 @@ def _read_part(blocks, line: int, layout: _Layout) -> _Part:
             values, read = _cast(col, np.float64)
             failed.append(~(read & np.isfinite(values)))
             shares.append(values / s)
-        values = {"country": country, "year": year, "line": numbers}
+        values = {"country": country, "year": year}
         values.update(zip(("gini", "top10", "bottom10"), shares))
         if len(cells) > 5:
             values["source"] = _source_codes(cells[5], source_memo)
@@ -797,14 +810,14 @@ def _read_part(blocks, line: int, layout: _Layout) -> _Part:
             else:
                 reason = _SHARE_RULES[k - len(cells)][1].format(*(share[j].item() for share in shares))
             skipped.append((numbers[j].item(), reason))
-        rows = slice(done, done + len(numbers) - len(bad))
-        if rows.stop > len(columns["line"]):
-            for column in columns.values():
-                column.resize(max(rows.stop, len(column) * 5 // 4), refcheck=False)
         for name, column in columns.items():
-            column[rows] = values[name][ok]
-        done = rows.stop
-    return _Part(columns, done, skipped, codes, line)
+            stop = _append(column, done, values[name][ok])
+        shift = numbers[ok] - np.arange(done, stop)
+        change = np.flatnonzero(np.diff(shift, prepend=offsets[runs - 1] if runs else 0))
+        _append(starts, runs, change + done)
+        runs = _append(offsets, runs, shift[change])
+        done = stop
+    return _Part(columns, done, skipped, codes, line, starts, offsets, runs)
 
 
 # A file is parsed in parts, each by a process of its own, only where each
@@ -875,12 +888,13 @@ def _fork_part(layout: _Layout, pieces, at_cut: bool, children: Children):
     """The pipe of a child process, one of ``children``, that parses the part
     ``pieces`` of a file, its first line numbered 1, as :func:`_byte_blocks`
     reads it with ``at_cut`` (None where no process is to be had).  It sends
-    its row count, diagnostics, country names and the line after its last,
-    pickled, then the bytes of each column, in ``_PART_COLUMNS`` order."""
+    its row count, diagnostics, country names, the line after its last and
+    its runs of rows, pickled, then the bytes of each column in order."""
 
     def send(pipe) -> None:
         part = _read_part(_byte_blocks(pieces, head=False, at_cut=at_cut), 1, layout)
-        pickle.dump((part.rows, part.skipped, list(part.codes), part.line), pipe)
+        runs = part.starts[: part.runs], part.offsets[: part.runs]
+        pickle.dump((part.rows, part.skipped, list(part.codes), part.line, *runs), pipe)
         for column in part.columns.values():
             pipe.write(column[: part.rows])
 
@@ -889,19 +903,20 @@ def _fork_part(layout: _Layout, pieces, at_cut: bool, children: Children):
 
 def _receive(pipe, part: _Part) -> None:
     """Append the rows a child process sends down ``pipe`` (see
-    :func:`_fork_part`) to ``part``: its columns grow in place and take the
-    bytes as they are read.  The child's country codes become the part's,
-    and its line numbers, counted from 1, follow the part's lines.  The
-    child sends only the rows that passed every check, which may be none.
-    Raises where the pipe ends early or holds no pickle."""
-    rows, skipped, names, line = pickle.load(pipe)
+    :func:`_fork_part`) to ``part``: its columns grow in place, to the rows
+    held, and take the bytes as they are read.  The child's country codes
+    become the part's, and its runs of rows move on by the part's rows and
+    lines.  The child sends only the rows that passed every check, which
+    may be none.  Raises where the pipe ends early or holds no pickle."""
+    rows, skipped, names, line, starts, offsets = pickle.load(pipe)
     done, shift = part.rows, part.line - 1
     for column in part.columns.values():
         column.resize(done + rows, refcheck=False)
         # A buffered pipe fills the view but at the pipe's end.
         if pipe.readinto(memoryview(column[done : done + rows]).cast("B")) < rows * column.itemsize:
             raise EOFError("a part's rows end early")
-    part.columns["line"][done : done + rows] += shift
+    _append(part.starts, part.runs, starts + done)
+    part.runs = _append(part.offsets, part.runs, offsets + (shift - done))
     codes = part.codes
     table = np.array([codes.setdefault(name, len(codes)) for name in names], dtype=np.intp)
     _remap(part.columns["country"][done : done + rows], table)
@@ -938,7 +953,8 @@ def _parse(blocks, schema: SchemaConfig, label: str, later=()):
     child processes parse (see :func:`_read_parts`).  The header is the
     first row of the first block, blank or not: a blank one names no column.
     The columns hold only the rows that passed every check; of those, the
-    rows that repeat an earlier key are compacted out after the key sort."""
+    rows that repeat an earlier key are diagnosed on the lines their runs
+    give and compacted out after the key sort."""
     first, plain, lines, rows = next(blocks, (b"", True, 0, None))
     if not first:
         raise SchemaError("input has no header row")
@@ -971,34 +987,41 @@ def _parse(blocks, schema: SchemaConfig, label: str, later=()):
     part = _read_parts(blocks, row + 2, layout, later)
 
     columns, skipped, codes, done = part.columns, part.skipped, part.codes, part.rows
+    if len(codes) > (limit := np.iinfo(_COLUMNS["country"]).max + 1):
+        raise ValueError(f"more than {limit} country names")
     for column in columns.values():
         column.resize(done, refcheck=False)
-    names = sorted(codes)
     country, year, source = (columns[name] for name in ("country", "year", "source"))
-    rank = np.zeros(len(names), dtype=np.intp)
+    used = (np.bincount(country, minlength=len(codes)) > 0).tolist()
+    names = sorted(name for name, code in codes.items() if used[code])
+    rank = np.zeros(len(codes), dtype=_COLUMNS["country"])
     rank[[codes[name] for name in names]] = np.arange(len(names))
     _remap(country, rank)
-    lines = columns.pop("line")
 
     # One key sort of the rows serves the duplicate check and the key order.
     order, repeat = _key_sort(country, year, source)
     repeats = order[repeat]
-    for i, line in zip(repeats.tolist(), lines[repeats].tolist()):
+    lines = repeats + part.offsets[np.searchsorted(part.starts[: part.runs], repeats, "right") - 1]
+    for i, line in zip(repeats.tolist(), lines.tolist()):
         key = (names[country[i]], year[i].item(), SOURCES[source[i]].value)
         skipped.append((line, f"duplicate record {key}"))
     del country, year, source
     if repeats.size:
         skipped.sort(key=lambda diagnostic: diagnostic[0])
         _compact(order, ~repeat)
-        # The rows left are renumbered; the line numbers, read for the last
-        # time above, make room for the new row numbers.
-        kept = np.ones(len(lines), dtype=bool)
+        del repeat
+        kept = np.ones(done, dtype=bool)
         kept[repeats] = False
         for column in columns.values():
             _compact(column, kept)
-        renumber = np.cumsum(kept, out=lines)
-        renumber -= 1
-        _remap(order, renumber)
+        # A row left is numbered by the rows kept before it, counted in bits.
+        bits = np.packbits(kept, bitorder="little")
+        del kept
+        ones = np.array([bin(v).count("1") for v in range(256)])
+        through = np.cumsum(ones[bits])
+        for rows in _slices(order):
+            at = order[rows]
+            order[rows] = through[at >> 3] - ones[bits[at >> 3] >> (at & 7)]
     panel = Panel.__new__(Panel)._set(label, names, order, **columns)
     return panel, [RowDiagnostic(line, reason) for line, reason in skipped]
 

@@ -803,6 +803,10 @@ class TestComputeRows:
     @example(names=["A"], rows=[(0, 2015, [0.0078125, 2.5e-6, -0.0, math.inf, 1e300])])
     @example(names=["A"], rows=[(0, 2015, [0.3, -0.0, 0.3, 0.3, 0.3]), (0, 1, [0.3] * 5)])
     @example(names=["A"], rows=[(0, -2015, [0.3] * 5), (0, 2**63 - 1, [0.3] * 5)])
+    @example(  # more rows than the formatter moves at a time, one of them an f-string's
+        names=["A", "Korea, Rep."],
+        rows=[(i, 1990 + i % 30, [0.3, 2.5 + i, -0.0 if i == 700 else 0.25, 1e3 / (i + 1), 0.5]) for i in range(1100)],
+    )
     def test_matches_f_strings(self, names, rows):
         """Each row is byte for byte the f-string `ineq compute` printed."""
         quoted = [cli._csv_field(name) for name in names]

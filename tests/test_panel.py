@@ -138,6 +138,24 @@ class TestParse:
         lines = [d.line for d in diags]
         assert lines == [3, 4, 5, 6, 7]
 
+    def test_names_only_of_rows_kept(self):
+        """A name that only skipped rows carry gets no place in the name
+        table, as in a panel built from the records kept."""
+        panel, diags = parse_panel("country,year,gini,top10,bottom10\nA,2000,x,0.2,0.01\nB,2000,0.3,0.2,0.01\n")
+        assert (panel.names, panel.countries(), len(diags)) == (("B",), ["B"], 1)
+        assert panel.names == Panel(panel.records).names
+
+    def test_more_names_than_the_country_column_holds(self):
+        """A parse that codes more names than the country column's dtype
+        holds raises rather than wraps a code: here an int8 column, of 128
+        codes."""
+        rows = [f"C{i:03d},2000,0.3,0.25,0.03" for i in range(129)]
+        with mock.patch.dict(panel_module._COLUMNS, country=np.int8):
+            panel, _ = parse_panel("country,year,gini,top10,bottom10\n" + "\n".join(rows[:128]))
+            assert (len(panel.names), panel.names[-1], panel.country.max()) == (128, "C127", 127)
+            with pytest.raises(ValueError, match="^more than 128 country names$"):
+                parse_panel("country,year,gini,top10,bottom10\n" + "\n".join(rows))
+
     def test_nan_rejected(self):
         text = "country,year,gini,top10,bottom10\nAAA,2015,nan,0.25,0.03\n"
         panel, diags = parse_panel(text)
@@ -313,7 +331,7 @@ class TestKeySort:
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(
-            st.tuples(st.integers(0, 4), KEY_YEARS, st.integers(0, 2)),
+            st.tuples(st.one_of(st.integers(0, 4), st.integers(2**31 - 5, 2**31 - 1)), KEY_YEARS, st.integers(0, 2)),
             min_size=1,
             max_size=40,
         ),
@@ -321,11 +339,15 @@ class TestKeySort:
     @example([(0, -1, 0)])
     @example([(3, int(INT64.max), 2)])
     @example([(0, 0, 0), (0, 2**60, 0)])  # a 64-bit key
+    @example([(2**31 - 1, 1990, 2), (0, 1993, 0)])  # a code an int32 shift would wrap
     def test_matches_sorted(self, rows):
-        """Repeated keys, negative years and wide keys."""
-        country = np.array([c for c, _, _ in rows], dtype=np.intp)
-        year = np.array([y for _, y, _ in rows], dtype=np.int64)
-        source = np.array([s for _, _, s in rows], dtype=np.intp)
+        """Repeated keys, negative years and wide keys, in the dtypes of a
+        panel's columns: int32 country codes up to 2**31 - 1, whose shift
+        into the packed key must not wrap, and int8 sources."""
+        dtypes = panel_module._COLUMNS
+        country = np.array([c for c, _, _ in rows], dtype=dtypes["country"])
+        year = np.array([y for _, y, _ in rows], dtype=dtypes["year"])
+        source = np.array([s for _, _, s in rows], dtype=dtypes["source"])
         order, repeat = panel_module._key_sort(country, year, source)
         expected = reference_key_sort(country.tolist(), year.tolist(), source.tolist())
         assert (order.tolist(), repeat.tolist()) == expected
@@ -402,18 +424,16 @@ class TestRoundTrip:
 def reference_parse(text, schema):
     """Scalar reference for parse_panel: one row at a time, first failing
     check wins, first occurrence of a key kept.  Also gives the name table:
-    every non-empty country cell, of kept and skipped rows alike."""
+    the names of the rows kept, not of the rows skipped."""
     reader = csv.reader(io.StringIO(text, newline=None))
     positions = {name.strip(): i for i, name in enumerate(next(reader))}
     source_col = schema.source or ("source" if "source" in positions else None)
     gini_div = 100.0 if schema.gini_unit == "percent" else 1.0
     share_div = 100.0 if schema.share_unit == "percent" else 1.0
-    kept, diagnostics, seen, names = [], [], set(), set()
+    kept, diagnostics, seen = [], [], set()
     for row in reader:
         if not row:
             continue
-        if positions[schema.country] < len(row) and row[positions[schema.country]].strip():
-            names.add(row[positions[schema.country]].strip())
 
         def cell(col):
             if positions[col] >= len(row):
@@ -459,7 +479,7 @@ def reference_parse(text, schema):
             continue
         seen.add(record.key)
         kept.append(record)
-    return tuple(kept), diagnostics, sorted(names)
+    return tuple(kept), diagnostics, sorted({record.country for record in kept})
 
 
 def csv_cell(text):
@@ -1146,6 +1166,29 @@ class TestStreamedInput:
             assert str(streamed.value) == str(whole.value)
 
 
+class TestParseMemory:
+    def test_peak_per_row(self):
+        """The traced peak of a parse grows by at most 48 bytes a row: the
+        37 bytes of the row's columns, its 8-byte sort key, a byte of repeat
+        mask and a share of its name.  The growth from 25,000 to 50,000 rows
+        leaves out the fixed base; blocks of 16 KB keep the block-sized
+        part of that base small.  8-byte codes and a line column (56 bytes
+        of columns a row) make it grow by about 64."""
+        peaks = []
+        for n in (25_000, 50_000):
+            rows = "".join(f"C{i // 200:04d},{1900 + i % 200},0.{1 + i % 9973:04d},0.25,0.03{i % 7}\n" for i in range(n))
+            stream = io.BytesIO((HEADER + "\n" + rows).encode())
+            with mock.patch.object(panel_module, "_BLOCK_CHARS", 1 << 14):
+                tracemalloc.start()
+                try:
+                    panel, diags = parse_panel(stream)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert (len(panel), diags) == (n, [])
+        assert (peaks[1] - peaks[0]) / 25_000 <= 48
+
+
 def split_parse(path, cpus, part_bytes=1 << 20, block_chars=1 << 18, skip_line=False):
     """parse_panel of the file ``path`` on ``cpus`` usable CPUs, cut into
     parts of at least ``part_bytes`` bytes (one CPU: read whole, by this
@@ -1371,6 +1414,27 @@ class TestSplitParse:
         text = '﻿"country",year,gini,top10,bottom10\n' + "\n".join(good_rows(300)) + "\n"
         (names, _, _, _, position), parts = self.cases(tmp_path, text)
         assert (parts, names[0], position) == (2, "C0", len(text.encode()))
+
+    @pytest.mark.parametrize("block_chars", [64, 1 << 18])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_repeats_after_blank_lines_spanning_rows_and_skipped_rows(self, tmp_path, cpus, block_chars):
+        """Each part has blank lines, a quoted row that spans two lines and
+        a skipped row before repeats of its own rows and of part 0's: each
+        repeat's line, read from its run of rows, is the one a parse by one
+        process gives."""
+        rows = []
+        for name in "ABDEFG":
+            section = good_rows(40, name + "{}")
+            section[10:10] = ["", ""]
+            section[15] = f'"{name}\nspan",1990,0.3,0.25,0.03'
+            section[20] = section[20].replace(",0.3,", ",x,")
+            rows += [*section, "", section[3], good_rows(1)[0]]
+        text = HEADER + "\n" + "\n".join(rows) + "\n"
+        _, expected, _ = reference_parse(text, SchemaConfig())
+        (names, _, _, diags, _), parts = self.cases(tmp_path, text, cpus=cpus, block_chars=block_chars)
+        assert (parts, diags) == (cpus, expected)
+        assert sum("duplicate" in reason for _, reason in diags) == 11
+        assert len(names) == 6 * 3 + 1
 
     def test_duplicate_key_in_another_part(self, tmp_path):
         rows = good_rows(300)

@@ -41,7 +41,7 @@ def test_bench_pairs_medians_and_wins(tmp_path, capsys, monkeypatch):
     and a "higher" metric alike.  So is the relative change of the medians
     beside the metric's bound, unresolved where the base's IQR, relative to
     its median, is wider than the bound; a metric with no bound gets no
-    such line."""
+    such line.  Each metric ends with its verdict."""
     bench_pairs = load_bench_pairs()
     base, change = tmp_path / "base", tmp_path / "change"
     base.mkdir()
@@ -78,13 +78,16 @@ def test_bench_pairs_medians_and_wins(tmp_path, capsys, monkeypatch):
         "w change: correct=True failed=1 of 40",
         "w wall_s pairs (base, change): (1, 0.5), (2, 2), (3, 3.5), (4, 3)",
         "w wall_s: base 2.5 [1.25, 3.75]  change 2.5 [0.875, 3.375]  change better in 2 of 4 pairs (lower is better)",
-        "w wall_s: median change +0.0%, bound 25.0%, base IQR 100.0% of its median  unresolved",
+        "w wall_s: median change +0.0%, bound 25.0%, base IQR 100.0% of its median",
+        "w wall_s: verdict unresolved",
         "w items_per_s pairs (base, change): (10, 11), (20, 20), (30, 29), (40, 41)",
         "w items_per_s: base 25 [12.5, 37.5]  change 24.5 [13.25, 38]  change better in 2 of 4 pairs"
         " (higher is better)",
         "w items_per_s: median change -2.0%, bound 150.0%, base IQR 100.0% of its median",
+        "w items_per_s: verdict within bound",
         "w peak_rss_mb pairs (base, change): (5, 6), (5, 6), (5, 6), (5, 6)",
         "w peak_rss_mb: base 5 [5, 5]  change 6 [6, 6]  change better in 0 of 4 pairs (lower is better)",
+        "w peak_rss_mb: verdict no gain",
     ]
 
 
@@ -99,10 +102,48 @@ def test_bench_pairs_one_pair(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(bench_pairs, "bench_run", bench_run)
     assert bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", "1"]) == 0
-    assert capsys.readouterr().out.splitlines()[-2:] == [
+    assert capsys.readouterr().out.splitlines()[-3:] == [
         "w wall_s: base 0.75 [0.75, 0.75]  change 0.75 [0.75, 0.75]  change better in 0 of 1 pairs (lower is better)",
         "w wall_s: median change +0.0%, bound 10.0%, base IQR 0.0% of its median",
+        "w wall_s: verdict within bound",
     ]
+
+
+BASE_RUNS = [10.0, 10.2, 10.4, 10.6, 10.8, 11.0, 11.2, 11.4, 11.6, 11.8]  # median 10.9, IQR 1.1
+
+
+@pytest.mark.parametrize(
+    "change, direction, bound, expected",
+    [
+        # better in 10 of 10 pairs, by more than the base's IQR
+        ([x - 1.2 for x in BASE_RUNS], "lower", 0.25, "gain"),
+        ([x + 1.2 for x in BASE_RUNS], "higher", 0.25, "gain"),
+        ([x - 1.2 for x in BASE_RUNS], "lower", None, "gain"),
+        # 9 of 10 still a gain, 8 of 10 not
+        ([x - 1.2 for x in BASE_RUNS[:9]] + [12.0], "lower", 0.25, "gain"),
+        ([x - 1.2 for x in BASE_RUNS[:8]] + [12.0, 12.0], "lower", 0.25, "within bound"),
+        # better in every pair, by less than the base's IQR; a tie is no win
+        ([x - 1.0 for x in BASE_RUNS], "lower", 0.25, "within bound"),
+        ([x - 1.2 for x in BASE_RUNS[:9]] + [BASE_RUNS[9]], "lower", None, "gain"),
+        ([x - 1.2 for x in BASE_RUNS[:8]] + BASE_RUNS[8:], "lower", None, "no gain"),
+        # the median worse by more than the bound, either way round
+        ([x * 1.3 for x in BASE_RUNS], "lower", 0.25, "worse past bound"),
+        ([x * 0.7 for x in BASE_RUNS], "higher", 0.25, "worse past bound"),
+        ([x * 1.2 for x in BASE_RUNS], "lower", 0.25, "within bound"),
+        # a base IQR wider than the bound
+        ([x * 1.02 for x in BASE_RUNS], "lower", 0.05, "unresolved"),
+        ([x - 0.5 for x in BASE_RUNS], "lower", 0.05, "unresolved"),
+        # ... but every change run better than every base run
+        ([9.9] * 10, "lower", 0.05, "within bound"),
+        ([11.9] * 10, "higher", 0.05, "within bound"),
+    ],
+)
+def test_bench_pairs_verdict(change, direction, bound, expected):
+    """A gain is a win in at least 9 of 10 pairs by a median gap wider than
+    the base's IQR; past that, a median worse by more than the bound, then
+    a base IQR wider than the bound (unless every change run is better than
+    every base run) decide the verdict."""
+    assert load_bench_pairs().verdict(BASE_RUNS, change, direction, bound) == expected
 
 
 def test_bench_pairs_runs_write_and_read_no_bytecode(tmp_path, monkeypatch):
