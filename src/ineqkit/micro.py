@@ -354,23 +354,31 @@ class LorenzCurve:
             shares[here] = sums[k[here] - i - 1] / self._carries[-1]
         return shares
 
-    def _segment(self, x: np.ndarray):
-        """For each share of ``x`` in [0, 1], the segment that holds it, as a
-        search of p finds it: its ends p[k - 1] and p[k], L[k - 1] and L[k],
-        and its slope."""
-        n = self._n
-        if self._carries is not None:
-            # On the grid fl(j/n), floor(x n) is at most one off the last j <= x.
-            j = np.floor(x * n)
-            j += (j < n) & ((j + 1.0) / n <= x)
-            j -= j / n > x
-            k = np.minimum(j.astype(np.intp) + 1, n)
-            left, right = (k - 1) / n, k / n
-        else:
-            k = np.minimum(np.searchsorted(self.p, x, side="right"), n)
-            left, right = self.p[k - 1], self.p[k]
-        lo, hi = self._at(np.stack((k - 1, k)))
-        return left, right, lo, hi, (hi - lo) / (right - left)
+    def _segments(self, *xs: np.ndarray) -> list[tuple]:
+        """For each share of each array of ``xs``, all in [0, 1], the segment
+        that holds it, as a search of p finds it: its ends p[k - 1] and p[k],
+        L[k - 1] and L[k], and its slope.  The L of every end is read in one
+        call of :meth:`_at`, so each block is summed at most once."""
+        n, ends = self._n, []
+        for x in xs:
+            if self._carries is not None:
+                # On the grid fl(j/n), floor(x n) is at most one off the last j <= x.
+                j = np.floor(x * n)
+                j += (j < n) & ((j + 1.0) / n <= x)
+                j -= j / n > x
+                k = np.minimum(j.astype(np.intp) + 1, n)
+                ends.append((k, (k - 1) / n, k / n))
+            else:
+                k = np.minimum(np.searchsorted(self.p, x, side="right"), n)
+                ends.append((k, self.p[k - 1], self.p[k]))
+        k = np.concatenate([np.ravel(k) for k, _, _ in ends])
+        lows, highs = self._at(np.stack((k - 1, k)))
+        segments, at = [], 0
+        for k, left, right in ends:
+            lo, hi = (v[at : at + k.size].reshape(k.shape) for v in (lows, highs))
+            at += k.size
+            segments.append((left, right, lo, hi, (hi - lo) / (right - left)))
+        return segments
 
     @property
     def points(self) -> list[tuple[float, float]]:
@@ -379,14 +387,15 @@ class LorenzCurve:
     def value_at(self, p):
         """Income share of the poorest fraction ``p`` (linear interpolation);
         an array of fractions gives an array."""
-        shares = np.asarray(p, dtype=float)
-        if not np.all((0.0 <= shares) & (shares <= 1.0)):
-            raise DomainError(f"population share {p!r} outside [0, 1]")
-        # np.interp's arithmetic on the segment that holds each share
-        left, right, lo, hi, slope = self._segment(shares)
-        values = np.where(shares == left, lo, slope * (shares - left) + lo)
-        values = np.where(shares == right, hi, values)
-        return float(values) if values.ndim == 0 else values
+        shares = _check_share(p)
+        return _interpolate(shares, *self._segments(shares))
+
+    def profile(self, p, x):
+        """``value_at(p)`` and ``tail_shares(x)``, their points read in one
+        lookup of the curve."""
+        shares, tails = _check_share(p), _check_tails(x)
+        at, bottom, top = self._segments(shares, tails, 1.0 - tails)
+        return _interpolate(shares, at), _tail_shares(tails, bottom, top)
 
     def gini(self) -> float:
         """Gini coefficient: area between the equality line and the curve
@@ -412,22 +421,8 @@ class LorenzCurve:
         share is zero and never above 1, because the top tail share can never
         fall below the bottom tail share of the same width.
         """
-        cuts = _check_percent(x)
-        tails = cuts / 100.0
-        # The richest x percent always hold something, but where 1 - x/100
-        # rounds to 1 the curve cannot tell how much.
-        if not np.all(1.0 - tails < 1.0):
-            tiny = float(cuts[~(1.0 - tails < 1.0)][0])
-            raise DomainError(f"percent cut {tiny!r} too small to resolve the top share")
-        bottom = self.value_at(tails)
-        # 1 - L(1 - x/100) cancels for a small cut, so the top share is read
-        # from the right end: the share above the segment that holds the cut,
-        # plus the part of that segment right of the cut.
-        _, right, _, hi, slope = self._segment(1.0 - tails)
-        top = (1.0 - hi) + ((right - 1.0) + tails) * slope
-        ratio = np.divide(bottom, top, out=np.zeros_like(bottom), where=bottom != 0.0)
-        # float noise can push bottom/top one ulp past 1 when the shares tie
-        return bottom, top, np.minimum(ratio, 1.0)
+        tails = _check_tails(x)
+        return _tail_shares(tails, *self._segments(tails, 1.0 - tails))
 
     def palma(self) -> float:
         """Top-10% share over bottom-40% share.
@@ -435,10 +430,60 @@ class LorenzCurve:
         Ranges over [1/4, infinity); raises when the bottom 40% holds nothing.
         """
         bottom, top, _ = self.tail_shares((40.0, 10.0))
-        if bottom[0] == 0.0:
-            raise DivisionByZeroShareError("bottom 40% share is zero")
-        # A float quotient past the range is inf, with no numpy warning.
-        return float(top[1]) / float(bottom[0])
+        return palma_of(bottom[0], top[1])
+
+
+def _check_share(p) -> np.ndarray:
+    """A population share or an array of them, each in [0, 1], as an array."""
+    shares = np.asarray(p, dtype=float)
+    if not np.all((0.0 <= shares) & (shares <= 1.0)):
+        raise DomainError(f"population share {p!r} outside [0, 1]")
+    return shares
+
+
+def _check_tails(x) -> np.ndarray:
+    """The population shares of the percent cuts ``x`` (see
+    :func:`_check_percent`), each far enough from 0 that 1 less it is below 1."""
+    cuts = _check_percent(x)
+    tails = cuts / 100.0
+    # The richest x percent always hold something, but where 1 - x/100
+    # rounds to 1 the curve cannot tell how much.
+    if not np.all(1.0 - tails < 1.0):
+        tiny = float(cuts[~(1.0 - tails < 1.0)][0])
+        raise DomainError(f"percent cut {tiny!r} too small to resolve the top share")
+    return tails
+
+
+def _interpolate(shares: np.ndarray, segment: tuple):
+    """The curve at ``shares`` on the segments that hold them, as
+    :meth:`LorenzCurve._segments` gives them: np.interp's arithmetic."""
+    left, right, lo, hi, slope = segment
+    values = np.where(shares == left, lo, slope * (shares - left) + lo)
+    values = np.where(shares == right, hi, values)
+    return float(values) if values.ndim == 0 else values
+
+
+def _tail_shares(tails: np.ndarray, bottom: tuple, top: tuple):
+    """:meth:`LorenzCurve.tail_shares` of the tails ``tails``, from the
+    segments that hold ``tails`` and ``1 - tails``."""
+    low = _interpolate(tails, bottom)
+    # 1 - L(1 - x/100) cancels for a small cut, so the top share is read
+    # from the right end: the share above the segment that holds the cut,
+    # plus the part of that segment right of the cut.
+    _, right, _, hi, slope = top
+    high = (1.0 - hi) + ((right - 1.0) + tails) * slope
+    ratio = np.divide(low, high, out=np.zeros_like(low), where=low != 0.0)
+    # float noise can push bottom/top one ulp past 1 when the shares tie
+    return low, high, np.minimum(ratio, 1.0)
+
+
+def palma_of(bottom40: float, top10: float) -> float:
+    """The Palma ratio of a bottom-40% share and a top-10% share: top over
+    bottom; raises when the bottom 40% holds nothing."""
+    if bottom40 == 0.0:
+        raise DivisionByZeroShareError("bottom 40% share is zero")
+    # A float quotient past the range is inf, with no numpy warning.
+    return float(top10) / float(bottom40)
 
 
 def lorenz_curve(sample) -> LorenzCurve:

@@ -72,7 +72,8 @@ class CountryYearRecord:
         return (self.country, self.year, self.source.value)
 
 
-# Column name and dtype of every panel column: 37 bytes a row.
+# Column name and dtype of every panel column: 37 bytes a row, 13 of them
+# the key columns.
 _COLUMNS = {
     "country": np.int32,
     "year": np.int64,
@@ -81,6 +82,38 @@ _COLUMNS = {
     "top10": np.float64,
     "bottom10": np.float64,
 }
+_KEYS = ("country", "year", "source")
+
+
+@dataclass(frozen=True)
+class _Filter:
+    """The rows :func:`slice_panel` keeps: those of the year ``year``, the
+    source ``source`` and the country named ``country``, each None for any."""
+
+    year: int | None = None
+    source: Source | None = None
+    country: str | None = None
+
+    def __bool__(self) -> bool:
+        return (self.year, self.source, self.country) != (None, None, None)
+
+    def mask(self, country, year, source, code: int):
+        """The mask of the rows of the key columns ``country``, ``year`` and
+        ``source`` that match, the filter's country coded ``code`` (-1 where
+        no row names it); True where no filter is set."""
+        keep = True
+        if self.year is not None:
+            keep = keep & (year == self.year)
+        if self.source is not None:
+            keep = keep & (source == SOURCES.index(self.source))
+        if self.country is not None:
+            keep = keep & (country == code)
+        return keep
+
+    def code(self, names) -> int:
+        """The index of the filter's country in the name table ``names``, -1
+        where it is not there."""
+        return names.index(self.country) if self.country in names else -1
 
 
 def _key_sort(country, year, source) -> tuple[np.ndarray, np.ndarray]:
@@ -145,8 +178,9 @@ class Panel:
     Building a panel from records checks that their keys are unique; the
     panels :func:`parse_panel` and :func:`slice_panel` return are not
     checked again.  Rows stay in the order given; the key order of a parsed
-    panel is the one its duplicate check sorted, and any other panel sorts
-    its keys when first asked for that order.
+    panel is the one its duplicate check sorted (a sliced parse's rows are
+    in that order), and any other panel sorts its keys when first asked for
+    that order.
     """
 
     def __init__(self, records=(), label: str = ""):
@@ -175,28 +209,11 @@ class Panel:
         no filter is given and the rows are in that order."""
         if self._order is None:
             self._order = _key_sort(self.country, self.year, self.source)[0]
-        rows = self._order
-        if year is not None or source is not None or country is not None:
-            keep = np.ones(len(self), dtype=bool)
-            if year is not None:
-                keep &= self.year == year
-            if source is not None:
-                keep &= self.source == SOURCES.index(source)
-            if country is not None:
-                keep &= self.country == (self.names.index(country) if country in self.names else -1)
+        rows, where = self._order, _Filter(year, source, country)
+        if where:
+            keep = where.mask(self.country, self.year, self.source, where.code(self.names))
             rows = np.asarray(rows, dtype=np.intp)[keep[rows]]
         return rows
-
-    def _sort_in_place(self, year=None, source=None, country=None) -> None:
-        """Keep only the rows :func:`slice_panel` keeps, moved into key order
-        in place, a column at a time: each old column is dropped before the
-        next is gathered.  Only for the sole holder of a panel."""
-        rows, self._order = self._key_order(year, source, country), None
-        for name in _COLUMNS:
-            values = getattr(self, name)[rows]
-            values.flags.writeable = False
-            setattr(self, name, values)
-        self._order = range(len(rows))
 
     def take(self, rows) -> "Panel":
         """The panel of the rows at the indexes ``rows``, in that order."""
@@ -672,13 +689,14 @@ def _slices(values: np.ndarray):
     return (slice(start, min(start + step, len(values))) for start in range(0, len(values), step))
 
 
-def _compact(values: np.ndarray, keep: np.ndarray) -> None:
-    """Keep the elements of the array ``values`` where ``keep`` is set, in
-    order and in place: they are moved down a slice at a time and the array
+def _compact(values: np.ndarray, keep) -> None:
+    """Keep the elements of the array ``values`` where ``keep`` of their
+    slice gives a set mask, in order and in place: they are moved down a
+    slice at a time, each slice's mask taken before it moves, and the array
     is then shrunk, so no second copy of it is held."""
     size = 0
     for rows in _slices(values):
-        part = values[rows][keep[rows]]
+        part = values[rows][keep(rows)]
         values[size : size + len(part)] = part
         size += len(part)
     values.resize(size, refcheck=False)
@@ -696,13 +714,14 @@ class _Layout:
     """The declared columns of a panel file, by the names of its header: in
     the order country, year, gini, top10, bottom10 and the source where
     there is one, their positions, the divisor of each share column and the
-    source of a file without a source column.  A row's cells are checked in
-    that order."""
+    source of a file without a source column; and the filter of the rows
+    whose shares are kept.  A row's cells are checked in that order."""
 
     declared: tuple[str, ...]
     where: tuple[int, ...]
     scale: tuple[float, float, float]
     default_source: Source
+    wanted: _Filter = _Filter()
 
     def reason(self, k: int, cell, length: int) -> str:
         """The reason of a row of ``length`` cells whose first failed check
@@ -742,15 +761,17 @@ def _append(values: np.ndarray, size: int, new: np.ndarray) -> int:
 @dataclass
 class _Part:
     """``rows`` parsed rows in file order, each one that passed every check:
-    their columns, which may hold room for more; the line number and reason
-    of each skipped row; the codes of the country names, in the order the
-    names were first read; the line after the last line read; and ``runs``
-    runs of rows, each row from ``starts[j]`` on ending on line row +
-    ``offsets[j]``: a skipped row, a blank line, a row that spans lines or
+    their columns, which may hold room for more, the share columns only of
+    the ``matched`` rows the layout's filter wants; the line number and
+    reason of each skipped row; the codes of the country names, in the order
+    the names were first read; the line after the last line read; and
+    ``runs`` runs of rows, each row from ``starts[j]`` on ending on line row
+    + ``offsets[j]``: a skipped row, a blank line, a row that spans lines or
     the start of a part starts a run.  Both arrays may hold room for more."""
 
     columns: dict[str, np.ndarray]
     rows: int
+    matched: int
     skipped: list[tuple[int, str]]
     codes: dict[str, int]
     line: int
@@ -769,8 +790,10 @@ def _read_part(blocks, line: int, layout: _Layout) -> _Part:
     read or not finite, a source code < 0), then one per share rule.  A row
     that fails one is skipped, with the reason of the first: a cell's is
     worded by :meth:`_Layout.reason`, a rule's from the shares read.  Only
-    the rows that pass every check are copied to the ends of the part's
-    columns, which grow in place, and the rows where line less row changes.
+    the rows that pass every check are copied to the ends of the part's key
+    columns, which grow in place, and of those only the rows the layout's
+    filter wants to the ends of its share columns; and the rows where line
+    less row changes.
     """
     codes: dict[str, int] = {}
 
@@ -782,7 +805,7 @@ def _read_part(blocks, line: int, layout: _Layout) -> _Part:
     skipped: list[tuple[int, str]] = []
     country_memo: dict = {}
     source_memo: dict = {}
-    done = 0
+    done = matched = 0
     width = max(layout.where) + 1
     widths = list(_CELL_BYTES[: len(layout.declared)])
     for cells, short, numbers, line in _blocks(blocks, line, list(layout.where), widths):
@@ -810,14 +833,20 @@ def _read_part(blocks, line: int, layout: _Layout) -> _Part:
             else:
                 reason = _SHARE_RULES[k - len(cells)][1].format(*(share[j].item() for share in shares))
             skipped.append((numbers[j].item(), reason))
+        code = codes.get(layout.wanted.country, -1)
+        wanted = ok & layout.wanted.mask(values["country"], values["year"], values["source"], code)
         for name, column in columns.items():
-            stop = _append(column, done, values[name][ok])
+            if name in _KEYS:
+                _append(column, done, values[name][ok])
+            else:
+                _append(column, matched, values[name][wanted])
+        stop, matched = done + np.count_nonzero(ok), matched + np.count_nonzero(wanted)
         shift = numbers[ok] - np.arange(done, stop)
         change = np.flatnonzero(np.diff(shift, prepend=offsets[runs - 1] if runs else 0))
         _append(starts, runs, change + done)
         runs = _append(offsets, runs, shift[change])
         done = stop
-    return _Part(columns, done, skipped, codes, line, starts, offsets, runs)
+    return _Part(columns, done, matched, skipped, codes, line, starts, offsets, runs)
 
 
 # A file is parsed in parts, each by a process of its own, only where each
@@ -888,15 +917,17 @@ def _fork_part(layout: _Layout, pieces, at_cut: bool, children: Children):
     """The pipe of a child process, one of ``children``, that parses the part
     ``pieces`` of a file, its first line numbered 1, as :func:`_byte_blocks`
     reads it with ``at_cut`` (None where no process is to be had).  It sends
-    its row count, diagnostics, country names, the line after its last and
-    its runs of rows, pickled, then the bytes of each column in order."""
+    its row count, the count of rows its filter wants, its diagnostics,
+    country names, the line after its last and its runs of rows, pickled,
+    then the bytes of each column in order: the keys of every row and the
+    shares of the rows wanted."""
 
     def send(pipe) -> None:
         part = _read_part(_byte_blocks(pieces, head=False, at_cut=at_cut), 1, layout)
         runs = part.starts[: part.runs], part.offsets[: part.runs]
-        pickle.dump((part.rows, part.skipped, list(part.codes), part.line, *runs), pipe)
-        for column in part.columns.values():
-            pipe.write(column[: part.rows])
+        pickle.dump((part.rows, part.matched, part.skipped, list(part.codes), part.line, *runs), pipe)
+        for name, column in part.columns.items():
+            pipe.write(column[: part.rows if name in _KEYS else part.matched])
 
     return children.start(send)
 
@@ -906,14 +937,16 @@ def _receive(pipe, part: _Part) -> None:
     :func:`_fork_part`) to ``part``: its columns grow in place, to the rows
     held, and take the bytes as they are read.  The child's country codes
     become the part's, and its runs of rows move on by the part's rows and
-    lines.  The child sends only the rows that passed every check, which
-    may be none.  Raises where the pipe ends early or holds no pickle."""
-    rows, skipped, names, line, starts, offsets = pickle.load(pipe)
+    lines.  The child sends only the rows that passed every check, and the
+    shares only of those its filter wants, which may be none.  Raises where
+    the pipe ends early or holds no pickle."""
+    rows, matched, skipped, names, line, starts, offsets = pickle.load(pipe)
     done, shift = part.rows, part.line - 1
-    for column in part.columns.values():
-        column.resize(done + rows, refcheck=False)
+    for name, column in part.columns.items():
+        start, count = (done, rows) if name in _KEYS else (part.matched, matched)
+        column.resize(start + count, refcheck=False)
         # A buffered pipe fills the view but at the pipe's end.
-        if pipe.readinto(memoryview(column[done : done + rows]).cast("B")) < rows * column.itemsize:
+        if pipe.readinto(memoryview(column[start : start + count]).cast("B")) < count * column.itemsize:
             raise EOFError("a part's rows end early")
     _append(part.starts, part.runs, starts + done)
     part.runs = _append(part.offsets, part.runs, offsets + (shift - done))
@@ -922,6 +955,7 @@ def _receive(pipe, part: _Part) -> None:
     _remap(part.columns["country"][done : done + rows], table)
     part.skipped += [(at + shift, reason) for at, reason in skipped]
     part.rows += rows
+    part.matched += matched
     part.line += line - 1
 
 
@@ -947,14 +981,17 @@ def _read_parts(blocks, line: int, layout: _Layout, later=()) -> _Part:
         return part
 
 
-def _parse(blocks, schema: SchemaConfig, label: str, later=()):
+def _parse(blocks, schema: SchemaConfig, label: str, wanted: _Filter, sliced: bool, later=()):
     """:func:`parse_panel` of ``blocks``, as :func:`_byte_blocks` yields
     them: of all the input, or of part 0 of a file whose ``later`` parts
-    child processes parse (see :func:`_read_parts`).  The header is the
-    first row of the first block, blank or not: a blank one names no column.
-    The columns hold only the rows that passed every check; of those, the
-    rows that repeat an earlier key are diagnosed on the lines their runs
-    give and compacted out after the key sort."""
+    child processes parse (see :func:`_read_parts`), keeping the shares of
+    the rows ``wanted``.  The header is the first row of the first block,
+    blank or not: a blank one names no column.  The key columns hold only
+    the rows that passed every check; of those, the rows that repeat an
+    earlier key are diagnosed on the lines their runs give after the key
+    sort.  They are then compacted out in file order, or, where the panel
+    is ``sliced``, the order itself is cut to the rows wanted that repeat
+    no key and each column is gathered by it."""
     first, plain, lines, rows = next(blocks, (b"", True, 0, None))
     if not first:
         raise SchemaError("input has no header row")
@@ -983,15 +1020,16 @@ def _parse(blocks, schema: SchemaConfig, label: str, later=()):
         tuple(positions[col] for col in declared),
         tuple(100.0 if unit == "percent" else 1.0 for unit in units),
         schema.default_source,
+        wanted,
     )
     part = _read_parts(blocks, row + 2, layout, later)
 
     columns, skipped, codes, done = part.columns, part.skipped, part.codes, part.rows
     if len(codes) > (limit := np.iinfo(_COLUMNS["country"]).max + 1):
         raise ValueError(f"more than {limit} country names")
-    for column in columns.values():
-        column.resize(done, refcheck=False)
-    country, year, source = (columns[name] for name in ("country", "year", "source"))
+    for name in columns:
+        columns[name].resize(done if name in _KEYS else part.matched, refcheck=False)
+    country, year, source = (columns[name] for name in _KEYS)
     used = (np.bincount(country, minlength=len(codes)) > 0).tolist()
     names = sorted(name for name, code in codes.items() if used[code])
     rank = np.zeros(len(codes), dtype=_COLUMNS["country"])
@@ -1005,15 +1043,36 @@ def _parse(blocks, schema: SchemaConfig, label: str, later=()):
     for i, line in zip(repeats.tolist(), lines.tolist()):
         key = (names[country[i]], year[i].item(), SOURCES[source[i]].value)
         skipped.append((line, f"duplicate record {key}"))
-    del country, year, source
     if repeats.size:
         skipped.sort(key=lambda diagnostic: diagnostic[0])
-        _compact(order, ~repeat)
+    if sliced:
+        code = wanted.code(names)
+
+        def keep(rows):
+            kept = ~repeat[rows]
+            if wanted:
+                at = order[rows]
+                kept &= wanted.mask(country[at], year[at], source[at], code)
+            return kept
+
+        _compact(order, keep)
+        shares = order
+        if wanted:
+            # The shares of a row wanted are at its index among the rows wanted.
+            shares = np.searchsorted(np.flatnonzero(wanted.mask(country, year, source, code)), order)
+        del country, year, source, repeat, keep
+        # A column at a time, each old one dropped as its copy takes its place.
+        for name in _COLUMNS:
+            columns[name] = columns[name][order if name in _KEYS else shares]
+        order = range(len(order))
+    elif repeats.size:
+        del country, year, source
+        _compact(order, lambda rows: ~repeat[rows])
         del repeat
         kept = np.ones(done, dtype=bool)
         kept[repeats] = False
         for column in columns.values():
-            _compact(column, kept)
+            _compact(column, kept.__getitem__)
         # A row left is numbered by the rows kept before it, counted in bits.
         bits = np.packbits(kept, bitorder="little")
         del kept
@@ -1027,13 +1086,18 @@ def _parse(blocks, schema: SchemaConfig, label: str, later=()):
 
 
 def parse_panel(
-    source,
+    data,
     schema: SchemaConfig = SchemaConfig(),
     label: str = "",
+    *,
+    year: int | None = None,
+    source: Source | None = None,
+    country: str | None = None,
+    sliced: bool = False,
 ) -> tuple[Panel, list[RowDiagnostic]]:
     """Parse CSV into a panel plus per-row diagnostics.
 
-    ``source`` is the CSV text, or a binary or text stream of it, read a
+    ``data`` is the CSV text, or a binary or text stream of it, read a
     block of whole rows at a time: the whole input is never held (a quoted
     field is refused once it passes csv's field limit), and the panel's
     columns grow in place as the blocks are read.  A leading byte-order
@@ -1057,17 +1121,30 @@ def parse_panel(
     The panel also keeps the stable (country, year, source) order that the
     duplicate check sorted, which :func:`slice_panel` reuses.  Percent-mode
     columns are divided by 100 on the way in.
+
+    The filters ``year``, ``source`` and ``country`` mean what they mean to
+    :func:`slice_panel`.  Given one, or ``sliced``, the panel is the one
+    ``slice_panel(whole, year, source, country)`` gives of the whole parse
+    ``whole``, with the same names and diagnostics: the rows the filters
+    keep, in key order, which ``slice_panel`` then returns as they are.
+    Every row is still read and checked, and each valid row keeps its
+    13 bytes of key columns until the key sort has found the repeats; only
+    the rows the filters keep hold their 24 bytes of shares.  A filtered
+    parse then peaks at about 22 bytes a row (the key columns, the 8-byte
+    sort key and a byte of repeat mask), against about 46 for a whole one.
     """
-    plan = _split_plan(source)
+    wanted = _Filter(year, source, country)
+    sliced = sliced or bool(wanted)
+    plan = _split_plan(data)
     if plan is not None:
-        parts = [_file_chunks(source.fileno(), lo, hi) for lo, hi in plan]
+        parts = [_file_chunks(data.fileno(), lo, hi) for lo, hi in plan]
         try:
-            parsed = _parse(_byte_blocks(parts[0], at_cut=True), schema, label, parts[1:])
-            source.seek(0, io.SEEK_END)
+            parsed = _parse(_byte_blocks(parts[0], at_cut=True), schema, label, wanted, sliced, parts[1:])
+            data.seek(0, io.SEEK_END)
             return parsed
         except _SplitFailed:  # parsed whole below
             pass
-    return _parse(_byte_blocks(_chunks(source)), schema, label)
+    return _parse(_byte_blocks(_chunks(data)), schema, label, wanted, sliced)
 
 
 def _share_ratio(rows, numerator, denominator, zero_bottom: float):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ineqkit import IneqError, cli, micro
+from ineqkit import IneqError, _compute_format, cli, micro
 from ineqkit.cli import main
 from ineqkit.ranking import Indicator, indicator_value
 
@@ -86,6 +86,27 @@ class TestCompute:
             f"{path}:3: skipped row: unparseable numeric in column 'gini': 'oops'\n"
             "error: 1 bad row(s) with --strict\n"
         )
+
+    @pytest.mark.parametrize("command", ["calibrate", "rank", "compare", "series"])
+    def test_strict_counts_rows_out_of_the_filter(self, capsys, tmp_path, command):
+        """A filtered command still checks every row: a repeat in its filter
+        and a bad row and a repeat out of it are each reported, and each
+        fails --strict."""
+        path = tmp_path / "panel.csv"
+        path.write_text(
+            PANEL_HEADER + "AAA,2015,0.30,0.25,0.03\nBBB,2014,oops,0.25,0.03\nCCC,2014,0.3,0.25,0.03\n"
+            "AAA,2015,0.31,0.25,0.03\nCCC,2014,0.3,0.25,0.03\n"
+        )
+        where = ["--country", "AAA"] if command == "series" else ["--year", "2015"]
+        skipped = (
+            f"{path}:3: skipped row: unparseable numeric in column 'gini': 'oops'\n"
+            f"{path}:5: skipped row: duplicate record ('AAA', 2015, 'OTHER')\n"
+            f"{path}:6: skipped row: duplicate record ('CCC', 2014, 'OTHER')\n"
+        )
+        code, out, err = run(capsys, command, "--input", str(path), *where)
+        assert code == 0 and out and err.startswith(skipped)
+        code, out, err = run(capsys, command, "--input", str(path), "--strict", *where)
+        assert (code, out, err) == (2, "", skipped + "error: 3 bad row(s) with --strict\n")
 
     def test_cell_past_the_csv_field_limit_exit_2(self, capsys, tmp_path):
         path = tmp_path / "panel.csv"
@@ -186,7 +207,7 @@ class TestCompute:
             monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
         sources = []
         real = cli.parse_panel
-        monkeypatch.setattr(cli, "parse_panel", lambda source, *a, **k: sources.append(source) or real(source, *a, **k))
+        monkeypatch.setattr(cli, "parse_panel", lambda data, *a, **k: sources.append(data) or real(data, *a, **k))
         code, out, _ = run(capsys, "compute", "--input", "-" if via_stdin else str(path))
         assert code == 0 and len(parse_csv(out)) == 1
         assert len(sources) == 1 and isinstance(sources[0], io.BufferedIOBase)
@@ -201,8 +222,8 @@ class TestCompute:
         path = tmp_path / "panel.csv"
         path.write_text(PANEL_HEADER + "\n".join(lines) + "\n")
         fields = []
-        real_rows = cli._compute_rows
-        monkeypatch.setattr(cli, "_compute_rows", lambda *a: fields.append(a[3]) or real_rows(*a))
+        real_rows = _compute_format._compute_rows
+        monkeypatch.setattr(_compute_format, "_compute_rows", lambda *a: fields.append(a[3]) or real_rows(*a))
         code, _, _ = run(capsys, "compute", "--input", str(path))
         monkeypatch.undo()
         assert code == 0
@@ -339,7 +360,7 @@ class TestComputeForked:
         makes the chunks it did not send."""
         path = _forked_panel(tmp_path / "panel.csv")
         one, _ = compute_forked(path, 1 << 12, 1)
-        parent, real_rows, real_dump, real_exit = os.getpid(), cli._compute_rows, pickle.dump, os._exit
+        parent, real_rows, real_dump, real_exit = os.getpid(), _compute_format._compute_rows, pickle.dump, os._exit
         calls = []
 
         def compute_rows(*args):
@@ -358,7 +379,7 @@ class TestComputeForked:
         def fork():
             raise OSError("no process to be had")
 
-        monkeypatch.setattr(cli, "_compute_rows", compute_rows)
+        monkeypatch.setattr(_compute_format, "_compute_rows", compute_rows)
         monkeypatch.setattr(cli.pickle, "dump", dump)
         monkeypatch.setattr(os, "_exit", lambda status: real_exit(7 if fault == "exit 7" else status))
         if fault == "no fork":
@@ -819,7 +840,8 @@ class TestComputeRows:
                 country.tolist(), year.tolist(), *(f.tolist() for f in fields)
             )
         )
-        assert cli._compute_rows(quoted, country, year, fields, cli._name_table(quoted)) == expected
+        table = _compute_format._name_table(quoted)
+        assert _compute_format._compute_rows(quoted, country, year, fields, table) == expected
 
 
 class TestCalibrate:

@@ -1188,18 +1188,51 @@ class TestParseMemory:
             assert (len(panel), diags) == (n, [])
         assert (peaks[1] - peaks[0]) / 25_000 <= 48
 
+    def test_filtered_peak_per_row(self):
+        """A parse filtered to 1% of the rows grows by at most 24 bytes a
+        row: the 13 bytes of its key columns, its 8-byte sort key, a byte of
+        repeat mask and a share of its name, with the 24 bytes of shares of
+        only the rows the filter keeps.  A parse that holds every row's
+        shares grows by about 46."""
+        peaks = []
+        for n in (25_000, 50_000):
+            rows = "".join(f"C{i // 100:04d},{1900 + i % 100},0.{1 + i % 9973:04d},0.25,0.03{i % 7}\n" for i in range(n))
+            stream = io.BytesIO((HEADER + "\n" + rows).encode())
+            with mock.patch.object(panel_module, "_BLOCK_CHARS", 1 << 14):
+                tracemalloc.start()
+                try:
+                    panel, diags = parse_panel(stream, year=1950)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert (len(panel), diags) == (n // 100, [])
+        assert (peaks[1] - peaks[0]) / 25_000 <= 24
 
-def split_parse(path, cpus, part_bytes=1 << 20, block_chars=1 << 18, skip_line=False):
-    """parse_panel of the file ``path`` on ``cpus`` usable CPUs, cut into
-    parts of at least ``part_bytes`` bytes (one CPU: read whole, by this
-    process alone), read ``block_chars`` bytes at a time, after its first
-    line where ``skip_line`` says so.
 
-    Returns the panel's names, columns and key order, the diagnostics and
-    the file's position after the parse, or the type and message of the
-    error; the number of parts read, one more than the processes forked;
-    and the parts this process read: 1, or 2 where it read part 0 and then,
-    the split having failed, the whole input."""
+def parse_outcome(stream, parse=parse_panel):
+    """``parse(stream)``, parse_panel by default: the panel's names, columns
+    and key order, the diagnostics and the stream's position after the
+    parse, or the type and message of the error."""
+    try:
+        panel, diags = parse(stream)
+    except (ValueError, SchemaError) as exc:
+        return type(exc), str(exc)
+    assert all(type(d.line) is int for d in diags)
+    columns = [getattr(panel, name).tolist() for name in panel_module._COLUMNS]
+    order = np.asarray(panel._key_order()).tolist()
+    return list(panel.names), columns, order, [(d.line, d.reason) for d in diags], stream.tell()
+
+
+def split_parse(path, cpus, part_bytes=1 << 20, block_chars=1 << 18, skip_line=False, **filters):
+    """parse_panel of the file ``path`` with ``filters`` on ``cpus`` usable
+    CPUs, cut into parts of at least ``part_bytes`` bytes (one CPU: read
+    whole, by this process alone), read ``block_chars`` bytes at a time,
+    after its first line where ``skip_line`` says so.
+
+    Returns its :func:`parse_outcome`; the number of parts read, one more
+    than the processes forked; and the parts this process read: 1, or 2
+    where it read part 0 and then, the split having failed, the whole
+    input."""
     forked, reads = [], []
     real_fork, real_read = panel_module._fork_part, panel_module._read_part
 
@@ -1221,15 +1254,7 @@ def split_parse(path, cpus, part_bytes=1 << 20, block_chars=1 << 18, skip_line=F
     ):
         if skip_line:
             stream.readline()
-        try:
-            panel, diags = parse_panel(stream)
-        except (ValueError, SchemaError) as exc:
-            return (type(exc), str(exc)), len(forked) + 1, len(reads)
-        assert all(type(d.line) is int for d in diags)
-        columns = [getattr(panel, name).tolist() for name in panel_module._COLUMNS]
-        order = np.asarray(panel._key_order()).tolist()
-        parsed = (list(panel.names), columns, order, [(d.line, d.reason) for d in diags], stream.tell())
-        return parsed, len(forked) + 1, len(reads)
+        return parse_outcome(stream, lambda stream: parse_panel(stream, **filters)), len(forked) + 1, len(reads)
 
 
 def good_rows(count, name="C{}"):
@@ -1741,3 +1766,78 @@ class TestSplitParseFailures:
             assert self.parse(tmp_path) == (300, [], len(self.TEXT))
         # Part 0, then the whole input, in this process.
         assert calls == [True, True]
+
+
+def whole_then_slice(path, **filters):
+    """The :func:`parse_outcome` of the whole parse of the file ``path`` by
+    this process alone, then slice_panel with ``filters``."""
+
+    def parse(stream):
+        panel, diags = parse_panel(stream)
+        return slice_panel(panel, **filters), diags
+
+    with mock.patch.object(panel_module, "_usable_cpus", lambda: 1), open(path, "rb") as stream:
+        return parse_outcome(stream, parse)
+
+
+FILTERS = [
+    {"year": 2015},
+    {"year": 2015, "source": Source.WB},
+    {"country": "AAA"},
+    {"country": "Nowhere"},
+    {"year": 1999},
+]
+
+
+class TestFilteredParse:
+    """A parse given slice_panel's filters is the whole parse then
+    slice_panel: the same names, columns, key order, diagnostics and stream
+    position, or the same error, read by one process or in parts."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.one_of(
+            st.lists(raw_lines(row_cells), min_size=4, max_size=40),
+            st.lists(raw_lines(odd_row_cells), min_size=4, max_size=40),
+        ),
+        line_ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1),
+        unterminated=st.booleans(),
+        with_source=st.booleans(),
+        filters=st.sampled_from(FILTERS),
+        block_chars=st.sampled_from([1, 7, 64, 1 << 18]),
+    )
+    def test_matches_whole_then_slice(
+        self, tmp_path_factory, rows, line_ends, unterminated, with_source, filters, block_chars
+    ):
+        path = tmp_path_factory.mktemp("filtered") / "panel.csv"
+        path.write_bytes(panel_text(rows, line_ends, unterminated, with_source).encode())
+        whole = whole_then_slice(path, **filters)
+        for cpus in (1, 2, 3):
+            part_bytes = max(path.stat().st_size // (cpus + 1), 1)
+            split, parts, reads = split_parse(path, cpus, part_bytes, block_chars, **filters)
+            event(f"read in {parts} part(s)" + " then whole" * (reads - 1))
+            assert split == whole
+
+    @pytest.mark.parametrize("filters", FILTERS)
+    def test_repeats_inside_and_outside_the_filter(self, tmp_path, filters):
+        """Repeated keys in the filter and out of it, one of them a later
+        copy of a row the filter keeps that falls in the last part, are each
+        diagnosed as the whole parse diagnoses them; a bad row in the filter
+        keeps no key.  Read in 1, 2 and 3 parts, none read twice."""
+        names = ["AAA"] + [f"C{k:02d}" for k in range(1, 30)]
+        # One row of each (country, year, source) key but those written below.
+        rows = [f"{names[i // 20]},{2000 + i % 20},{'WB' if i % 2 else 'OECD'},0.3,0.25,0.03" for i in range(600)]
+        rows[40] = "AAA,2015,WB,0.4,0.25,0.03"  # a repeat in every filter but two, in part 0
+        rows[320] = "C16,2000,OECD,x,0.25,0.03"  # a bad row
+        rows[500] = "C03,2001,WB,0.3,0.25,0.03"  # a repeat out of every filter
+        rows[590] = "C01,2015,WB,0.5,0.3,0.02"  # a later copy of a row the year filter keeps
+        rows[595] = "AAA,2012,OECD,0.3,0.25,0.03"  # a repeat of the country filter's, not the year's
+        path = tmp_path / "panel.csv"
+        path.write_text("country,year,source,gini,top10,bottom10\n" + "\n".join(rows) + "\n")
+        whole = whole_then_slice(path, **filters)
+        assert [line for line, _ in whole[3]] == [42, 322, 502, 592, 597]
+        assert (whole[0], whole[4]) == (names, path.stat().st_size)
+        for cpus in (1, 2, 3):
+            split = split_parse(path, cpus, path.stat().st_size // (cpus + 1), **filters)
+            assert split == (whole, cpus, 1)
+
