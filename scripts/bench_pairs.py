@@ -4,7 +4,8 @@
 Runs ``bench/run.py --trace 0`` in checkout A and in checkout B, one run of
 each per pair, with the side that runs first alternating from pair to pair
 and pair k on seed SEED + k.  For each workload and end-to-end metric it
-prints every pair's values, each side's median and quartiles, and the pairs
+prints every pair's values after its seed, so that a pair can be run
+again on its own, each side's median and quartiles, and the pairs
 B wins, by the metric's "better" in B's BENCHMARK.json (ties count for
 neither).  It then prints the change of B's median from A's, relative to
 A's, next to the metric's "bound", and a verdict line:
@@ -107,7 +108,8 @@ def main(argv=None) -> int:
             a = [line["metrics"][name]["value"] for line in runs["base"]]
             b = [line["metrics"][name]["value"] for line in runs["change"]]
             wins = sum((y < x) if direction == "lower" else (y > x) for x, y in zip(a, b))
-            print(f"{workload} {name} pairs (base, change): " + ", ".join(f"({x:.4g}, {y:.4g})" for x, y in zip(a, b)))
+            pairs = (f"seed {args.seed + k} ({x:.4g}, {y:.4g})" for k, (x, y) in enumerate(zip(a, b)))
+            print(f"{workload} {name} pairs (base, change): " + ", ".join(pairs))
             (ma, qa1, qa3), (mb, qb1, qb3) = quartiles(a), quartiles(b)
             print(
                 f"{workload} {name}: base {ma:.4g} [{qa1:.4g}, {qa3:.4g}]  change {mb:.4g} [{qb1:.4g}, {qb3:.4g}]"

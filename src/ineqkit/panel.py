@@ -116,53 +116,83 @@ class _Filter:
         return names.index(self.country) if self.country in names else -1
 
 
+@dataclass(frozen=True)
+class _Packing:
+    """The layout of a packed key, one int64 that holds, from its high bits
+    down, a row's country code, year above ``low`` in ``year_bits``, source
+    code and row index in ``row_bits``: distinct rows' keys differ, and
+    their value order is the stable (country, year, source) order."""
+
+    low: int
+    year_bits: int
+    row_bits: int
+    source_bits = (len(SOURCES) - 1).bit_length()
+
+    @staticmethod
+    def of(country, year) -> "_Packing | None":
+        """The packing of the key columns of at least one row, or None where
+        the key is too wide for 63 bits (years spread towards int64's ends)."""
+        low = int(year.min())
+        packing = _Packing(low, (int(year.max()) - low).bit_length(), (len(year) - 1).bit_length())
+        bits = int(country.max()).bit_length() + packing.year_bits + packing.source_bits + packing.row_bits
+        return packing if bits <= 63 else None
+
+    def sort(self, country, year, source, key) -> np.ndarray:
+        """Pack the rows' keys into the int64 array ``key``, which may be
+        ``year`` itself, a slice of rows at a time, and sort them in place;
+        the mask of the places whose key is the one before but for the row
+        index: each row there repeats the key of an earlier row."""
+        for rows in _slices(key):
+            part = country[rows].astype(np.int64) << self.year_bits
+            part |= year[rows] - self.low
+            part <<= self.source_bits
+            part |= source[rows]
+            part <<= self.row_bits
+            part |= np.arange(rows.start, rows.stop)
+            key[rows] = part
+        key.sort()
+        repeat = np.zeros(len(key), dtype=bool)
+        for rows in _slices(key):
+            first = max(rows.start, 1)
+            step = key[first : rows.stop] ^ key[first - 1 : rows.stop - 1]
+            np.less(step, 1 << self.row_bits, out=repeat[first : rows.stop])
+        return repeat
+
+    def unpack(self, key) -> tuple[np.ndarray, ...]:
+        """The country code, year, source code and row index of each packed
+        key of ``key``, each as int64."""
+        row = key & ((1 << self.row_bits) - 1)
+        rest = key >> self.row_bits
+        source = rest & ((1 << self.source_bits) - 1)
+        rest >>= self.source_bits
+        year = (rest & ((1 << self.year_bits) - 1)) + self.low
+        return rest >> self.year_bits, year, source, row
+
+
 def _key_sort(country, year, source) -> tuple[np.ndarray, np.ndarray]:
     """The indexes of the rows in ascending (country, year, source) order,
     equal keys in row order, and the mask of the places in that order whose
     key is the one before: each row there repeats the key of an earlier row.
 
-    Each row's country code, year above the least year, source code and row
-    index are packed into one int64, a slice of rows at a time, the country
-    codes widened to int64 before they are shifted.  The keys then differ,
-    and their value order is the stable key order, so one in-place value
-    sort of them gives it: equal keys are neighbours that differ only in the
-    row-index bits, which are then all that is kept.  A key too wide for 63
-    bits (years spread towards int64's ends) takes a stable lexsort of the
-    three columns instead.
+    The rows' keys are packed (see :class:`_Packing`) into a new int64
+    array and sorted, and only their row-index bits are kept.  A key too
+    wide for 63 bits takes a stable lexsort of the three columns instead.
+    A sliced parse sorts its packed keys in its year column, not here.
     """
-    count = len(country)
-    if not count:
+    if not len(year):
         return np.empty(0, dtype=np.intp), np.zeros(0, dtype=bool)
-    low, high = int(year.min()), int(year.max())
-    row_bits = (count - 1).bit_length()
-    source_bits = (len(SOURCES) - 1).bit_length()
-    year_bits = (high - low).bit_length()
-    country_bits = int(country.max()).bit_length()
-    if country_bits + year_bits + source_bits + row_bits > 63:
+    packing = _Packing.of(country, year)
+    if packing is None:
         order = np.lexsort((source, year, country))
-        repeat = np.zeros(count, dtype=bool)
+        repeat = np.zeros(len(order), dtype=bool)
         repeat[1:] = True
         for column in (country, year, source):
             ordered = column[order]
             repeat[1:] &= ordered[1:] == ordered[:-1]
         return order, repeat
-    key = np.empty(count, dtype=np.int64)
-    for rows in _slices(year):
-        part = country[rows].astype(np.int64) << year_bits
-        part |= year[rows] - low
-        part <<= source_bits
-        part |= source[rows]
-        part <<= row_bits
-        part |= np.arange(rows.start, rows.stop)
-        key[rows] = part
-    key.sort()
-    limit = 1 << row_bits
-    repeat = np.zeros(count, dtype=bool)
-    for rows in _slices(key):
-        first = max(rows.start, 1)
-        step = key[first : rows.stop] ^ key[first - 1 : rows.stop - 1]
-        np.less(step, limit, out=repeat[first : rows.stop])
-    key &= limit - 1
+    key = np.empty(len(year), dtype=np.int64)
+    repeat = packing.sort(country, year, source, key)
+    key &= (1 << packing.row_bits) - 1
     return key, repeat
 
 
@@ -991,7 +1021,9 @@ def _parse(blocks, schema: SchemaConfig, label: str, wanted: _Filter, sliced: bo
     earlier key are diagnosed on the lines their runs give after the key
     sort.  They are then compacted out in file order, or, where the panel
     is ``sliced``, the order itself is cut to the rows wanted that repeat
-    no key and each column is gathered by it."""
+    no key, the shares are gathered by it and the key columns decoded from
+    it: packed keys sorted in the year column's place, or the lexsort order
+    of keys too wide to pack, which gathers them."""
     first, plain, lines, rows = next(blocks, (b"", True, 0, None))
     if not first:
         raise SchemaError("input has no header row")
@@ -1030,43 +1062,70 @@ def _parse(blocks, schema: SchemaConfig, label: str, wanted: _Filter, sliced: bo
     for name in columns:
         columns[name].resize(done if name in _KEYS else part.matched, refcheck=False)
     country, year, source = (columns[name] for name in _KEYS)
-    used = (np.bincount(country, minlength=len(codes)) > 0).tolist()
+    # The names used, marked a slice at a time: np.bincount copies the column to intp.
+    used = np.zeros(len(codes), dtype=bool)
+    for rows in _slices(country):
+        used[country[rows]] = True
     names = sorted(name for name, code in codes.items() if used[code])
     rank = np.zeros(len(codes), dtype=_COLUMNS["country"])
     rank[[codes[name] for name in names]] = np.arange(len(names))
     _remap(country, rank)
 
-    # One key sort of the rows serves the duplicate check and the key order.
-    order, repeat = _key_sort(country, year, source)
-    repeats = order[repeat]
+    # One key sort of the rows serves the duplicate check and the key order;
+    # a sliced parse sorts packed keys in the year column's own buffer.
+    packing = _Packing.of(country, year) if sliced and done else None
+    if packing:
+        del columns["country"], columns["source"]
+        order, repeat, unpack = year, packing.sort(country, year, source, year), packing.unpack
+        del country, year, source
+    else:
+        order, repeat = _key_sort(country, year, source)
+
+        def unpack(at):
+            return country[at], year[at], source[at], at
+
+    *key, repeats = unpack(order[repeat])
     lines = repeats + part.offsets[np.searchsorted(part.starts[: part.runs], repeats, "right") - 1]
-    for i, line in zip(repeats.tolist(), lines.tolist()):
-        key = (names[country[i]], year[i].item(), SOURCES[source[i]].value)
-        skipped.append((line, f"duplicate record {key}"))
+    for line, c, y, s in zip(lines.tolist(), *(column.tolist() for column in key)):
+        skipped.append((line, f"duplicate record {(names[c], y, SOURCES[s].value)}"))
     if repeats.size:
         skipped.sort(key=lambda diagnostic: diagnostic[0])
     if sliced:
-        code = wanted.code(names)
+        code, chosen = wanted.code(names), [np.empty(0, np.int64)]
 
         def keep(rows):
             kept = ~repeat[rows]
             if wanted:
-                at = order[rows]
-                kept &= wanted.mask(country[at], year[at], source[at], code)
+                *key, at = unpack(order[rows])
+                match = wanted.mask(*key, code)
+                chosen.append(at[match])
+                kept &= match
             return kept
 
         _compact(order, keep)
-        shares = order
-        if wanted:
-            # The shares of a row wanted are at its index among the rows wanted.
-            shares = np.searchsorted(np.flatnonzero(wanted.mask(country, year, source, code)), order)
-        del country, year, source, repeat, keep
+        del repeat, keep
+        # The shares of a row wanted are at its index among the rows wanted.
+        chosen = np.sort(np.concatenate(chosen))
         # A column at a time, each old one dropped as its copy takes its place.
-        for name in _COLUMNS:
-            columns[name] = columns[name][order if name in _KEYS else shares]
+        for name in ("gini", "top10", "bottom10"):
+            shares, columns[name] = columns[name], np.empty(len(order), _COLUMNS[name])
+            for rows in _slices(order):
+                at = unpack(order[rows])[3]
+                columns[name][rows] = shares[np.searchsorted(chosen, at) if wanted else at]
+            del shares
+        if packing:
+            # The year is decoded in place, the other key columns into new ones.
+            country, source = (np.empty(len(order), _COLUMNS[name]) for name in ("country", "source"))
+            for rows in _slices(order):
+                country[rows], order[rows], source[rows], _ = packing.unpack(order[rows])
+            columns.update(country=country, source=source)
+        else:
+            del country, year, source, unpack
+            for name in _KEYS:
+                columns[name] = columns[name][order]
         order = range(len(order))
     elif repeats.size:
-        del country, year, source
+        del country, year, source, unpack
         _compact(order, lambda rows: ~repeat[rows])
         del repeat
         kept = np.ones(done, dtype=bool)
@@ -1129,9 +1188,12 @@ def parse_panel(
     keep, in key order, which ``slice_panel`` then returns as they are.
     Every row is still read and checked, and each valid row keeps its
     13 bytes of key columns until the key sort has found the repeats; only
-    the rows the filters keep hold their 24 bytes of shares.  A filtered
-    parse then peaks at about 22 bytes a row (the key columns, the 8-byte
-    sort key and a byte of repeat mask), against about 46 for a whole one.
+    the rows the filters keep hold their 24 bytes of shares.  The keys are
+    packed into the year column's own buffer, the other key columns dropped,
+    and the repeats, the filters' rows and the panel's key columns decoded
+    from the sorted keys; only the shares are gathered.  A filtered parse
+    peaks at about 15 bytes a row (while it reads), an unfiltered sliced one
+    at about 38 (while it gathers a share column) and a whole one at 45.
     """
     wanted = _Filter(year, source, country)
     sliced = sliced or bool(wanted)

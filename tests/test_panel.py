@@ -1188,12 +1188,33 @@ class TestParseMemory:
             assert (len(panel), diags) == (n, [])
         assert (peaks[1] - peaks[0]) / 25_000 <= 48
 
+    def test_sliced_peak_per_row(self):
+        """An unfiltered sliced parse grows by at most 40 bytes a row: its
+        sorted packed key, in the year column's place, its 24 bytes of
+        shares and the copy of one share column that gathers it into key
+        order.  Sorting a separate 8-byte key, then gathering every column,
+        makes it grow by about 54."""
+        peaks = []
+        for n in (25_000, 50_000):
+            rows = "".join(f"C{i // 200:04d},{1900 + i % 200},0.{1 + i % 9973:04d},0.25,0.03{i % 7}\n" for i in range(n))
+            stream = io.BytesIO((HEADER + "\n" + rows).encode())
+            with mock.patch.object(panel_module, "_BLOCK_CHARS", 1 << 14):
+                tracemalloc.start()
+                try:
+                    panel, diags = parse_panel(stream, sliced=True)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert (len(panel), diags) == (n, [])
+        assert (peaks[1] - peaks[0]) / 25_000 <= 40
+
     def test_filtered_peak_per_row(self):
-        """A parse filtered to 1% of the rows grows by at most 24 bytes a
-        row: the 13 bytes of its key columns, its 8-byte sort key, a byte of
-        repeat mask and a share of its name, with the 24 bytes of shares of
-        only the rows the filter keeps.  A parse that holds every row's
-        shares grows by about 46."""
+        """A parse filtered to 1% of the rows grows by at most 18 bytes a
+        row: the 13 bytes of its key columns, which grow in place as the
+        blocks are read, then its packed key and a byte of repeat mask, with
+        the 24 bytes of shares of only the rows the filter keeps.  A sort of
+        a separate key after a np.bincount copy of the country codes makes
+        it grow by about 23, a parse that holds every row's shares by 46."""
         peaks = []
         for n in (25_000, 50_000):
             rows = "".join(f"C{i // 100:04d},{1900 + i % 100},0.{1 + i % 9973:04d},0.25,0.03{i % 7}\n" for i in range(n))
@@ -1206,7 +1227,7 @@ class TestParseMemory:
                 finally:
                     tracemalloc.stop()
             assert (len(panel), diags) == (n // 100, [])
-        assert (peaks[1] - peaks[0]) / 25_000 <= 24
+        assert (peaks[1] - peaks[0]) / 25_000 <= 18
 
 
 def parse_outcome(stream, parse=parse_panel):
@@ -1768,9 +1789,10 @@ class TestSplitParseFailures:
         assert calls == [True, True]
 
 
-def whole_then_slice(path, **filters):
+def whole_then_slice(path, sliced=False, **filters):
     """The :func:`parse_outcome` of the whole parse of the file ``path`` by
-    this process alone, then slice_panel with ``filters``."""
+    this process alone, then slice_panel with ``filters``; ``sliced``, a
+    flag of parse_panel alone, is not used."""
 
     def parse(stream):
         panel, diags = parse_panel(stream)
@@ -1786,13 +1808,15 @@ FILTERS = [
     {"country": "AAA"},
     {"country": "Nowhere"},
     {"year": 1999},
+    {"sliced": True},
 ]
 
 
 class TestFilteredParse:
-    """A parse given slice_panel's filters is the whole parse then
-    slice_panel: the same names, columns, key order, diagnostics and stream
-    position, or the same error, read by one process or in parts."""
+    """A parse given slice_panel's filters, or ``sliced`` and none, is the
+    whole parse then slice_panel: the same names, columns, key order,
+    diagnostics and stream position, or the same error, read by one process
+    or in parts."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1817,6 +1841,29 @@ class TestFilteredParse:
             split, parts, reads = split_parse(path, cpus, part_bytes, block_chars, **filters)
             event(f"read in {parts} part(s)" + " then whole" * (reads - 1))
             assert split == whole
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        rows=st.lists(raw_lines(row_cells), max_size=30),
+        line_ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1),
+        unterminated=st.booleans(),
+        with_source=st.booleans(),
+        filters=st.sampled_from(FILTERS),
+    )
+    def test_wide_keys_match_whole_then_slice(
+        self, tmp_path_factory, rows, line_ends, unterminated, with_source, filters
+    ):
+        """Two rows at int64's year ends, first in the file, make every key
+        too wide to pack: each parse sorts its keys by one lexsort."""
+        ends = [["ZZZ", str(year), "WB", "0.3", "0.25", "0.03"] for year in (INT64.min, INT64.max)]
+        path = tmp_path_factory.mktemp("wide") / "panel.csv"
+        path.write_bytes(panel_text(ends + rows, line_ends, unterminated, with_source).encode())
+        with mock.patch.object(panel_module.np, "lexsort", wraps=np.lexsort) as lexsort:
+            whole = whole_then_slice(path, **filters)
+            for cpus in (1, 2, 3):
+                lexsort.reset_mock()
+                split, _, _ = split_parse(path, cpus, max(path.stat().st_size // (cpus + 1), 1), **filters)
+                assert (split, lexsort.call_count) == (whole, 1)
 
     @pytest.mark.parametrize("filters", FILTERS)
     def test_repeats_inside_and_outside_the_filter(self, tmp_path, filters):

@@ -36,9 +36,9 @@ def load_bench_pairs():
 
 def test_bench_pairs_medians_and_wins(tmp_path, capsys, monkeypatch):
     """Each pair runs both checkouts, the first side alternating, on seed
-    SEED + k; the medians and quartiles of each side and the pairs the
-    change wins are printed, a tie counting for neither side, for a "lower"
-    and a "higher" metric alike.  So is the relative change of the medians
+    SEED + k, and its values are printed after that seed; the medians and
+    quartiles of each side and the pairs the change wins are printed, a tie
+    counting for neither side, for a "lower" and a "higher" metric alike.  So is the relative change of the medians
     beside the metric's bound, unresolved where the base's IQR, relative to
     its median, is wider than the bound; a metric with no bound gets no
     such line.  Each metric ends with its verdict."""
@@ -76,16 +76,16 @@ def test_bench_pairs_medians_and_wins(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines() == [
         "w base: correct=True failed=1 of 40",
         "w change: correct=True failed=1 of 40",
-        "w wall_s pairs (base, change): (1, 0.5), (2, 2), (3, 3.5), (4, 3)",
+        "w wall_s pairs (base, change): seed 10 (1, 0.5), seed 11 (2, 2), seed 12 (3, 3.5), seed 13 (4, 3)",
         "w wall_s: base 2.5 [1.25, 3.75]  change 2.5 [0.875, 3.375]  change better in 2 of 4 pairs (lower is better)",
         "w wall_s: median change +0.0%, bound 25.0%, base IQR 100.0% of its median",
         "w wall_s: verdict unresolved",
-        "w items_per_s pairs (base, change): (10, 11), (20, 20), (30, 29), (40, 41)",
+        "w items_per_s pairs (base, change): seed 10 (10, 11), seed 11 (20, 20), seed 12 (30, 29), seed 13 (40, 41)",
         "w items_per_s: base 25 [12.5, 37.5]  change 24.5 [13.25, 38]  change better in 2 of 4 pairs"
         " (higher is better)",
         "w items_per_s: median change -2.0%, bound 150.0%, base IQR 100.0% of its median",
         "w items_per_s: verdict within bound",
-        "w peak_rss_mb pairs (base, change): (5, 6), (5, 6), (5, 6), (5, 6)",
+        "w peak_rss_mb pairs (base, change): seed 10 (5, 6), seed 11 (5, 6), seed 12 (5, 6), seed 13 (5, 6)",
         "w peak_rss_mb: base 5 [5, 5]  change 6 [6, 6]  change better in 0 of 4 pairs (lower is better)",
         "w peak_rss_mb: verdict no gain",
     ]
